@@ -20,7 +20,6 @@ from .spaces import (
     EnlargedSpaceSequence,
     FiniteSpace,
     SpaceSequence,
-    TrackedSequence,
     kuratowski_limits,
     make_grid_sequence,
     make_product_sequence,
@@ -32,7 +31,6 @@ from .limits import (
     FnSequence,
     check_LIM,
     check_P_closedness,
-    check_strict_continuity_estimate,
     compute_LIMINF,
     compute_LIMSUP,
     lift_to_members,
@@ -41,7 +39,6 @@ from .limits import (
 from .probes import (
     bump,
     random_bounded,
-    random_pair_below,
     trig_basis,
     trig_polynomial,
 )

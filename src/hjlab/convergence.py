@@ -35,6 +35,9 @@ from .limits import (
     ConvergenceVerdict,
     Fn,
     FnSequence,
+    _envelope_excess,
+    _gather,
+    _lim_verdict,
     check_LIM,
     compute_LIMINF,
     compute_LIMSUP,
@@ -53,7 +56,7 @@ from .resolvent import (
     estimate_equicontinuity,
 )
 from .semigroup import fit_loglog_slope
-from .spaces import EnlargedSpaceSequence, TrackedSequence
+from .spaces import EnlargedSpaceSequence
 from .viscosity import check_subsolution, check_supersolution
 
 __all__ = [
@@ -92,43 +95,6 @@ class OperatorSequence:
             raise ValueError("need one member operator per member space")
 
 
-def _check_lim_enlarged(
-    g_seq: FnSequence,
-    g_limit,
-    ens: EnlargedSpaceSequence,
-    tol: float,
-    n0: int | None = None,
-    extra: Sequence[TrackedSequence] = (),
-) -> ConvergenceVerdict:
-    """check_LIM variant for the second components, tracked through the
-    enlarged embeddings toward points of the enlarged limit."""
-    n0 = ens.base.n0 if n0 is None else n0
-    per_level: dict = {}
-    passed = True
-    for q in ens.base.compacts.labels:
-        tracked = list(ens.tracked_enlarged(q)) + [t for t in extra if t.q == q]
-        idx = np.stack([t.member_indices for t in tracked], axis=0)
-        vals = np.stack(
-            [g_seq.members[n].values[idx[:, n]] for n in range(ens.base.n_members)], axis=1
-        )
-        limit_idx = np.array([t.limit_index for t in tracked], dtype=int)
-        dev = np.abs(vals - g_limit.values[limit_idx][:, None])
-        worst_per_seq = dev[:, n0:].max(axis=1)
-        i = int(np.argmax(worst_per_seq))
-        worst = float(worst_per_seq[i])
-        ok = worst <= tol
-        passed = passed and ok
-        per_level[q] = {
-            "worst_dev": worst,
-            "witness_limit_index": int(limit_idx[i]),
-            "per_member_dev": dev.max(axis=0),
-            "passed": ok,
-        }
-    return ConvergenceVerdict(
-        passed=passed, tol=tol, n0=n0, uniform_bound=g_seq.norm, per_level=per_level
-    )
-
-
 def _member_images(
     op_seq: OperatorSequence, f_seq: FnSequence, g_seq: FnSequence | None, membership_tol: float
 ) -> FnSequence:
@@ -163,15 +129,19 @@ def check_ex_lim(
     tol: float,
     n0: int | None = None,
     membership_tol: float = 1e-9,
-    extra: Sequence[TrackedSequence] = (),
-    extra_enlarged: Sequence[TrackedSequence] = (),
 ) -> ExLimReport:
     """Two-sided extended limit: LIM f_n = f and LIM g_n = g with
-    (f_n, g_n) in H_n (membership violations are structural errors)."""
+    (f_n, g_n) in H_n (membership violations are structural errors).  The
+    second components are tracked through the enlarged embeddings toward
+    points of the enlarged limit."""
+    ens = op_seq.spaces
     f_lim, g_lim = limit_pair
     g_seq = _member_images(op_seq, f_seq, g_seq, membership_tol)
-    f_verdict = check_LIM(f_seq, f_lim, tol, n0=n0, extra=extra)
-    g_verdict = _check_lim_enlarged(g_seq, g_lim, op_seq.spaces, tol, n0=n0, extra=extra_enlarged)
+    f_verdict = check_LIM(f_seq, f_lim, tol, n0=n0)
+    g_verdict = _lim_verdict(
+        g_seq, g_lim, tol, ens.base.n0 if n0 is None else n0,
+        ens.tracked_enlarged, ens.enlarged_limit_sets,
+    )
     return ExLimReport(
         passed=f_verdict.passed and g_verdict.passed, f_verdict=f_verdict, g_verdict=g_verdict
     )
@@ -198,7 +168,6 @@ def _check_ex_one_sided(
     n0: int | None,
     c_levels: int,
     membership_tol: float,
-    extra_enlarged: Sequence[TrackedSequence],
     sub: bool,
 ) -> WitnessBundle:
     ens = op_seq.spaces
@@ -221,31 +190,22 @@ def _check_ex_one_sided(
         g_bound = float(max(g.values.max() for g in g_seq.members))
     else:
         g_bound = float(min(g.values.min() for g in g_seq.members))
-    gamma = ens.gamma
     records = []
     seq_ok = True
-    for q in ens.base.compacts.labels:
-        tracked = list(ens.tracked_enlarged(q)) + [t for t in extra_enlarged if t.q == q]
-        for t in tracked:
-            y = t.limit_index
-            fv = np.array(
-                [f_seq.members[n].values[t.member_indices[n]] for n in range(ens.base.n_members)]
-            )
-            gv = np.array(
-                [g_seq.members[n].values[t.member_indices[n]] for n in range(ens.base.n_members)]
-            )
-            f_target = float(f_lim.values[gamma[y]])
-            gated = bool(np.abs(fv[n0:] - f_target).max() <= tol)
-            rec = {"q": q, "y": int(y), "gated": gated, "passed": True, "margin": None}
-            if gated:
-                if sub:
-                    margin = float(g_lim.values[y] + tol - gv[n0:].max())
-                else:
-                    margin = float(gv[n0:].min() - (g_lim.values[y] - tol))
-                rec["margin"] = margin
-                rec["passed"] = margin >= 0.0
-                seq_ok = seq_ok and rec["passed"]
-            records.append(rec)
+    for qi, q in enumerate(ens.base.compacts.labels):
+        idx = ens.tracked_enlarged(q)
+        y = ens.enlarged_limit_sets[qi]
+        fv = _gather(f_seq, idx)[:, n0:]
+        gv = _gather(g_seq, idx)[:, n0:]
+        gated = np.abs(fv - f_lim.values[ens.gamma[y]][:, None]).max(axis=1) <= tol
+        if sub:
+            margin = g_lim.values[y] + tol - gv.max(axis=1)
+        else:
+            margin = gv.min(axis=1) - (g_lim.values[y] - tol)
+        passed = ~gated | (margin >= 0.0)
+        seq_ok = seq_ok and bool(passed.all())
+        for yi, g, ok, m in zip(y.tolist(), gated.tolist(), passed.tolist(), margin.tolist()):
+            records.append({"q": q, "y": yi, "gated": g, "passed": ok, "margin": m if g else None})
     notes = []
     if not trunc_ok:
         notes.append("truncated limits failed")
@@ -270,15 +230,13 @@ def check_ex_sublim(
     n0: int | None = None,
     c_levels: int = 5,
     membership_tol: float = 1e-9,
-    extra_enlarged: Sequence[TrackedSequence] = (),
 ) -> WitnessBundle:
     """One-sided extended limit for dagger pairs: truncated limits of f_n,
     uniform upper bound on g_n, and the tail inequality
     max_{n >= n0} g_n(z_n) <= g(y) + tol along every gated tracked sequence
     (gated = the f-values do converge to f(gamma(y)))."""
     return _check_ex_one_sided(
-        op_seq, limit_pair, f_seq, g_seq, tol, n0, c_levels, membership_tol,
-        extra_enlarged, sub=True,
+        op_seq, limit_pair, f_seq, g_seq, tol, n0, c_levels, membership_tol, sub=True
     )
 
 
@@ -291,13 +249,11 @@ def check_ex_superlim(
     n0: int | None = None,
     c_levels: int = 5,
     membership_tol: float = 1e-9,
-    extra_enlarged: Sequence[TrackedSequence] = (),
 ) -> WitnessBundle:
     """Mirror of check_ex_sublim for ddagger pairs (truncation from below,
     uniform lower bound, liminf inequality)."""
     return _check_ex_one_sided(
-        op_seq, limit_pair, f_seq, g_seq, tol, n0, c_levels, membership_tol,
-        extra_enlarged, sub=False,
+        op_seq, limit_pair, f_seq, g_seq, tol, n0, c_levels, membership_tol, sub=False
     )
 
 
@@ -317,7 +273,6 @@ def barles_perthame_envelopes(
     h_limit: Fn,
     pre_tol: float,
     n0: int | None = None,
-    extra: Sequence[TrackedSequence] = (),
 ) -> EnvelopeReport:
     """Upper and lower envelopes of the member resolvents R_n(lam) h_n.
 
@@ -327,27 +282,23 @@ def barles_perthame_envelopes(
     the limit resolvent to exist along this route.
     """
     seq = h_seq.spaces
-    up_h = compute_LIMSUP(h_seq, n0=n0, extra=extra)
-    lo_h = compute_LIMINF(h_seq, n0=n0, extra=extra)
-    for qi, q in enumerate(seq.compacts.labels):
-        idx = seq.compacts.limit_sets[qi]
-        touched = np.isfinite(up_h.values[idx])
-        over = (up_h.values[idx] - h_limit.values[idx])[touched]
-        under = (h_limit.values[idx] - lo_h.values[idx])[touched]
-        if over.size and over.max() > pre_tol:
+    up_h = compute_LIMSUP(h_seq, n0=n0)
+    lo_h = compute_LIMINF(h_seq, n0=n0)
+    for q, over, under in _envelope_excess(up_h, lo_h, h_limit, seq):
+        if over > pre_tol:
             raise PreconditionError(
-                f"LIMSUP of the data exceeds the target by {over.max():.3g} at level {q}"
+                f"LIMSUP of the data exceeds the target by {over:.3g} at level {q}"
             )
-        if under.size and under.max() > pre_tol:
+        if under > pre_tol:
             raise PreconditionError(
-                f"LIMINF of the data undershoots the target by {under.max():.3g} at level {q}"
+                f"LIMINF of the data undershoots the target by {under:.3g} at level {q}"
             )
     sols = []
     for n, fam in enumerate(families):
         sols.append(fam.solve(lam, h_seq.members[n]))
     u_seq = FnSequence(seq, tuple(sols))
-    upper = compute_LIMSUP(u_seq, n0=n0, extra=extra)
-    lower = compute_LIMINF(u_seq, n0=n0, extra=extra)
+    upper = compute_LIMSUP(u_seq, n0=n0)
+    lower = compute_LIMINF(u_seq, n0=n0)
     separation = {}
     worst = 0.0
     for qi, q in enumerate(seq.compacts.labels):
@@ -385,8 +336,6 @@ def resolvent_convergence_experiment(
     tol_viscosity: float = 1e-8,
     equicontinuity_delta: float = 0.5,
     expectation: str = "converge",
-    extra: Sequence[TrackedSequence] = (),
-    extra_enlarged: Sequence[TrackedSequence] = (),
     identity_tol: float = 1e-8,
     tol_witness: float | None = None,
 ) -> ResolventExperimentReport:
@@ -418,7 +367,7 @@ def resolvent_convergence_experiment(
         h_seq = lift_to_members(h, base)
         lifted[k] = h_seq
         norm_ok = all(m.norm <= h.norm + 1e-12 for m in h_seq.members)
-        verdict = check_LIM(h_seq, h, tol_lim, extra=extra)
+        verdict = check_LIM(h_seq, h, tol_lim)
         lifting.append({"h_index": k, "norm_preserved": norm_ok, "passed": verdict.passed,
                         "worst_dev": max(r["worst_dev"] for r in verdict.per_level.values())})
 
@@ -434,8 +383,7 @@ def resolvent_convergence_experiment(
             if tol_witness is None:
                 continue
             bundle = check_ex_sublim(
-                op_seq, (phi_fn, psi), f_seq, None, tol=tol_witness,
-                extra_enlarged=extra_enlarged,
+                op_seq, (phi_fn, psi), f_seq, None, tol=tol_witness
             )
             witness_bundles.append({"pair": j, "kind": "sub", "passed": bundle.passed,
                                     "bundle": bundle})
@@ -444,8 +392,7 @@ def resolvent_convergence_experiment(
             phi_fn = Fn(base.limit, phi.values)
             f_seq = lift_to_members(phi_fn, base)
             bundle = check_ex_superlim(
-                op_seq, (phi_fn, psi), f_seq, None, tol=tol_witness,
-                extra_enlarged=extra_enlarged,
+                op_seq, (phi_fn, psi), f_seq, None, tol=tol_witness
             )
             witness_bundles.append({"pair": j, "kind": "super", "passed": bundle.passed,
                                     "bundle": bundle})
@@ -484,16 +431,14 @@ def resolvent_convergence_experiment(
     converged = True
     for k, h in enumerate(D):
         for lam in lambdas:
-            rep = barles_perthame_envelopes(
-                families, lifted[k], lam, h, pre_tol=tol_lim, extra=extra
-            )
+            rep = barles_perthame_envelopes(families, lifted[k], lam, h, pre_tol=tol_lim)
             case = {"h_index": k, "lam": float(lam),
                     "max_separation": rep.max_separation,
                     "separation_per_level": rep.separation_per_level,
                     "envelopes_coincide": rep.max_separation <= tol_envelope}
             if limit_family is not None:
                 u_lim = limit_family.solve(lam, h)
-                verdict = check_LIM(rep.solutions, u_lim, tol_envelope, extra=extra)
+                verdict = check_LIM(rep.solutions, u_lim, tol_envelope)
                 case["lim_passed"] = verdict.passed
                 case["lim_worst_dev"] = max(
                     r["worst_dev"] for r in verdict.per_level.values()

@@ -3,8 +3,8 @@
 A function sequence {f_n} converges to f (written LIM f_n = f) when the norms
 stay bounded and f_n(x_n) -> f(x) along every tracked convergent sequence
 x_n in K_n^q, for every compact level q.  Tracked sequences are the
-nearest-point liftings of the limit points plus anything the caller
-registers; tolerances apply from the burn-in index on.
+nearest-point liftings of the limit points, one row of the sequence's index
+matrix each; tolerances apply from the burn-in index on.
 
 The one-sided envelopes LIMSUP and LIMINF replace the limit along each
 tracked sequence by the tail maximum or minimum; the sandwich lemma
@@ -18,25 +18,23 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import PreconditionError
-from .spaces import FiniteSpace, SpaceSequence, TrackedSequence
+from .spaces import FiniteSpace, SpaceSequence
 
 __all__ = [
     "Fn",
     "ExtFn",
     "FnSequence",
     "ConvergenceVerdict",
-    "EquiContinuityFit",
     "check_LIM",
     "compute_LIMSUP",
     "compute_LIMINF",
     "sandwich_to_LIM",
     "lift_to_members",
-    "check_strict_continuity_estimate",
     "check_P_closedness",
     "pair_norm",
 ]
@@ -189,42 +187,28 @@ class ConvergenceVerdict:
         )
 
 
-def _gather(fs: FnSequence, tracked: Sequence[TrackedSequence]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack f_n(z_n) along each tracked sequence: rows = sequences, cols = members."""
-    idx = np.stack([t.member_indices for t in tracked], axis=0)
-    vals = np.stack(
-        [fs.members[n].values[idx[:, n]] for n in range(fs.spaces.n_members)], axis=1
-    )
-    limit_idx = np.array([t.limit_index for t in tracked], dtype=int)
-    return vals, limit_idx
+def _gather(fs: FnSequence, idx: np.ndarray) -> np.ndarray:
+    """f_n(z_n) along every tracked sequence: rows of idx, one column per member."""
+    return np.stack([f.values[idx[:, n]] for n, f in enumerate(fs.members)], axis=1)
 
 
-def _tracked_for_level(
-    fs: FnSequence, q, extra: Iterable[TrackedSequence]
-) -> list[TrackedSequence]:
-    tracked = list(fs.spaces.tracked(q))
-    tracked.extend(t for t in extra if t.q == q)
-    return tracked
-
-
-def check_LIM(
+def _lim_verdict(
     fs: FnSequence,
     f: Fn,
     tol: float,
-    n0: int | None = None,
-    extra: Sequence[TrackedSequence] = (),
+    n0: int,
+    tracked: Callable[..., np.ndarray],
+    limit_sets: Sequence[np.ndarray],
 ) -> ConvergenceVerdict:
-    """Verdict on LIM f_n = f at the given tolerance and burn-in index."""
-    n0 = fs.spaces.n0 if n0 is None else n0
+    """LIM f_n = f along the tracked(q) index matrices, whose rows converge to
+    the points limit_sets[qi] of the space f lives on."""
     per_level: dict = {}
     passed = True
     notes: list[str] = []
-    for q in fs.spaces.compacts.labels:
-        tracked = _tracked_for_level(fs, q, extra)
-        vals, limit_idx = _gather(fs, tracked)
-        dev = np.abs(vals - f.values[limit_idx][:, None])
-        tail = dev[:, n0:]
-        worst_per_seq = tail.max(axis=1)
+    for qi, q in enumerate(fs.spaces.compacts.labels):
+        limit_idx = limit_sets[qi]
+        dev = np.abs(_gather(fs, tracked(q)) - f.values[limit_idx][:, None])
+        worst_per_seq = dev[:, n0:].max(axis=1)
         i_worst = int(np.argmax(worst_per_seq))
         worst = float(worst_per_seq[i_worst])
         per_member = dev.max(axis=0)
@@ -248,63 +232,62 @@ def check_LIM(
     )
 
 
-def _envelope(
-    fs: FnSequence,
-    n0: int | None,
-    extra: Sequence[TrackedSequence],
-    upper: bool,
-) -> ExtFn:
+def check_LIM(fs: FnSequence, f: Fn, tol: float, n0: int | None = None) -> ConvergenceVerdict:
+    """Verdict on LIM f_n = f at the given tolerance and burn-in index."""
     n0 = fs.spaces.n0 if n0 is None else n0
-    fill = -np.inf if upper else np.inf
-    out = np.full(fs.spaces.limit.size, fill)
-    for q in fs.spaces.compacts.labels:
-        tracked = _tracked_for_level(fs, q, extra)
-        vals, limit_idx = _gather(fs, tracked)
-        tail = vals[:, n0:]
-        cand = tail.max(axis=1) if upper else tail.min(axis=1)
-        for i, p in enumerate(limit_idx):
-            out[p] = max(out[p], cand[i]) if upper else min(out[p], cand[i])
+    return _lim_verdict(fs, f, tol, n0, fs.spaces.tracked, fs.spaces.compacts.limit_sets)
+
+
+def _envelope(fs: FnSequence, n0: int | None, upper: bool) -> ExtFn:
+    n0 = fs.spaces.n0 if n0 is None else n0
+    out = np.full(fs.spaces.limit.size, -np.inf if upper else np.inf)
+    for qi, q in enumerate(fs.spaces.compacts.labels):
+        tail = _gather(fs, fs.spaces.tracked(q))[:, n0:]
+        if upper:
+            np.maximum.at(out, fs.spaces.compacts.limit_sets[qi], tail.max(axis=1))
+        else:
+            np.minimum.at(out, fs.spaces.compacts.limit_sets[qi], tail.min(axis=1))
     return ExtFn(fs.spaces.limit, out)
 
 
-def compute_LIMSUP(
-    fs: FnSequence, n0: int | None = None, extra: Sequence[TrackedSequence] = ()
-) -> ExtFn:
+def compute_LIMSUP(fs: FnSequence, n0: int | None = None) -> ExtFn:
     """Upper envelope: tail max of f_n along every tracked sequence, sup over levels.
     Limit points not reached by any tracked sequence come back as -inf."""
-    return _envelope(fs, n0, extra, upper=True)
+    return _envelope(fs, n0, upper=True)
 
 
-def compute_LIMINF(
-    fs: FnSequence, n0: int | None = None, extra: Sequence[TrackedSequence] = ()
-) -> ExtFn:
+def compute_LIMINF(fs: FnSequence, n0: int | None = None) -> ExtFn:
     """Lower envelope, mirror of compute_LIMSUP; unreached points are +inf."""
-    return _envelope(fs, n0, extra, upper=False)
+    return _envelope(fs, n0, upper=False)
 
 
-def sandwich_to_LIM(
-    fs: FnSequence,
-    f: Fn,
-    tol: float,
-    n0: int | None = None,
-    extra: Sequence[TrackedSequence] = (),
-) -> ConvergenceVerdict:
+def _envelope_excess(upper: ExtFn, lower: ExtFn, f: Fn, seq: SpaceSequence) -> list[tuple]:
+    """Per compact level q: (q, over, under), the largest amounts by which
+    LIMSUP exceeds f and f exceeds LIMINF on the limit points some tracked
+    sequence reaches (-inf when none is reached)."""
+    out = []
+    for qi, q in enumerate(seq.compacts.labels):
+        idx = seq.compacts.limit_sets[qi]
+        touched = np.isfinite(upper.values[idx])
+        over = (upper.values[idx] - f.values[idx])[touched]
+        under = (f.values[idx] - lower.values[idx])[touched]
+        out.append((q, over.max(initial=-np.inf), under.max(initial=-np.inf)))
+    return out
+
+
+def sandwich_to_LIM(fs: FnSequence, f: Fn, tol: float, n0: int | None = None) -> ConvergenceVerdict:
     """If LIMSUP f_n <= f <= LIMINF f_n within tol on every compact level, the
     two-sided limit holds; returns the check_LIM verdict, annotated when the
     sandwich itself fails."""
-    upper = compute_LIMSUP(fs, n0=n0, extra=extra)
-    lower = compute_LIMINF(fs, n0=n0, extra=extra)
+    upper = compute_LIMSUP(fs, n0=n0)
+    lower = compute_LIMINF(fs, n0=n0)
     notes = []
-    for qi, q in enumerate(fs.spaces.compacts.labels):
-        idx = fs.spaces.compacts.limit_sets[qi]
-        touched = np.isfinite(upper.values[idx]) & np.isfinite(lower.values[idx])
-        over = (upper.values[idx] - f.values[idx])[touched]
-        under = (f.values[idx] - lower.values[idx])[touched]
-        if over.size and over.max() > tol:
-            notes.append(f"level {q}: LIMSUP exceeds target by {over.max():.3g}")
-        if under.size and under.max() > tol:
-            notes.append(f"level {q}: target exceeds LIMINF by {under.max():.3g}")
-    verdict = check_LIM(fs, f, tol, n0=n0, extra=extra)
+    for q, over, under in _envelope_excess(upper, lower, f, fs.spaces):
+        if over > tol:
+            notes.append(f"level {q}: LIMSUP exceeds target by {over:.3g}")
+        if under > tol:
+            notes.append(f"level {q}: target exceeds LIMINF by {under:.3g}")
+    verdict = check_LIM(fs, f, tol, n0=n0)
     if notes:
         return ConvergenceVerdict(
             passed=False,
@@ -330,66 +313,6 @@ def lift_to_members(f: Fn, seq: SpaceSequence) -> FnSequence:
     return FnSequence(seq, tuple(members))
 
 
-@dataclass(frozen=True)
-class EquiContinuityFit:
-    """Fit of the two-constant continuity bound
-    sup_K |Tf - Tg| <= delta * C0 + C1 * sup_Khat |f - g|."""
-
-    ok: bool
-    records: tuple
-    notes: tuple = ()
-
-
-def check_strict_continuity_estimate(
-    apply_T: Callable[[Fn], Fn],
-    probes: Sequence[tuple],
-    candidate_hats: Sequence[np.ndarray],
-    c1_grid: Sequence[float] = (0.0, 1.0),
-    c0_cap_factor: float = 2.0,
-) -> EquiContinuityFit:
-    """Fit constants for the double bound over probe groups.
-
-    Each probe is (f, g, K, delta, r) with K a point-index array and r the
-    probe norm bound.  Probes sharing (K, delta, r) are fitted together: the
-    smallest candidate K_hat (ordered) and smallest C1 from the grid such
-    that the required C0 stays below c0_cap_factor * r wins.  Failure to fit
-    is reported, not raised.
-    """
-    groups: dict = {}
-    for f, g, K, delta, r in probes:
-        key = (tuple(np.asarray(K, dtype=int).tolist()), float(delta), float(r))
-        groups.setdefault(key, []).append((f, g))
-    records = []
-    all_ok = True
-    for (K_key, delta, r), pairs in groups.items():
-        K = np.asarray(K_key, dtype=int)
-        diffs = []
-        for f, g in pairs:
-            tf, tg = apply_T(f), apply_T(g)
-            lhs = float(np.abs(tf.values[K] - tg.values[K]).max())
-            diffs.append((lhs, f, g))
-        fit = None
-        for hat_i, Khat in enumerate(candidate_hats):
-            Khat = np.asarray(Khat, dtype=int)
-            for c1 in c1_grid:
-                need = 0.0
-                for lhs, f, g in diffs:
-                    rhs_var = float(np.abs(f.values[Khat] - g.values[Khat]).max())
-                    need = max(need, (lhs - c1 * rhs_var) / delta)
-                need = max(0.0, need)
-                if need <= c0_cap_factor * r:
-                    fit = {"K": K, "delta": delta, "r": r, "hat_index": hat_i,
-                           "C0": need, "C1": float(c1)}
-                    break
-            if fit is not None:
-                break
-        if fit is None:
-            all_ok = False
-            fit = {"K": K, "delta": delta, "r": r, "hat_index": None, "C0": None, "C1": None}
-        records.append(fit)
-    return EquiContinuityFit(ok=all_ok, records=tuple(records))
-
-
 def pair_norm(fs: FnSequence, f: Fn) -> float:
     """Norm of the pair <f, {f_n}>: the larger of the two sup norms."""
     return max(fs.norm, f.norm)
@@ -399,7 +322,6 @@ def check_P_closedness(
     pairs: Sequence[tuple],
     tol: float,
     n0: int | None = None,
-    extra: Sequence[TrackedSequence] = (),
 ) -> bool:
     """Closedness probe for the subspace of convergent pairs.
 
@@ -426,5 +348,5 @@ def check_P_closedness(
             f"pair sequence is not Cauchy at tolerance {tol}: last increment {increments[-1]:.3g}"
         )
     fs_last, f_last = pairs[-1]
-    verdict = check_LIM(fs_last, f_last, 3.0 * tol, n0=n0, extra=extra)
+    verdict = check_LIM(fs_last, f_last, 3.0 * tol, n0=n0)
     return verdict.passed

@@ -16,7 +16,6 @@ __all__ = [
     "trig_basis",
     "bump",
     "random_bounded",
-    "random_pair_below",
 ]
 
 
@@ -62,15 +61,3 @@ def bump(space: FiniteSpace, center: float, width: float, height: float = 1.0,
 
 def random_bounded(space: FiniteSpace, rng: np.random.Generator, bound: float = 1.0) -> Fn:
     return Fn(space, rng.uniform(-bound, bound, size=space.size))
-
-
-def random_pair_below(
-    space: FiniteSpace, rng: np.random.Generator, bound: float = 1.0
-) -> tuple[Fn, Fn]:
-    """A random pair (f, g) with f <= g everywhere and equality at one point;
-    the touching point is what degenerate-ellipticity probes need."""
-    g = rng.uniform(-bound, bound, size=space.size)
-    gap = rng.uniform(0.0, bound, size=space.size)
-    i = int(rng.integers(space.size))
-    gap[i] = 0.0
-    return Fn(space, g - gap), Fn(space, g)

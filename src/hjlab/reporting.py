@@ -3,8 +3,8 @@
 Reports must be byte-identical across runs with the same config and seed, so
 everything here avoids nondeterministic content: keys are sorted, floats go
 through Python's shortest round-trip repr, sets and dict iteration never leak
-ordering, and no timestamps or durations enter the payload (timing goes to
-the log stream instead).
+ordering, and no timestamps or durations enter the payload.  The package
+records no timing at all; measure it from outside (perfbench/ does).
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -64,9 +64,7 @@ class SolveDiagnostics:
     method: str
     iterations: int
     residual: float
-    converged: bool
     from_cache: bool = False
-    message: str = ""
 
 
 def _hash_values(v: np.ndarray) -> str:
@@ -84,15 +82,10 @@ class ResolventFamily:
     method: str = "auto"  # auto | fixed_point | newton
     _cache: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    _last_diag: SolveDiagnostics | None = field(default=None, repr=False)
 
     def solve(self, lam: float, h: Fn, initial: Fn | None = None) -> Fn:
-        f, diag = solve_resolvent(self, lam, h, initial=initial)
+        f, _ = solve_resolvent(self, lam, h, initial=initial)
         return f
-
-    @property
-    def last_diagnostics(self) -> SolveDiagnostics | None:
-        return self._last_diag
 
     @property
     def space(self):
@@ -197,7 +190,8 @@ def _fixed_point(
 def solve_resolvent(
     family: ResolventFamily, lam: float, h: Fn, initial: Fn | None = None
 ) -> tuple[Fn, SolveDiagnostics]:
-    """Solve f - lam * H f = h to the family's residual tolerance."""
+    """Solve f - lam * H f = h to the family's residual tolerance; returns the
+    solution with the diagnostics of this call (from_cache on a cache hit)."""
     if lam <= 0:
         raise PreconditionError("lambda must be positive")
     H = family.hamiltonian
@@ -207,12 +201,7 @@ def solve_resolvent(
     with family._lock:
         if key in family._cache:
             f, diag = family._cache[key]
-            diag = SolveDiagnostics(
-                lam=diag.lam, method=diag.method, iterations=diag.iterations,
-                residual=diag.residual, converged=diag.converged, from_cache=True,
-            )
-            family._last_diag = diag
-            return f, diag
+            return f, replace(diag, from_cache=True)
 
     f0 = (initial.values if initial is not None else h.values).astype(float).copy()
     tol = family.tol_residual
@@ -256,12 +245,9 @@ def solve_resolvent(
             used = "newton+continuation"
 
     out = Fn(H.space, f)
-    diag = SolveDiagnostics(
-        lam=float(lam), method=used, iterations=iterations, residual=res, converged=True
-    )
+    diag = SolveDiagnostics(lam=float(lam), method=used, iterations=iterations, residual=res)
     with family._lock:
         family._cache[key] = (out, diag)
-        family._last_diag = diag
     return out, diag
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "CompactFamily",
     "SpaceSequence",
     "EnlargedSpaceSequence",
-    "TrackedSequence",
     "SpaceAudit",
     "make_grid_sequence",
     "make_product_sequence",
@@ -78,13 +77,24 @@ class FiniteSpace:
     def nearest(self, targets: np.ndarray, within: np.ndarray | None = None) -> np.ndarray:
         """Indices of the nearest points to each target row, optionally restricted
         to the point-index subset `within`.  Ties resolve to the lowest index."""
-        targets = np.atleast_2d(np.asarray(targets, dtype=float))
         pool = np.arange(self.size) if within is None else np.asarray(within, dtype=int)
         if pool.size == 0:
             raise ValueError("nearest() over an empty subset")
-        tree = cKDTree(self.coords[pool])
-        _, local = tree.query(targets)
-        return pool[np.atleast_1d(local)]
+        return _nearest(self.coords, pool, targets)
+
+
+def _nearest(coords: np.ndarray, pool: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    # index (into coords) of the nearest pool row to each target row
+    targets = np.atleast_2d(np.asarray(targets, dtype=float))
+    _, local = cKDTree(coords[pool]).query(targets)
+    return pool[np.atleast_1d(local)]
+
+
+def _index_matrix(columns: list) -> np.ndarray:
+    # one column per member, frozen so cached matrices cannot be edited
+    idx = np.stack(columns, axis=1)
+    idx.setflags(write=False)
+    return idx
 
 
 @dataclass(frozen=True)
@@ -122,19 +132,6 @@ class CompactFamily:
 
 
 @dataclass(frozen=True)
-class TrackedSequence:
-    """A sequence z_n of member points (one index per member space) tagged with
-    the compact level it lives in and the limit point it converges to."""
-
-    q: Hashable
-    member_indices: np.ndarray
-    limit_index: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "member_indices", np.asarray(self.member_indices, dtype=int))
-
-
-@dataclass(frozen=True)
 class SpaceAudit:
     monotone: bool
     hausdorff: dict
@@ -156,7 +153,7 @@ class SpaceSequence:
 
     n0 is the burn-in index: quantitative convergence checks apply to members
     n >= n0 only.  Tracked sequences (nearest-point liftings of limit points,
-    level by level) are the default probes for all limit computations.
+    level by level) are the probes for all limit computations.
     """
 
     members: tuple
@@ -178,26 +175,20 @@ class SpaceSequence:
     def n_members(self) -> int:
         return len(self.members)
 
-    def tracked(self, q) -> list[TrackedSequence]:
-        """Nearest-point lifting of every limit point of K^q: for each member n the
-        closest point of K_n^q in the ambient embedding."""
+    def tracked(self, q) -> np.ndarray:
+        """Nearest-point lifting of every limit point of K^q, as a read-only
+        (n_targets, n_members) index matrix: row i is the tracked sequence of
+        limit point compacts.limit_sets[qi][i], and column n holds the closest
+        point of K_n^q in the ambient embedding."""
         key = ("tracked", q)
-        if key in self._cache:
-            return self._cache[key]
-        qi = self.compacts.level(q)
-        limit_idx = self.compacts.limit_sets[qi]
-        targets = self.limit.coords[limit_idx]
-        per_member = [
-            m.nearest(targets, within=self.compacts.member_sets[qi][n])
-            for n, m in enumerate(self.members)
-        ]
-        stacked = np.stack(per_member, axis=1)  # (n_targets, n_members)
-        out = [
-            TrackedSequence(q=q, member_indices=stacked[i], limit_index=int(p))
-            for i, p in enumerate(limit_idx)
-        ]
-        self._cache[key] = out
-        return out
+        if key not in self._cache:
+            qi = self.compacts.level(q)
+            targets = self.limit.coords[self.compacts.limit_sets[qi]]
+            self._cache[key] = _index_matrix([
+                m.nearest(targets, within=self.compacts.member_sets[qi][n])
+                for n, m in enumerate(self.members)
+            ])
+        return self._cache[key]
 
     def audit(self, tol: float, n0: int | None = None) -> SpaceAudit:
         """Check the compact family: levels grow along the chain, and embedded
@@ -282,28 +273,19 @@ class EnlargedSpaceSequence:
         if len(self.member_enlarged_coords) != self.base.n_members:
             raise ValueError("need enlarged coordinates for every member")
 
-    def tracked_enlarged(self, q) -> list[TrackedSequence]:
+    def tracked_enlarged(self, q) -> np.ndarray:
         """Nearest-point lifting of every enlarged-limit point of K_hat^q, with
-        distances measured in the enlarged ambient space."""
+        distances measured in the enlarged ambient space; rows align with
+        enlarged_limit_sets[qi], as tracked() rows align with the base sets."""
         key = ("tracked_hat", q)
-        if key in self._cache:
-            return self._cache[key]
-        qi = self.base.compacts.level(q)
-        y_idx = self.enlarged_limit_sets[qi]
-        targets = self.enlarged_limit.coords[y_idx]
-        per_member = []
-        for n in range(self.base.n_members):
-            pool = self.base.compacts.member_sets[qi][n]
-            tree = cKDTree(self.member_enlarged_coords[n][pool])
-            _, local = tree.query(targets)
-            per_member.append(pool[np.atleast_1d(local)])
-        stacked = np.stack(per_member, axis=1)
-        out = [
-            TrackedSequence(q=q, member_indices=stacked[i], limit_index=int(y))
-            for i, y in enumerate(y_idx)
-        ]
-        self._cache[key] = out
-        return out
+        if key not in self._cache:
+            qi = self.base.compacts.level(q)
+            targets = self.enlarged_limit.coords[self.enlarged_limit_sets[qi]]
+            self._cache[key] = _index_matrix([
+                _nearest(self.member_enlarged_coords[n], pool, targets)
+                for n, pool in enumerate(self.base.compacts.member_sets[qi])
+            ])
+        return self._cache[key]
 
 
 def _interval_grid(a: float, b: float, res: int, periodic: bool) -> np.ndarray:

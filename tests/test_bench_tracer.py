@@ -1,0 +1,58 @@
+"""Smoke test of the benchmark's span tracer (perfbench/tracer.py).
+
+The tracer wraps hjlab functions by name from outside the package, so a
+rename inside hjlab silently empties its per-layer metrics.  This runs one
+tiny traced grid experiment in a fresh interpreter and checks that the
+tracked-sequence metric is still fed.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import yaml
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TINY_GRID = {
+    "schema_version": 1,
+    "name": "traced-tiny-grid",
+    "seed": 3,
+    "converge": {
+        "kind": "grid_experiment",
+        "sequence": {"kind": "grid_sequence", "domain": [0.0, 1.0],
+                     "resolutions": [16, 32, 64]},
+        "scheme": "upwind_quadratic",
+        "drift": {"kind": "trig", "sin": [0.3]},
+        "probes": {"kind": "trig_list", "items": [{"cos": [0.0, 0.2]}]},
+        "lambdas": [0.5],
+        "tol_lim": 0.1,
+        "envelope_tolerance": {"factor": 4.0},
+        "expectation": "converge",
+    },
+}
+
+SCRIPT = """
+import json, sys
+sys.path[:0] = [{perfbench!r}, {src!r}]
+import tracer
+t = tracer.Tracer()
+t.install()
+from hjlab.cli import main
+code = main(["converge", "--config", {cfg!r}, "--out", {out!r}, "--jobs", "1"])
+print(json.dumps({{"exit": code, "metrics": t.layer_metrics()}}))
+"""
+
+
+def test_traced_grid_run_feeds_the_tracked_sequence_metric(tmp_path):
+    cfg = tmp_path / "grid.yaml"
+    cfg.write_text(yaml.safe_dump(TINY_GRID))
+    script = SCRIPT.format(perfbench=str(ROOT / "perfbench"), src=str(ROOT / "src"),
+                           cfg=str(cfg), out=str(tmp_path / "out"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["exit"] == 0
+    assert result["metrics"]["spaces.tracked_sequences"] > 0

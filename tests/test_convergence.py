@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import unit_grid
+from oracles import limit_reference
 from hjlab import (
     FiniteSpace,
     Fn,
@@ -100,6 +101,34 @@ def test_one_sided_extended_limits_hold_for_the_upwind_refinement():
     sup = check_ex_superlim(op_seq, (phi, psi), f_seq, tol=1.0)
     assert sup.passed and sup.kind == "super"
     assert sup.g_bound <= sub.g_bound
+
+
+
+def test_one_sided_records_match_the_per_sequence_reference():
+    # grids as in the limits reference test: nearest points are unique
+    seq = make_grid_sequence(
+        (0.0, 1.0), [5, 15, 45], q_widths=(0.4, 0.7), limit_resolution_factor=3, n0=1
+    )
+    members = tuple(upwind_quadratic(m, drift(m, 0.5)) for m in seq.members)
+    limit = upwind_quadratic(seq.limit, drift(seq.limit, 0.5))
+    op_seq = OperatorSequence(spaces=seq.as_enlarged(), members=members)
+    phi = trig_polynomial(seq.limit, [0.0, 0.3], [0.2])
+    psi = limit(phi)
+    f_seq = lift_to_members(phi, seq)
+    f_values = [f.values.tolist() for f in f_seq.members]
+    g_values = [H(f).values.tolist() for H, f in zip(members, f_seq.members)]
+    tol = 0.05
+    for sub, check in ((True, check_ex_sublim), (False, check_ex_superlim)):
+        bundle = check(op_seq, (phi, psi), f_seq, tol=tol)
+        ref = limit_reference.one_sided_records(
+            seq, f_values, g_values, phi.values.tolist(), psi.values.tolist(),
+            tol, 1, sub,
+        )
+        assert bundle.sequence_records == tuple(ref)
+        # the fixture reaches every branch: ungated, passing and failing rows
+        assert {(r["gated"], r["passed"]) for r in ref} == {
+            (False, True), (True, True), (True, False)
+        }
 
 
 def test_envelope_preconditions_reject_biased_data():

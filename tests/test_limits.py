@@ -1,4 +1,4 @@
-"""Function containers, LIM checks, envelopes, and continuity estimates."""
+"""Function containers, LIM checks, and envelopes."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import unit_grid
+from oracles import limit_reference
 from hjlab import (
     CompactFamily,
     ExtFn,
@@ -15,7 +16,6 @@ from hjlab import (
     SpaceSequence,
     check_LIM,
     check_P_closedness,
-    check_strict_continuity_estimate,
     compute_LIMINF,
     compute_LIMSUP,
     lift_to_members,
@@ -191,33 +191,48 @@ def test_p_closedness_rejects_growing_increments():
         check_P_closedness([shifted(0.0), shifted(2.0)], tol=0.5)
 
 
-def test_continuity_estimate_fits_a_nonexpansive_map():
-    s = unit_grid(32)
-    K = np.arange(8)
-    K_hat = np.arange(16)
-    rng = np.random.default_rng(3)
-    probes = []
-    for _ in range(4):
-        f = Fn(s, rng.uniform(-1, 1, 32))
-        g = Fn(s, rng.uniform(-1, 1, 32))
-        probes.append((f, g, K, 0.25, 1.0))
-    fit = check_strict_continuity_estimate(
-        lambda f: f, probes, candidate_hats=[K, K_hat, np.arange(32)]
+# Resolutions r0, 3 r0, 9 r0 and an odd limit factor keep every limit point off
+# the midpoints between member points, so nearest points are unique and the
+# reference's own scan must find the same tracked sequences as the package.
+@settings(max_examples=40, deadline=None)
+@given(
+    r0=st.sampled_from([3, 5]),
+    factor=st.sampled_from([3, 5]),
+    n0=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.floats(0.0, 2.0),
+    coarse=st.booleans(),
+)
+def test_array_core_matches_the_per_point_reference(r0, factor, n0, seed, tol, coarse):
+    seq = make_grid_sequence(
+        (0.0, 1.0), [r0, 3 * r0, 9 * r0], q_widths=(0.4, 0.7),
+        limit_resolution_factor=factor, n0=n0,
     )
-    assert fit.ok
-    rec = fit.records[0]
-    # identity needs no room beyond the variable term once K_hat covers K
-    assert rec["C1"] == 1.0 and rec["C0"] == 0.0 and rec["hat_index"] == 0
+    assert seq.compacts.n_levels == 3
+    rng = np.random.default_rng(seed)
 
+    def values(size):
+        # coarse values tie often, which pins down the witness tie-break
+        return rng.integers(-2, 3, size) / 2.0 if coarse else rng.uniform(-1, 1, size)
 
-def test_continuity_estimate_reports_an_unfittable_map():
-    s = unit_grid(8)
-    f = Fn(s, np.zeros(8))
-    g = Fn(s, 0.01 * np.ones(8))
-    # amplification by 1e3 cannot be absorbed at C1 <= 1 and capped C0
-    blow_up = lambda u: Fn(s, 1e3 * u.values)
-    fit = check_strict_continuity_estimate(
-        blow_up, [(f, g, np.arange(8), 0.001, 0.01)], candidate_hats=[np.arange(8)]
-    )
-    assert not fit.ok
-    assert fit.records[0]["hat_index"] is None
+    fs = FnSequence(seq, tuple(Fn(m, values(m.size)) for m in seq.members))
+    f = Fn(seq.limit, values(seq.limit.size))
+    member_values = [m.values.tolist() for m in fs.members]
+
+    for qi, q in enumerate(seq.compacts.labels):
+        rows = limit_reference.tracked_rows(seq, qi)
+        assert seq.compacts.limit_sets[qi].tolist() == [p for p, _ in rows]
+        assert seq.tracked(q).tolist() == [z for _, z in rows]
+
+    verdict = check_LIM(fs, f, tol)
+    ref = limit_reference.lim_levels(seq, member_values, f.values.tolist(), n0)
+    assert verdict.n0 == n0
+    for q, rec in verdict.per_level.items():
+        assert rec["worst_dev"] == ref[q]["worst_dev"]
+        assert rec["witness_limit_index"] == ref[q]["witness_limit_index"]
+        assert rec["per_member_dev"].tolist() == ref[q]["per_member_dev"]
+        assert rec["passed"] == (ref[q]["worst_dev"] <= tol)
+
+    for upper, compute in ((True, compute_LIMSUP), (False, compute_LIMINF)):
+        got = compute(fs).values.tolist()
+        assert got == limit_reference.envelope(seq, member_values, n0, upper)

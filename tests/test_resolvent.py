@@ -19,6 +19,7 @@ from hjlab import (
     linear_generator,
     make_grid_sequence,
     random_rate_matrix,
+    solve_resolvent,
     tilt_linear,
     trig_polynomial,
     upwind_quadratic,
@@ -51,32 +52,32 @@ def test_constant_rhs_is_a_fixed_point_of_the_upwind_resolvent():
     H = upwind_quadratic(s, 0.5 * np.sin(2.0 * np.pi * s.coords[:, 0]))
     family = ResolventFamily(hamiltonian=H)
     c = Fn(s, np.full(64, 0.7))
-    got = family.solve(1.0, c)
+    got, diag = solve_resolvent(family, 1.0, c)
     assert np.abs(got.values - 0.7).max() < 1e-10
-    assert family.last_diagnostics.method == "custom"
+    assert diag.method == "custom"
 
 
 def test_solves_are_cached_by_lambda_and_rhs():
     family, s = tilted_family()
     h = Fn(s, np.random.default_rng(1).uniform(-1, 1, 10))
-    first = family.solve(0.5, h)
-    assert not family.last_diagnostics.from_cache
-    second = family.solve(0.5, h)
-    assert family.last_diagnostics.from_cache
+    first, diag = solve_resolvent(family, 0.5, h)
+    assert not diag.from_cache
+    second, diag = solve_resolvent(family, 0.5, h)
+    assert diag.from_cache
     assert second is first
     # a different rhs misses the cache
-    family.solve(0.5, Fn(s, h.values * 0.99))
-    assert not family.last_diagnostics.from_cache
+    _, diag = solve_resolvent(family, 0.5, Fn(s, h.values * 0.99))
+    assert not diag.from_cache
 
 
 def test_method_auto_picks_fixed_point_inside_the_contraction_regime():
     family, s = tilted_family()
     L = family.hamiltonian.lipschitz_bound
     h = Fn(s, 0.3 * np.ones(10))
-    family.solve(0.5 / L, h)
-    assert family.last_diagnostics.method.startswith("fixed_point")
-    family.solve(10.0 / L, Fn(s, 0.3 * np.ones(10)))
-    assert family.last_diagnostics.method.startswith("newton")
+    _, diag = solve_resolvent(family, 0.5 / L, h)
+    assert diag.method.startswith("fixed_point")
+    _, diag = solve_resolvent(family, 10.0 / L, Fn(s, 0.3 * np.ones(10)))
+    assert diag.method.startswith("newton")
 
 
 def test_solve_rejects_bad_lambda_and_wrong_space():
@@ -173,8 +174,8 @@ def test_custom_solver_falls_back_to_continuation():
     H = Hamiltonian(space=s, apply_values=lambda v: A @ v, custom_solver=fussy)
     family = ResolventFamily(hamiltonian=H)
     h = Fn(s, np.array([0.4, -0.2, 0.1, 0.0]))
-    got = family.solve(1.0, h)
-    assert family.last_diagnostics.method == "custom+continuation"
+    got, diag = solve_resolvent(family, 1.0, h)
+    assert diag.method == "custom+continuation"
     assert np.allclose(got.values, np.linalg.solve(np.eye(4) - A, h.values))
     # the failed direct call plus the five staged continuation calls
     assert calls == [1.0] + [1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2, 1.0]

@@ -206,3 +206,22 @@ def test_semigroup_values_converge_across_a_grid_sequence():
     assert len(rep.member_steps) == 3
     assert rep.limit_steps >= 16
     assert rep.notes == ()
+
+
+def test_semigroup_experiment_fails_when_a_member_never_settles():
+    # a strong drift on coarse members needs more than n_cap = 16 steps; the
+    # limit and the converged values still agree, so only settling can fail
+    seq = make_grid_sequence((0.0, 1.0), [16, 32, 64], n0=1)
+
+    def family(space):
+        b = 3.0 * np.sin(2.0 * np.pi * space.coords[:, 0])
+        return ResolventFamily(hamiltonian=upwind_quadratic(space, b))
+
+    rep = semigroup_convergence_experiment(
+        [family(m) for m in seq.members], seq, t=0.5,
+        f_limit=trig_polynomial(seq.limit, [0.0, 0.2]),
+        limit_family=family(seq.limit), tol=0.05, n_cap=16,
+    )
+    assert rep.verdict.passed
+    assert not rep.passed
+    assert "member 0: step doubling hit the cap before settling" in rep.notes

@@ -97,12 +97,14 @@ def test_grid_sequence_rejects_bad_arguments():
 
 def test_tracked_sequences_stay_within_member_spacing():
     seq = make_grid_sequence((0.0, 1.0), [8, 16, 32])
-    for t in seq.tracked(1.0):
-        target = seq.limit.coords[t.limit_index, 0]
-        for n, m in enumerate(seq.members):
-            got = m.coords[t.member_indices[n], 0]
-            # the embedding does not wrap, so the right edge costs one spacing
-            assert abs(got - target) <= 1.0 / m.size + 1e-12
+    idx = seq.tracked(1.0)
+    limit_idx = seq.compacts.limit_sets[seq.compacts.level(1.0)]
+    assert idx.shape == (limit_idx.size, seq.n_members)
+    for n, m in enumerate(seq.members):
+        got = m.coords[idx[:, n], 0]
+        target = seq.limit.coords[limit_idx, 0]
+        # the embedding does not wrap, so the right edge costs one spacing
+        assert np.all(np.abs(got - target) <= 1.0 / m.size + 1e-12)
 
 
 def test_trivial_enlargement_has_identity_gamma():
