@@ -65,7 +65,9 @@ def _run_cells(cells, jobs: int):
     """Run (name, thunk) cells, collecting results in declaration order.
 
     Cells are independent pure computations; failures inside a cell are suite
-    failures, never schema errors.
+    failures, never schema errors.  Any exception a cell raises, including a
+    numpy or scipy error from deep inside a solve, becomes that cell's failure
+    record, so the other cells still run and the report is still written.
     """
 
     def run(item):
@@ -73,7 +75,7 @@ def _run_cells(cells, jobs: int):
         try:
             passed, details, tables = fn()
             return {"name": name, "passed": bool(passed), "details": details}, tables
-        except HJLabError as exc:
+        except Exception as exc:
             return (
                 {"name": name, "passed": False,
                  "error": f"{type(exc).__name__}: {exc}"},

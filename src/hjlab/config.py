@@ -9,12 +9,14 @@ result, never a schema error.
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 from typing import Any
 
-import jsonschema
 import numpy as np
 import yaml
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .errors import ConfigError
 from .limits import Fn
@@ -314,12 +316,19 @@ def load_config(path: str | Path) -> dict:
 def validate_config(raw: Any) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = best_match(_validator().iter_errors(raw))
+    if exc is not None:
         where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config schema violation at {where}: {exc.message}") from exc
     return raw
+
+
+@functools.cache
+def _validator():
+    # jsonschema.validate re-checks the schema itself on every call, which
+    # costs far more than validating a config; the schema is checked once in
+    # the tests instead
+    return validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
 
 def build_space(spec: dict) -> FiniteSpace:

@@ -35,12 +35,12 @@ The shipped constructions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import solve_banded
 
 from .errors import PreconditionError, SolverError, StructuralError
 from .limits import ExtFn, Fn
@@ -461,7 +461,9 @@ def upwind_quadratic(
     # value is exactly this max with a p upwinded by sign(a).  Howard iteration
     # in the control variable makes every frozen system linear with an M-matrix,
     # so it has a unique root and the iterates increase monotonically to the
-    # solution; no spurious branches, unlike Newton on the kinked scheme.
+    # solution; no spurious branches, unlike Newton on the kinked scheme.  The
+    # frozen matrix is periodic tridiagonal, so each step is an O(n) banded
+    # solve with a rank-one correction for the wrap-around corners.
     def _improve(v: np.ndarray) -> np.ndarray:
         p_minus, p_plus = diffs(v)
         a_fwd = np.maximum(2.0 * p_plus - b, 0.0)
@@ -471,16 +473,35 @@ def upwind_quadratic(
         return np.where(val_fwd >= val_bwd, a_fwd, a_bwd)
 
     def _policy_step(a: np.ndarray, lam: float, h: np.ndarray) -> np.ndarray:
+        # The frozen system is tridiagonal plus the two periodic corners
+        # sup[n-1] at (n-1, 0) and sub[0] at (0, n-1).  Write it as a banded
+        # matrix T plus the rank-one term u v^T, u = gamma e_0 + sup[n-1] e_{n-1},
+        # v = e_0 + (sub[0] / gamma) e_{n-1}, and apply Sherman-Morrison.  With
+        # gamma = -diag[0] the corners only grow T's diagonal, so T stays
+        # strictly diagonally dominant (cyclic tridiagonal solve, Numerical
+        # Recipes 2.7).
         n = a.shape[0]
         a_pos = np.maximum(a, 0.0)
         a_neg = np.minimum(a, 0.0)
         diag = 1.0 + lam * (a_pos - a_neg) / dx
         sup = -lam * a_pos / dx
         sub = lam * a_neg / dx
-        rows = np.concatenate([np.arange(n)] * 3)
-        cols = np.concatenate([np.arange(n), (np.arange(n) + 1) % n, (np.arange(n) - 1) % n])
-        M = sp.csc_matrix((np.concatenate([diag, sup, sub]), (rows, cols)), shape=(n, n))
-        return spla.spsolve(M, h - 0.25 * lam * (a + b) ** 2)
+        gamma = -diag[0]
+        ratio = sub[0] / gamma
+        ab = np.zeros((3, n))
+        ab[0, 1:] = sup[:-1]
+        ab[1] = diag
+        ab[1, 0] -= gamma
+        ab[1, -1] -= sup[-1] * ratio
+        ab[2, :-1] = sub[1:]
+        rhs = np.zeros((n, 2))
+        rhs[:, 0] = h - 0.25 * lam * (a + b) ** 2
+        rhs[0, 1] = gamma
+        rhs[-1, 1] = sup[-1]
+        y, z = solve_banded(
+            (1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False
+        ).T
+        return y - ((y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1])) * z
 
     def policy_solve(
         lam: float, h: np.ndarray, f0: np.ndarray, tol: float, max_iter: int
@@ -624,9 +645,4 @@ def averaged_slowfast_hamiltonian(coupling: SlowFastCoupling) -> Hamiltonian:
     stationary-distribution average of the multipliers."""
     pi = stationary_distribution(coupling.fast_rate_matrix)
     c_bar = float(pi @ np.asarray(coupling.multipliers))
-    H = scale_hamiltonian(c_bar, coupling.slow)
-    return Hamiltonian(
-        space=H.space, apply_values=H.apply_values, jacobian=H.jacobian,
-        lipschitz_bound=H.lipschitz_bound, monotone=H.monotone,
-        name="slowfast_averaged",
-    )
+    return replace(scale_hamiltonian(c_bar, coupling.slow), name="slowfast_averaged")

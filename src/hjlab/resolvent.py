@@ -115,6 +115,12 @@ def _newton(
     f = f0.copy()
     g = _residual(H, lam, f, h)
     res = float(np.abs(g).max())
+    if not np.isfinite(res):
+        # large data can overflow H at the start (exp in a tilt); a constant
+        # start keeps every difference f_j - f_i at zero, where H is finite
+        f = np.full_like(f, h.mean())
+        g = _residual(H, lam, f, h)
+        res = float(np.abs(g).max())
     for it in range(1, max_iter + 1):
         if res <= tol:
             return f, it - 1, res

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -89,6 +90,28 @@ def test_failing_suite_exits_one(tmp_path):
     cell = rep["cells"][0]
     assert cell["name"] == "iteration_vs_oracle"
     assert cell["details"]["final"] > 1e-15
+
+
+def test_numeric_errors_inside_a_cell_become_cell_records(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path, RESOLVENT_TINY)
+    clean = str(tmp_path / "clean")
+    assert main(["resolvent", "--config", cfg, "--out", clean]) == 0
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr("hjlab.cli.check_pseudo_resolvent_identity", singular)
+    out = str(tmp_path / "out")
+    assert main(["resolvent", "--config", cfg, "--out", out]) == 1
+    rep = read_report(out)
+    assert rep["passed"] is False
+    assert rep["cells"][0] == {
+        "name": "pseudo_resolvent_identity",
+        "passed": False,
+        "error": "LinAlgError: Singular matrix",
+    }
+    assert rep["cells"][1] == read_report(clean)["cells"][1]
+    assert rep["cells"][1]["passed"] is True
 
 
 def test_schema_errors_exit_two_with_a_message(tmp_path, capsys):

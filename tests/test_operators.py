@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chain, unit_grid
+from oracles import howard_reference
 from hjlab import (
     ExtFn,
     Fn,
     OperatorGraph,
     PreconditionError,
+    ResolventFamily,
     SlowFastCoupling,
     averaged_slowfast_hamiltonian,
     centered_quadratic,
@@ -23,6 +25,7 @@ from hjlab import (
     scale_graph,
     scale_hamiltonian,
     slowfast_hamiltonian,
+    solve_resolvent,
     stationary_distribution,
     tilt_linear,
     trig_polynomial,
@@ -169,6 +172,50 @@ def test_upwind_equals_the_control_form_maximum():
         p_of_a = np.where(a_grid >= 0, p_plus[i], p_minus[i])
         brute = np.max(a_grid * p_of_a - 0.25 * (a_grid + b[i]) ** 2)
         assert abs(got[i] - brute) < 1e-5
+
+
+def howard_case(kind, n, amp, seed):
+    """Drift and data whose first Howard control is mixed in sign, all >= 0,
+    all <= 0, or mostly zero."""
+    x = np.arange(n) / n
+    rng = np.random.default_rng(seed)
+    if kind == "mixed":
+        return amp * np.sin(2.0 * np.pi * (x + rng.uniform())), rng.uniform(-1, 1, n)
+    smooth = 0.05 * np.sin(2.0 * np.pi * (x + rng.uniform()))
+    if kind == "nonnegative":
+        return np.full(n, -1.0 - amp), smooth
+    if kind == "nonpositive":
+        return np.full(n, 1.0 + amp), smooth
+    # zero drift on piecewise-constant data: the control vanishes on flat runs
+    cuts = np.sort(rng.integers(0, n, 2))
+    return np.zeros(n), np.where((np.arange(n) >= cuts[0]) & (np.arange(n) < cuts[1]), 0.5, -0.5)
+
+
+@given(
+    st.sampled_from(["mixed", "nonnegative", "nonpositive", "zeros"]),
+    st.integers(2, 64),
+    st.floats(0.0, 2.0),
+    st.floats(0.01, 10.0),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_howard_solver_matches_the_dense_reference(kind, n, amp, lam, seed):
+    s = unit_grid(n)
+    dx = 1.0 / n
+    b, h = howard_case(kind, n, amp, seed)
+    a0 = howard_reference.improve(h, b, dx)
+    if kind == "nonnegative":
+        assert (a0 >= 0).all()
+    elif kind == "nonpositive":
+        assert (a0 <= 0).all()
+    elif kind == "zeros":
+        assert (a0 == 0).sum() >= n - 2
+    want = howard_reference.policy_solve(b, dx, lam, h, h, 1e-10, 200)
+    assert want is not None
+    f, iters, res = upwind_quadratic(s, b).custom_solver(lam, h, h, 1e-10, 200)
+    assert iters == want[1]
+    assert res <= 1e-10
+    assert np.abs(f - want[0]).max() <= 1e-10
 
 
 def test_upwind_jacobian_matches_finite_differences_off_ties():
@@ -377,3 +424,11 @@ def test_averaged_slowfast_scales_by_the_stationary_average():
     v = np.random.default_rng(12).uniform(-1, 1, 8)
     assert np.allclose(H_bar.apply_values(v), c_bar * coupling.slow.apply_values(v))
     assert H_bar.space is coupling.slow.space
+    assert H_bar.name == "slowfast_averaged"
+    # the slow operator's Howard solver survives the averaging
+    assert H_bar.custom_solver is not None
+    h = Fn(H_bar.space, 0.3 * v)
+    f_howard, diag = solve_resolvent(ResolventFamily(hamiltonian=H_bar), 1.0, h)
+    f_newton = ResolventFamily(hamiltonian=H_bar, method="newton").solve(1.0, h)
+    assert diag.method == "custom"
+    assert np.abs(f_howard.values - f_newton.values).max() < 1e-10

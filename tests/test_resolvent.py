@@ -100,6 +100,20 @@ def test_newton_residuals_meet_the_family_tolerance():
         assert res <= 1e-12
 
 
+def test_newton_restarts_when_large_data_overflow_the_start():
+    # sup-norm 400 data: differences up to 800 overflow exp at the start f0 = h
+    n = 50
+    s = chain(n)
+    A = np.roll(np.eye(n), 1, axis=1) - np.eye(n)
+    H = tilt_linear(A, s)
+    h = Fn(s, np.random.default_rng(0).uniform(-400.0, 400.0, n))
+    for lam in (0.1, 1.0, 10.0):
+        f, diag = solve_resolvent(ResolventFamily(hamiltonian=H), lam, h)
+        assert diag.method == "newton"
+        res = np.abs(f.values - lam * H.apply_values(f.values) - h.values).max()
+        assert res <= 1e-10
+
+
 def test_pseudo_resolvent_identity_holds_for_the_tilted_chain():
     family, s = tilted_family()
     rng = np.random.default_rng(3)
