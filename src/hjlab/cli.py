@@ -32,8 +32,6 @@ from .operators import (
     SlowFastCoupling,
     check_dissipative,
     graph_from_hamiltonian,
-    linear_generator,
-    tilt_linear,
 )
 from .probes import trig_polynomial
 from .reporting import write_report, write_table
@@ -149,16 +147,7 @@ def _cells_semigroup(section: dict, seed: int):
         want = "tilt" if oracle == "logexp" else "linear"
         if op_spec["kind"] != want:
             raise ConfigError(f"oracle '{oracle}' needs an operator of kind '{want}'")
-        mat_spec = op_spec.get("rate_matrix")
-        if mat_spec is None:
-            raise ConfigError("semigroup operator needs a rate_matrix")
-        A = cfg.build_rate_matrix(mat_spec, _rng(seed, SEED_TAG_OPERATOR), size=space.size)
-        if A.shape[0] != space.size:
-            raise ConfigError("rate matrix size does not match the space")
-        if op_spec["kind"] == "tilt":
-            H = tilt_linear(A, space, probe_radius=float(op_spec.get("probe_radius", 1.0)))
-        else:
-            H = linear_generator(A, space)
+        H, A = cfg.build_rate_operator(op_spec, space, _rng(seed, SEED_TAG_OPERATOR))
     else:
         A = None
         H = cfg.build_operator(op_spec, space, _rng(seed, SEED_TAG_OPERATOR))
@@ -219,9 +208,8 @@ def _cells_converge(section: dict, seed: int):
 def _cells_converge_grid(section: dict, seed: int):
     seq = cfg.build_sequence(section["sequence"])
     ens = seq.as_enlarged()
-    makers = {"upwind_quadratic": "upwind_quadratic", "centered_quadratic": "centered_quadratic"}
-    scheme = makers[section["scheme"]]
-    limit_scheme = makers[section.get("limit_scheme", "upwind_quadratic")]
+    scheme = section["scheme"]
+    limit_scheme = section.get("limit_scheme", "upwind_quadratic")
     drift = section["drift"]
     members = tuple(
         cfg.build_operator({"kind": scheme, "drift": drift}, m, _rng(seed, SEED_TAG_OPERATOR))

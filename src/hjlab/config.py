@@ -40,6 +40,7 @@ __all__ = [
     "build_sequence",
     "build_rate_matrix",
     "build_operator",
+    "build_rate_operator",
     "build_drift",
     "build_probes",
 ]
@@ -406,18 +407,27 @@ def build_drift(spec: dict, space: FiniteSpace) -> np.ndarray:
     raise ConfigError(f"unknown drift kind: {kind}")
 
 
+def build_rate_operator(
+    spec: dict, space: FiniteSpace, rng: np.random.Generator
+) -> tuple[Hamiltonian, np.ndarray]:
+    """A linear or tilt operator together with its rate matrix, which the
+    semigroup oracles need."""
+    kind = spec["kind"]
+    mat_spec = spec.get("rate_matrix")
+    if mat_spec is None:
+        raise ConfigError(f"{kind} operator needs a rate_matrix")
+    A = build_rate_matrix(mat_spec, rng, size=space.size)
+    if A.shape[0] != space.size:
+        raise ConfigError("rate matrix size does not match the space")
+    if kind == "linear":
+        return linear_generator(A, space), A
+    return tilt_linear(A, space, probe_radius=float(spec.get("probe_radius", 1.0))), A
+
+
 def build_operator(spec: dict, space: FiniteSpace, rng: np.random.Generator) -> Hamiltonian:
     kind = spec["kind"]
     if kind in ("linear", "tilt"):
-        mat_spec = spec.get("rate_matrix")
-        if mat_spec is None:
-            raise ConfigError(f"{kind} operator needs a rate_matrix")
-        A = build_rate_matrix(mat_spec, rng, size=space.size)
-        if A.shape[0] != space.size:
-            raise ConfigError("rate matrix size does not match the space")
-        if kind == "linear":
-            return linear_generator(A, space)
-        return tilt_linear(A, space, probe_radius=float(spec.get("probe_radius", 1.0)))
+        return build_rate_operator(spec, space, rng)[0]
     if kind in ("upwind_quadratic", "centered_quadratic"):
         drift_spec = spec.get("drift", {"kind": "const", "value": 0.0})
         b = build_drift(drift_spec, space)

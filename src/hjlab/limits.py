@@ -16,7 +16,6 @@ tolerance, which is what the triangle inequality gives.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -161,30 +160,6 @@ class ConvergenceVerdict:
     uniform_bound: float
     per_level: dict
     notes: tuple = ()
-
-    def to_json(self) -> str:
-        def clean(x):
-            if isinstance(x, np.ndarray):
-                return x.tolist()
-            if isinstance(x, (np.floating, np.integer)):
-                return x.item()
-            if isinstance(x, dict):
-                return {str(k): clean(v) for k, v in x.items()}
-            if isinstance(x, (list, tuple)):
-                return [clean(v) for v in x]
-            return x
-
-        return json.dumps(
-            {
-                "passed": self.passed,
-                "tol": self.tol,
-                "n0": self.n0,
-                "uniform_bound": self.uniform_bound,
-                "per_level": clean(self.per_level),
-                "notes": list(self.notes),
-            },
-            sort_keys=True,
-        )
 
 
 def _gather(fs: FnSequence, idx: np.ndarray) -> np.ndarray:

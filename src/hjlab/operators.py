@@ -75,8 +75,9 @@ class Hamiltonian:
     """Single-valued operator on value vectors over a fixed finite space.
 
     custom_solver, when set, inverts f - lam * Hf = h better than generic
-    Newton can (signature: (lam, h, f0, tol, max_iter) -> (f, iters, res));
-    schemes with max-type kinks supply policy iteration through it.
+    Newton can (signature: (lam, h, f0, tol) -> (f, iters, res), raising
+    SolverError when it does not reach tol from f0); schemes with max-type
+    kinks supply policy iteration through it.
     """
 
     space: FiniteSpace
@@ -102,9 +103,7 @@ def scale_hamiltonian(c: float, H: Hamiltonian) -> Hamiltonian:
     solver = None
     if H.custom_solver is not None and c > 0:
         # f - lam * (cH) f = h is f - (lam c) H f = h
-        solver = lambda lam, h, f0, tol, max_iter: H.custom_solver(
-            c * lam, h, f0, tol, max_iter
-        )
+        solver = lambda lam, h, f0, tol: H.custom_solver(c * lam, h, f0, tol)
     return Hamiltonian(
         space=H.space,
         apply_values=lambda v: c * H.apply_values(v),
@@ -504,15 +503,15 @@ def upwind_quadratic(
         return y - ((y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1])) * z
 
     def policy_solve(
-        lam: float, h: np.ndarray, f0: np.ndarray, tol: float, max_iter: int
+        lam: float, h: np.ndarray, f0: np.ndarray, tol: float
     ) -> tuple[np.ndarray, int, float]:
         """Howard iteration on the control form: improve the control per cell,
         then solve the resulting linear transport system exactly.  Convergence
         is judged on the true scheme residual."""
         f = f0.copy()
         # cold starts can need roughly one sweep per cell the information has
-        # to cross; scale the budget with the grid instead of with max_iter
-        sweeps = max(500, max_iter, f.shape[0] // 8)
+        # to cross, so the budget scales with the grid
+        sweeps = max(500, f.shape[0] // 8)
         for it in range(1, sweeps + 1):
             res_true = float(np.abs(f - lam * apply(f) - h).max())
             if res_true <= tol:
@@ -616,16 +615,16 @@ def slowfast_hamiltonian(
 
     jac_slow = slow.jacobian
 
-    def jac(v: np.ndarray) -> np.ndarray:
+    def jac(v: np.ndarray) -> sp.csr_matrix:
+        # state (x, z) sits at x * n_fast + z, so fast-state z's slow block is
+        # kron(J_z, m_z e_z e_z^T) and the fast chain is kron(I, A_fast)
         V = v.reshape(n_slow, n_fast)
-        N = n_slow * n_fast
-        J = n * np.kron(np.eye(n_slow), A_fast)
+        J = n * sp.kron(sp.eye(n_slow), A_fast)
         for z in range(n_fast):
-            Jz = jac_slow(V[:, z])
-            Jz = Jz.toarray() if sp.issparse(Jz) else np.asarray(Jz)
-            idx = np.arange(n_slow) * n_fast + z
-            J[np.ix_(idx, idx)] += m[z] * Jz
-        return J
+            picker = np.zeros((n_fast, n_fast))
+            picker[z, z] = m[z]
+            J = J + sp.kron(jac_slow(V[:, z]), picker)
+        return J.tocsr()
 
     L = None
     if slow.lipschitz_bound is not None:

@@ -1,16 +1,23 @@
 """Nonlinear resolvent solves and the algebra they are supposed to satisfy.
 
 For a Hamiltonian H and lambda > 0 the resolvent R(lambda)h is the solution
-f of f - lambda * H f = h.  Two iteration paths are available:
+f of f - lambda * H f = h.  The solve path follows from H and lambda alone:
 
-  * damped fixed point  f <- (1 - w) f + w (h + lambda * H f), with
-    w = min(1, 0.9 / (lambda * L)) whenever a Lipschitz bound L is known and
-    lambda * L < 1 (the Crandall-Liggett regime of many small steps);
-  * Newton with backtracking line search on the residual, using the
-    Hamiltonian's Jacobian (sparse or dense) or a finite-difference fallback.
+  * a custom solver, when H carries one (Howard iteration for kinked schemes);
+  * otherwise the plain fixed point f <- h + lambda * H f whenever a Lipschitz
+    bound L is known and lambda * L < 0.9 (the Crandall-Liggett regime of many
+    small steps), handing over to Newton from its last iterate if it stalls;
+  * otherwise Newton with backtracking line search on the residual, using the
+    Hamiltonian's Jacobian (sparse or dense).  When Newton fails from the
+    start it was given, it retries once from the constant mean(h): large data
+    can overflow H at f0 = h (exp in a tilt), and a constant start keeps every
+    difference f_j - f_i at zero, where such an H is finite.
 
-Residual tolerance is 1e-10 in the sup norm by default; solutions are cached
-per (lambda, h) so repeated sweeps are cheap.  The algebraic checks:
+A custom or Newton step that fails at the full lambda falls back to one
+lambda continuation (the same for both), which walks lambda up from
+lambda / 16 with warm starts.  Residual tolerance is 1e-10 in the sup norm by
+default; solutions are cached per (lambda, h) so repeated sweeps are cheap.
+The algebraic checks:
 
   * pseudo-resolvent identity
         R(beta) h = R(alpha)[ R(beta) h - (alpha/beta)(R(beta) h - h) ]
@@ -33,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -57,6 +65,9 @@ __all__ = [
     "EquiContinuityReport",
 ]
 
+MAX_ITER_FIXED_POINT = 20000
+MAX_ITER_NEWTON = 200
+
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
@@ -73,18 +84,15 @@ def _hash_values(v: np.ndarray) -> str:
 
 @dataclass
 class ResolventFamily:
-    """R(lambda) for one Hamiltonian, with solver policy and a solve cache."""
+    """R(lambda) for one Hamiltonian, with a solve cache."""
 
     hamiltonian: Hamiltonian
     tol_residual: float = 1e-10
-    max_iter_fixed_point: int = 20000
-    max_iter_newton: int = 200
-    method: str = "auto"  # auto | fixed_point | newton
     _cache: dict = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def solve(self, lam: float, h: Fn, initial: Fn | None = None) -> Fn:
-        f, _ = solve_resolvent(self, lam, h, initial=initial)
+    def solve(self, lam: float, h: Fn) -> Fn:
+        f, _ = solve_resolvent(self, lam, h)
         return f
 
     @property
@@ -96,35 +104,32 @@ def _residual(H: Hamiltonian, lam: float, f: np.ndarray, h: np.ndarray) -> np.nd
     return f - lam * H.apply_values(f) - h
 
 
-def _fd_jacobian(H: Hamiltonian, f: np.ndarray, eps: float = 1e-7) -> np.ndarray:
-    n = f.shape[0]
-    if n > 600:
-        raise SolverError("no Jacobian available and the space is too large for finite differences")
-    base = H.apply_values(f)
-    J = np.empty((n, n))
-    for k in range(n):
-        fk = f.copy()
-        fk[k] += eps
-        J[:, k] = (H.apply_values(fk) - base) / eps
-    return J
-
-
 def _newton(
-    H: Hamiltonian, lam: float, h: np.ndarray, f0: np.ndarray, tol: float, max_iter: int
+    H: Hamiltonian, lam: float, h: np.ndarray, f0: np.ndarray, tol: float
+) -> tuple[np.ndarray, int, float]:
+    """Damped Newton from f0, retried once from the constant mean(h)."""
+    if H.jacobian is None:
+        raise PreconditionError(
+            f"newton needs a Jacobian, and Hamiltonian {H.name or '<unnamed>'} has none"
+        )
+    try:
+        return _damped_newton(H, lam, h, f0, tol)
+    except SolverError:
+        return _damped_newton(H, lam, h, np.full_like(f0, h.mean()), tol)
+
+
+def _damped_newton(
+    H: Hamiltonian, lam: float, h: np.ndarray, f0: np.ndarray, tol: float
 ) -> tuple[np.ndarray, int, float]:
     f = f0.copy()
     g = _residual(H, lam, f, h)
     res = float(np.abs(g).max())
     if not np.isfinite(res):
-        # large data can overflow H at the start (exp in a tilt); a constant
-        # start keeps every difference f_j - f_i at zero, where H is finite
-        f = np.full_like(f, h.mean())
-        g = _residual(H, lam, f, h)
-        res = float(np.abs(g).max())
-    for it in range(1, max_iter + 1):
+        raise SolverError(f"newton start residual is not finite (lam={lam})")
+    for it in range(1, MAX_ITER_NEWTON + 1):
         if res <= tol:
             return f, it - 1, res
-        J_H = H.jacobian(f) if H.jacobian is not None else _fd_jacobian(H, f)
+        J_H = H.jacobian(f)
         if sp.issparse(J_H):
             A = sp.eye(f.shape[0], format="csc") - lam * J_H.tocsc()
             step = spla.spsolve(A, -g)
@@ -145,23 +150,25 @@ def _newton(
                 f"newton line search stalled at residual {res:.3g} (lam={lam})"
             )
     if res <= tol:
-        return f, max_iter, res
-    raise SolverError(f"newton did not converge: residual {res:.3g} after {max_iter} iterations")
+        return f, MAX_ITER_NEWTON, res
+    raise SolverError(
+        f"newton did not converge: residual {res:.3g} after {MAX_ITER_NEWTON} iterations"
+    )
 
 
 def _continuation(
-    step, lam: float, h: np.ndarray, f0: np.ndarray, tol: float, max_iter: int
+    step, lam: float, h: np.ndarray, f0: np.ndarray, tol: float
 ) -> tuple[np.ndarray, int, float]:
     """Homotopy fallback for cold starts outside the solver's basin: walk lam
     up from a small value, warm-starting each stage with the previous solution.
     Tracks one deterministic solution branch.  step has the custom-solver
-    signature (lam, h, f0, tol, max_iter) -> (f, iterations, residual)."""
+    signature (lam, h, f0, tol) -> (f, iterations, residual)."""
     f = f0.copy()
     total = 0
     res = np.inf
     for frac in (1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2, 1.0):
         try:
-            f, its, res = step(frac * lam, h, f, tol, max_iter)
+            f, its, res = step(frac * lam, h, f, tol)
         except SolverError as exc:
             raise SolverError(f"lambda continuation stalled at {frac} * lam: {exc}") from exc
         total += its
@@ -169,32 +176,25 @@ def _continuation(
 
 
 def _fixed_point(
-    H: Hamiltonian,
-    lam: float,
-    h: np.ndarray,
-    f0: np.ndarray,
-    tol: float,
-    max_iter: int,
-    omega: float,
+    H: Hamiltonian, lam: float, h: np.ndarray, f0: np.ndarray, tol: float
 ) -> tuple[np.ndarray, int, float, bool]:
     f = f0.copy()
     res_prev = np.inf
     stall = 0
-    for it in range(1, max_iter + 1):
-        f_new = (1.0 - omega) * f + omega * (h + lam * H.apply_values(f))
-        res = float(np.abs(_residual(H, lam, f_new, h)).max())
-        f = f_new
+    for it in range(1, MAX_ITER_FIXED_POINT + 1):
+        f = h + lam * H.apply_values(f)
+        res = float(np.abs(_residual(H, lam, f, h)).max())
         if res <= tol:
             return f, it, res, True
         stall = stall + 1 if res > 0.999 * res_prev else 0
         res_prev = res
         if stall >= 50:
             return f, it, res, False  # hand over to newton
-    return f, max_iter, res, False
+    return f, MAX_ITER_FIXED_POINT, res, False
 
 
 def solve_resolvent(
-    family: ResolventFamily, lam: float, h: Fn, initial: Fn | None = None
+    family: ResolventFamily, lam: float, h: Fn
 ) -> tuple[Fn, SolveDiagnostics]:
     """Solve f - lam * H f = h to the family's residual tolerance; returns the
     solution with the diagnostics of this call (from_cache on a cache hit)."""
@@ -209,46 +209,26 @@ def solve_resolvent(
             f, diag = family._cache[key]
             return f, replace(diag, from_cache=True)
 
-    f0 = (initial.values if initial is not None else h.values).astype(float).copy()
+    f0 = h.values.astype(float)
     tol = family.tol_residual
     L = H.lipschitz_bound
-    method = family.method
-    if method == "auto":
-        if H.custom_solver is not None:
-            method = "custom"
-        else:
-            method = "fixed_point" if (L is not None and lam * L < 0.9) else "newton"
-
-    iterations = 0
-    used = method
-    if method == "custom":
-        try:
-            f, iterations, res = H.custom_solver(lam, h.values, f0, tol, family.max_iter_newton)
-        except SolverError:
-            f, iterations, res = _continuation(
-                H.custom_solver, lam, h.values, f0, tol, family.max_iter_newton
-            )
-            used = "custom+continuation"
-    elif method == "fixed_point":
-        omega = min(1.0, 0.9 / (lam * L)) if (L is not None and lam * L > 0) else 1.0
-        f, its, res, ok = _fixed_point(
-            H, lam, h.values, f0, tol, family.max_iter_fixed_point, omega
-        )
-        iterations += its
+    if H.custom_solver is None and L is not None and lam * L < 0.9:
+        f, iterations, res, ok = _fixed_point(H, lam, h.values, f0, tol)
+        used = "fixed_point"
         if not ok:
-            f, its_n, res = _newton(H, lam, h.values, f, tol, family.max_iter_newton)
-            iterations += its_n
+            f, its, res = _newton(H, lam, h.values, f, tol)
+            iterations += its
             used = "fixed_point+newton"
     else:
+        if H.custom_solver is not None:
+            step, used = H.custom_solver, "custom"
+        else:
+            step, used = partial(_newton, H), "newton"
         try:
-            f, iterations, res = _newton(H, lam, h.values, f0, tol, family.max_iter_newton)
-            used = "newton"
+            f, iterations, res = step(lam, h.values, f0, tol)
         except SolverError:
-            f, iterations, res = _continuation(
-                lambda lm, hv, fv, tl, mi: _newton(H, lm, hv, fv, tl, mi),
-                lam, h.values, f0, tol, family.max_iter_newton,
-            )
-            used = "newton+continuation"
+            f, iterations, res = _continuation(step, lam, h.values, f0, tol)
+            used += "+continuation"
 
     out = Fn(H.space, f)
     diag = SolveDiagnostics(lam=float(lam), method=used, iterations=iterations, residual=res)

@@ -75,7 +75,7 @@ def crandall_liggett(family: ResolventFamily, t: float, n_steps: int, f: Fn) -> 
     worst = 0.0
     methods = set()
     for _ in range(n_steps):
-        cur, d = solve_resolvent(family, lam, cur, initial=cur)
+        cur, d = solve_resolvent(family, lam, cur)
         total += d.iterations
         worst = max(worst, d.residual)
         methods.add(d.method)

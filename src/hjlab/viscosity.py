@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .limits import ExtFn, Fn
-from .operators import EnlargedOperatorGraph, OperatorGraph
+from .operators import EnlargedOperatorGraph, OperatorGraph, _ext_scale
 
 __all__ = [
     "ViscosityReport",
@@ -116,7 +116,7 @@ def _check_solution(u, G, h: Fn, lam: float, tol: float, tie_tol: float, sub: bo
             per_pair.append(record)
             continue
         gv = g.values[ties]
-        vals = _ext_diff(uv[gamma[ties]] - hv[gamma[ties]], lam * gv if lam > 0 else _zero_scale(gv))
+        vals = _ext_diff(uv[gamma[ties]] - hv[gamma[ties]], _ext_scale(lam, gv))
         # subsolution wants min over ties <= tol; supersolution wants max >= -tol
         if sub:
             best = int(np.argmin(vals))
@@ -139,14 +139,6 @@ def _check_solution(u, G, h: Fn, lam: float, tol: float, tie_tol: float, sub: bo
         kind="subsolution" if sub else "supersolution",
         passed=all_ok, tol=tol, lam=lam, per_pair=tuple(per_pair), notes=tuple(notes),
     )
-
-
-def _zero_scale(gv: np.ndarray) -> np.ndarray:
-    # lambda = 0 keeps infinities: 0 * (+-inf) = +-inf
-    out = np.zeros_like(gv)
-    out[gv == np.inf] = np.inf
-    out[gv == -np.inf] = -np.inf
-    return out
 
 
 def check_subsolution(

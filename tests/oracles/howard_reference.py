@@ -54,10 +54,10 @@ def frozen_matrix(a, lam, dx):
     return M
 
 
-def policy_solve(b, dx, lam, h, f0, tol, max_iter):
+def policy_solve(b, dx, lam, h, f0, tol):
     """(f, iterations, residual), or None when the iteration budget runs out."""
     f = np.array(f0, dtype=float)
-    sweeps = max(500, max_iter, len(f) // 8)
+    sweeps = max(500, len(f) // 8)
     for it in range(sweeps + 1):
         res = float(np.abs(f - lam * scheme(f, b, dx) - h).max())
         if res <= tol:

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 import yaml
 
-from hjlab.cli import main
+from hjlab.cli import main, run_command
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 EMPTY = {"schema_version": 1, "name": "empty-suite"}
 
@@ -267,3 +269,18 @@ def test_module_entrypoint_runs(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (Path(out) / "report.json").exists()
+
+
+def test_shipped_resolvent_suite_passes_with_large_data(tmp_path):
+    # probes in +-400: the identity's inner right-hand sides start Newton at a
+    # finite but astronomically large residual, so it must retry from a
+    # constant start instead of failing every continuation stage
+    config = yaml.safe_load((CONFIGS / "resolvent.yaml").read_text())
+    config["resolvent"]["probes"]["bound"] = 400
+    out = str(tmp_path / "out")
+    assert run_command("resolvent", config, out, jobs=1, seed=1234) == 0
+    rep = read_report(out)
+    assert [(c["name"], c["passed"]) for c in rep["cells"]] == [
+        ("pseudo_resolvent_identity", True),
+        ("contractivity", True),
+    ]

@@ -1,7 +1,10 @@
 """Shipped Hamiltonians, operator graphs, and their structural checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -210,9 +213,9 @@ def test_howard_solver_matches_the_dense_reference(kind, n, amp, lam, seed):
         assert (a0 <= 0).all()
     elif kind == "zeros":
         assert (a0 == 0).sum() >= n - 2
-    want = howard_reference.policy_solve(b, dx, lam, h, h, 1e-10, 200)
+    want = howard_reference.policy_solve(b, dx, lam, h, h, 1e-10)
     assert want is not None
-    f, iters, res = upwind_quadratic(s, b).custom_solver(lam, h, h, 1e-10, 200)
+    f, iters, res = upwind_quadratic(s, b).custom_solver(lam, h, h, 1e-10)
     assert iters == want[1]
     assert res <= 1e-10
     assert np.abs(f - want[0]).max() <= 1e-10
@@ -283,8 +286,8 @@ def test_scale_hamiltonian_scales_values_and_keeps_the_solver_exact():
     assert np.allclose(H2.apply_values(v), 2.0 * H.apply_values(v))
     # solving f - lam (2H) f = h must agree with f - (2 lam) H f = h
     h = 0.2 * np.cos(2.0 * np.pi * s.coords[:, 0])
-    f_a, _, _ = H2.custom_solver(0.5, h, np.zeros(32), 1e-11, 200)
-    f_b, _, _ = H.custom_solver(1.0, h, np.zeros(32), 1e-11, 200)
+    f_a, _, _ = H2.custom_solver(0.5, h, np.zeros(32), 1e-11)
+    f_b, _, _ = H.custom_solver(1.0, h, np.zeros(32), 1e-11)
     assert np.abs(f_a - f_b).max() < 1e-9
 
 
@@ -404,6 +407,23 @@ def test_slowfast_apply_has_the_two_scale_block_structure():
     assert np.abs(H.jacobian(v) - fd_jacobian(H.apply_values, v)).max() < 1e-5
 
 
+def test_slowfast_jacobian_is_sparse_and_matches_the_dense_block_assembly():
+    product, coupling = slowfast_fixture()
+    n = 4.0
+    H = slowfast_hamiltonian(product, n, coupling)
+    v = np.random.default_rng(13).uniform(-1, 1, 24)
+    J = H.jacobian(v)
+    assert sp.issparse(J) and J.format == "csr"
+    # dense reference: the fast chain on 3x3 diagonal blocks, plus each fast
+    # state's slow Jacobian scattered onto the states (x, z), x = 0..7
+    want = n * np.kron(np.eye(8), coupling.fast_rate_matrix)
+    V = v.reshape(8, 3)
+    for z, m_z in enumerate(coupling.multipliers):
+        idx = np.arange(8) * 3 + z
+        want[np.ix_(idx, idx)] += m_z * coupling.slow.jacobian(V[:, z]).toarray()
+    assert np.array_equal(J.toarray(), want)
+
+
 def test_slowfast_rejects_nonpositive_coupling_and_bad_multipliers():
     product, coupling = slowfast_fixture()
     with pytest.raises(PreconditionError):
@@ -429,6 +449,6 @@ def test_averaged_slowfast_scales_by_the_stationary_average():
     assert H_bar.custom_solver is not None
     h = Fn(H_bar.space, 0.3 * v)
     f_howard, diag = solve_resolvent(ResolventFamily(hamiltonian=H_bar), 1.0, h)
-    f_newton = ResolventFamily(hamiltonian=H_bar, method="newton").solve(1.0, h)
+    f_newton = ResolventFamily(hamiltonian=replace(H_bar, custom_solver=None)).solve(1.0, h)
     assert diag.method == "custom"
     assert np.abs(f_howard.values - f_newton.values).max() < 1e-10

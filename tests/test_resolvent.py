@@ -1,5 +1,9 @@
 """Resolvent solves against oracles, family identities, and the Hhat graph."""
 
+import importlib.util
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,13 +28,14 @@ from hjlab import (
     trig_polynomial,
     upwind_quadratic,
 )
+from hjlab import resolvent
 from hjlab.resolvent import _continuation
 
 
-def tilted_family(n=10, seed=0, **kw):
+def tilted_family(n=10, seed=0):
     s = chain(n)
     A = random_rate_matrix(np.random.default_rng(seed), n)
-    return ResolventFamily(hamiltonian=tilt_linear(A, s), **kw), s
+    return ResolventFamily(hamiltonian=tilt_linear(A, s)), s
 
 
 def test_linear_resolvent_matches_the_dense_solve():
@@ -90,9 +95,11 @@ def test_solve_rejects_bad_lambda_and_wrong_space():
 
 
 def test_newton_residuals_meet_the_family_tolerance():
-    family, s = tilted_family(tol_residual=1e-12, method="newton")
+    tilted, s = tilted_family()
+    # without a Lipschitz bound every solve takes the Newton path
+    H = replace(tilted.hamiltonian, lipschitz_bound=None)
+    family = ResolventFamily(hamiltonian=H, tol_residual=1e-12)
     rng = np.random.default_rng(2)
-    H = family.hamiltonian
     for lam in (0.1, 1.0, 5.0):
         h = Fn(s, rng.uniform(-1, 1, 10))
         f = family.solve(lam, h)
@@ -112,6 +119,78 @@ def test_newton_restarts_when_large_data_overflow_the_start():
         assert diag.method == "newton"
         res = np.abs(f.values - lam * H.apply_values(f.values) - h.values).max()
         assert res <= 1e-10
+
+
+def test_newton_without_a_jacobian_is_a_precondition_error():
+    s = chain(4)
+    H = Hamiltonian(space=s, apply_values=lambda v: -v, name="no_jacobian")
+    with pytest.raises(PreconditionError, match="Jacobian"):
+        ResolventFamily(hamiltonian=H).solve(1.0, Fn(s, np.ones(4)))
+
+
+def _tracer_methods() -> dict:
+    # the benchmark's tracer maps SolveDiagnostics.method to a metric name;
+    # a label it does not know is silently dropped from its counts
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.METHODS
+
+
+def test_every_solve_path_has_a_label_the_benchmark_tracer_counts(monkeypatch):
+    n = 6
+    s = chain(n)
+    A = np.roll(np.eye(n), 1, axis=1) - np.eye(n)  # cycle generator
+    h = Fn(s, np.linspace(-0.5, 0.5, n))
+    tilt = tilt_linear(A, s)
+    calls = []
+
+    def exact(lam, hv, f0, tol):
+        return np.linalg.solve(np.eye(n) - lam * A, hv), 1, 0.0
+
+    def fussy(lam, hv, f0, tol):
+        calls.append(lam)
+        if len(calls) == 1:
+            raise SolverError("outside the basin")
+        return exact(lam, hv, f0, tol)
+
+    def linear(**kw):
+        return Hamiltonian(space=s, apply_values=lambda v: A @ v, jacobian=lambda v: A, **kw)
+
+    cases = [
+        ("custom", linear(custom_solver=exact), 1.0),
+        ("custom+continuation", linear(custom_solver=fussy), 1.0),
+        ("fixed_point", tilt, 0.5 / tilt.lipschitz_bound),
+        ("newton", replace(tilt, lipschitz_bound=None), 1.0),
+        # a bound far below the truth (||2A|| = 4) lets the fixed point
+        # diverge until it stalls and hands over to Newton
+        ("fixed_point+newton", linear(lipschitz_bound=1e-3), 2.0),
+    ]
+    seen = []
+    for label, H, lam in cases:
+        f, diag = solve_resolvent(ResolventFamily(hamiltonian=H), lam, h)
+        assert diag.method == label
+        assert np.abs(f.values - lam * H.apply_values(f.values) - h.values).max() <= 1e-10
+        seen.append(diag.method)
+
+    real_newton = resolvent._newton
+    failed = []
+
+    def newton_failing_once_at_full_lam(H, lam, hv, f0, tol):
+        if lam == 1.0 and not failed:
+            failed.append(lam)
+            raise SolverError("simulated basin miss")
+        return real_newton(H, lam, hv, f0, tol)
+
+    monkeypatch.setattr(resolvent, "_newton", newton_failing_once_at_full_lam)
+    H = replace(tilt, lipschitz_bound=None)
+    f, diag = solve_resolvent(ResolventFamily(hamiltonian=H), 1.0, h)
+    assert diag.method == "newton+continuation"
+    assert np.abs(f.values - H.apply_values(f.values) - h.values).max() <= 1e-10
+    seen.append(diag.method)
+
+    assert sorted(seen) == sorted(_tracer_methods())
 
 
 def test_pseudo_resolvent_identity_holds_for_the_tilted_chain():
@@ -154,22 +233,22 @@ def test_continuation_walks_into_a_narrow_basin():
     # every staged step while rejecting the cold start at distance 1
     target = lambda lam: np.full(3, lam)
 
-    def step(lam, h, f0, tol, max_iter):
+    def step(lam, h, f0, tol):
         if np.abs(f0 - target(lam)).max() > 0.6:
             raise SolverError("cold start")
         return target(lam), 1, 0.0
 
     with pytest.raises(SolverError):
-        step(1.0, None, np.zeros(3), 1e-10, 10)
-    f, its, res = _continuation(step, 1.0, None, np.zeros(3), 1e-10, 10)
+        step(1.0, None, np.zeros(3), 1e-10)
+    f, its, res = _continuation(step, 1.0, None, np.zeros(3), 1e-10)
     assert np.allclose(f, 1.0)
     assert its == 5
 
-    def never(lam, h, f0, tol, max_iter):
+    def never(lam, h, f0, tol):
         raise SolverError("no basin")
 
     with pytest.raises(SolverError, match="continuation stalled"):
-        _continuation(never, 1.0, None, np.zeros(3), 1e-10, 10)
+        _continuation(never, 1.0, None, np.zeros(3), 1e-10)
 
 
 def test_custom_solver_falls_back_to_continuation():
@@ -177,7 +256,7 @@ def test_custom_solver_falls_back_to_continuation():
     A = random_rate_matrix(np.random.default_rng(5), 4)
     calls = []
 
-    def fussy(lam, h, f0, tol, max_iter):
+    def fussy(lam, h, f0, tol):
         # simulate a basin miss on the initial full-strength attempt only
         calls.append(lam)
         if len(calls) == 1:
