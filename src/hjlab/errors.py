@@ -23,7 +23,12 @@ class StructuralError(HJLabError):
 
 
 class SolverError(HJLabError):
-    pass
+    """An iteration that did not reach its residual target; iterations counts
+    the steps it spent first, so callers that recover can still report them."""
+
+    def __init__(self, message: str = "", iterations: int = 0):
+        super().__init__(message)
+        self.iterations = iterations
 
 
 class ConfigError(HJLabError):

@@ -36,6 +36,7 @@ The shipped constructions:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -410,6 +411,27 @@ def _grid_spacing(space: FiniteSpace) -> float:
     return float(dx[0])
 
 
+# Grids with at least this many points (and an even count) first solve the
+# same scheme on the half grid and start Howard from its interpolation.
+CASCADE_MIN_POINTS = 256
+
+
+def _upwind_diffs(dx: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    p_minus = (v - np.roll(v, 1)) / dx
+    p_plus = (np.roll(v, -1) - v) / dx
+    return p_minus, p_plus
+
+
+def _hval(b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return p * p - b * p
+
+
+def _upwind_value(b: np.ndarray, dx: float, v: np.ndarray) -> np.ndarray:
+    p_minus, p_plus = _upwind_diffs(dx, v)
+    theta = 0.5 * b
+    return np.maximum(_hval(b, np.minimum(p_minus, theta)), _hval(b, np.maximum(p_plus, theta)))
+
+
 def upwind_quadratic(
     space: FiniteSpace, drift: np.ndarray, name: str = "upwind_quadratic"
 ) -> Hamiltonian:
@@ -420,6 +442,7 @@ def upwind_quadratic(
     is nonincreasing in the backward difference and nondecreasing in the
     forward one, which is the orientation that makes the implicit equation
     f - lambda * Hf = h comparison-compatible (check_degenerate_elliptic).
+    Its resolvent is solved by Howard iteration (_howard).
     """
     dx = _grid_spacing(space)
     b = np.asarray(drift, dtype=float).reshape(-1)
@@ -427,24 +450,11 @@ def upwind_quadratic(
         raise PreconditionError("drift must have one value per grid point")
     theta = 0.5 * b
 
-    def hval(p: np.ndarray) -> np.ndarray:
-        return p * p - b * p
-
-    def diffs(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p_minus = (v - np.roll(v, 1)) / dx
-        p_plus = (np.roll(v, -1) - v) / dx
-        return p_minus, p_plus
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        p_minus, p_plus = diffs(v)
-        return np.maximum(hval(np.minimum(p_minus, theta)), hval(np.maximum(p_plus, theta)))
-
     def jac(v: np.ndarray) -> sp.csr_matrix:
-        p_minus, p_plus = diffs(v)
+        p_minus, p_plus = _upwind_diffs(dx, v)
         u = np.minimum(p_minus, theta)
         w = np.maximum(p_plus, theta)
-        a1, a2 = hval(u), hval(w)
-        take_minus = a1 >= a2
+        take_minus = _hval(b, u) >= _hval(b, w)
         du = (2.0 * u - b) * (p_minus < theta) / dx
         dw = (2.0 * w - b) * (p_plus > theta) / dx
         n = v.shape[0]
@@ -456,76 +466,97 @@ def upwind_quadratic(
         data = np.concatenate([diag, sub, sup])
         return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
 
-    # Control form: p^2 - b p = max_a (a p - (a + b)^2 / 4), and the Godunov
-    # value is exactly this max with a p upwinded by sign(a).  Howard iteration
-    # in the control variable makes every frozen system linear with an M-matrix,
-    # so it has a unique root and the iterates increase monotonically to the
-    # solution; no spurious branches, unlike Newton on the kinked scheme.  The
-    # frozen matrix is periodic tridiagonal, so each step is an O(n) banded
-    # solve with a rank-one correction for the wrap-around corners.
-    def _improve(v: np.ndarray) -> np.ndarray:
-        p_minus, p_plus = diffs(v)
-        a_fwd = np.maximum(2.0 * p_plus - b, 0.0)
-        a_bwd = np.minimum(2.0 * p_minus - b, 0.0)
-        val_fwd = hval(np.maximum(p_plus, theta))
-        val_bwd = hval(np.minimum(p_minus, theta))
-        return np.where(val_fwd >= val_bwd, a_fwd, a_bwd)
-
-    def _policy_step(a: np.ndarray, lam: float, h: np.ndarray) -> np.ndarray:
-        # The frozen system is tridiagonal plus the two periodic corners
-        # sup[n-1] at (n-1, 0) and sub[0] at (0, n-1).  Write it as a banded
-        # matrix T plus the rank-one term u v^T, u = gamma e_0 + sup[n-1] e_{n-1},
-        # v = e_0 + (sub[0] / gamma) e_{n-1}, and apply Sherman-Morrison.  With
-        # gamma = -diag[0] the corners only grow T's diagonal, so T stays
-        # strictly diagonally dominant (cyclic tridiagonal solve, Numerical
-        # Recipes 2.7).
-        n = a.shape[0]
-        a_pos = np.maximum(a, 0.0)
-        a_neg = np.minimum(a, 0.0)
-        diag = 1.0 + lam * (a_pos - a_neg) / dx
-        sup = -lam * a_pos / dx
-        sub = lam * a_neg / dx
-        gamma = -diag[0]
-        ratio = sub[0] / gamma
-        ab = np.zeros((3, n))
-        ab[0, 1:] = sup[:-1]
-        ab[1] = diag
-        ab[1, 0] -= gamma
-        ab[1, -1] -= sup[-1] * ratio
-        ab[2, :-1] = sub[1:]
-        rhs = np.zeros((n, 2))
-        rhs[:, 0] = h - 0.25 * lam * (a + b) ** 2
-        rhs[0, 1] = gamma
-        rhs[-1, 1] = sup[-1]
-        y, z = solve_banded(
-            (1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False
-        ).T
-        return y - ((y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1])) * z
-
-    def policy_solve(
-        lam: float, h: np.ndarray, f0: np.ndarray, tol: float
-    ) -> tuple[np.ndarray, int, float]:
-        """Howard iteration on the control form: improve the control per cell,
-        then solve the resulting linear transport system exactly.  Convergence
-        is judged on the true scheme residual."""
-        f = f0.copy()
-        # cold starts can need roughly one sweep per cell the information has
-        # to cross, so the budget scales with the grid
-        sweeps = max(500, f.shape[0] // 8)
-        for it in range(1, sweeps + 1):
-            res_true = float(np.abs(f - lam * apply(f) - h).max())
-            if res_true <= tol:
-                return f, it - 1, res_true
-            f = _policy_step(_improve(f), lam, h)
-        res_true = float(np.abs(f - lam * apply(f) - h).max())
-        if res_true <= tol:
-            return f, sweeps, res_true
-        raise SolverError(f"policy iteration did not converge: residual {res_true:.3g}")
-
     return Hamiltonian(
-        space=space, apply_values=apply, jacobian=jac,
+        space=space, apply_values=partial(_upwind_value, b, dx), jacobian=jac,
         lipschitz_bound=None, monotone=True, name=name,
-        custom_solver=policy_solve,
+        custom_solver=partial(_howard, b, dx),
+    )
+
+
+# Control form: p^2 - b p = max_a (a p - (a + b)^2 / 4), and the Godunov value
+# is exactly this max with a p upwinded by sign(a).  Howard iteration in the
+# control variable makes every frozen system linear with an M-matrix, so it has
+# a unique root and the iterates increase monotonically to the solution; no
+# spurious branches, unlike Newton on the kinked scheme.  The frozen matrix is
+# periodic tridiagonal, so each step is an O(n) banded solve with a rank-one
+# correction for the wrap-around corners.
+def _improve(b: np.ndarray, dx: float, v: np.ndarray) -> np.ndarray:
+    p_minus, p_plus = _upwind_diffs(dx, v)
+    a_fwd = np.maximum(2.0 * p_plus - b, 0.0)
+    a_bwd = np.minimum(2.0 * p_minus - b, 0.0)
+    val_fwd = _hval(b, np.maximum(p_plus, 0.5 * b))
+    val_bwd = _hval(b, np.minimum(p_minus, 0.5 * b))
+    return np.where(val_fwd >= val_bwd, a_fwd, a_bwd)
+
+
+def _policy_step(
+    b: np.ndarray, dx: float, a: np.ndarray, lam: float, h: np.ndarray
+) -> np.ndarray:
+    # The frozen system is tridiagonal plus the two periodic corners
+    # sup[n-1] at (n-1, 0) and sub[0] at (0, n-1).  Write it as a banded
+    # matrix T plus the rank-one term u v^T, u = gamma e_0 + sup[n-1] e_{n-1},
+    # v = e_0 + (sub[0] / gamma) e_{n-1}, and apply Sherman-Morrison.  With
+    # gamma = -diag[0] the corners only grow T's diagonal, so T stays
+    # strictly diagonally dominant (cyclic tridiagonal solve, Numerical
+    # Recipes 2.7).
+    n = a.shape[0]
+    a_pos = np.maximum(a, 0.0)
+    a_neg = np.minimum(a, 0.0)
+    diag = 1.0 + lam * (a_pos - a_neg) / dx
+    sup = -lam * a_pos / dx
+    sub = lam * a_neg / dx
+    gamma = -diag[0]
+    ratio = sub[0] / gamma
+    ab = np.zeros((3, n))
+    ab[0, 1:] = sup[:-1]
+    ab[1] = diag
+    ab[1, 0] -= gamma
+    ab[1, -1] -= sup[-1] * ratio
+    ab[2, :-1] = sub[1:]
+    rhs = np.zeros((n, 2))
+    rhs[:, 0] = h - 0.25 * lam * (a + b) ** 2
+    rhs[0, 1] = gamma
+    rhs[-1, 1] = sup[-1]
+    y, z = solve_banded(
+        (1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False
+    ).T
+    return y - ((y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1])) * z
+
+
+def _howard(
+    b: np.ndarray, dx: float, lam: float, h: np.ndarray, f0: np.ndarray, tol: float
+) -> tuple[np.ndarray, int, float]:
+    """Solve f - lam * Hf = h for the upwind scheme with drift b on a periodic
+    grid of spacing dx: Howard iteration on the control form, which improves
+    the control per cell and then solves the resulting linear transport system
+    exactly.  Convergence is judged on the true scheme residual.
+
+    A cold start can need about one step per cell the information has to
+    cross, so the iteration is a cascade (cascadic multigrid, Bornemann &
+    Deuflhard 1996): an even grid of at least CASCADE_MIN_POINTS points first solves the
+    same scheme on the half grid (drift b[::2], spacing 2 dx, data h[::2],
+    start f0[::2]), recursively, and starts from that solution interpolated
+    linearly and periodically.  Howard converges from any start for this
+    monotone scheme (Bokanowski, Maroso & Zidani 2009), so the start changes
+    the work, not the solution reached.  The returned iteration count is the
+    sum of Howard steps over all levels; a SolverError carries that sum too.
+    """
+    f = f0.copy()
+    done = 0
+    n = f.shape[0]
+    if n % 2 == 0 and n >= CASCADE_MIN_POINTS:
+        fc, done, _ = _howard(b[::2], 2.0 * dx, lam, h[::2], f0[::2], tol)
+        f[::2] = fc
+        f[1::2] = 0.5 * (fc + np.roll(fc, -1))
+    sweeps = max(500, n // 8)  # per level, enough for a cold start
+    for it in range(sweeps + 1):
+        res = float(np.abs(f - lam * _upwind_value(b, dx, f) - h).max())
+        if res <= tol:
+            return f, done + it, res
+        if it < sweeps:
+            f = _policy_step(b, dx, _improve(b, dx, f), lam, h)
+    raise SolverError(
+        f"policy iteration did not converge: residual {res:.3g}", iterations=done + sweeps
     )
 
 

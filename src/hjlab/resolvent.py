@@ -114,10 +114,20 @@ def _newton(
         )
     try:
         return _damped_newton(H, lam, h, f0, tol)
-    except SolverError:
-        return _damped_newton(H, lam, h, np.full_like(f0, h.mean()), tol)
+    except SolverError as exc:
+        spent = exc.iterations
+    try:
+        f, its, res = _damped_newton(H, lam, h, np.full_like(f0, h.mean()), tol)
+    except SolverError as exc:
+        exc.iterations += spent
+        raise
+    return f, spent + its, res
 
 
+# A start outside H's domain (exp overflow in a tilt) gives inf/nan; the start
+# check and the line-search test reject those values, so numpy's warnings about
+# them are noise.
+@np.errstate(over="ignore", invalid="ignore")
 def _damped_newton(
     H: Hamiltonian, lam: float, h: np.ndarray, f0: np.ndarray, tol: float
 ) -> tuple[np.ndarray, int, float]:
@@ -147,12 +157,14 @@ def _damped_newton(
             t *= 0.5
         else:
             raise SolverError(
-                f"newton line search stalled at residual {res:.3g} (lam={lam})"
+                f"newton line search stalled at residual {res:.3g} (lam={lam})",
+                iterations=it,
             )
     if res <= tol:
         return f, MAX_ITER_NEWTON, res
     raise SolverError(
-        f"newton did not converge: residual {res:.3g} after {MAX_ITER_NEWTON} iterations"
+        f"newton did not converge: residual {res:.3g} after {MAX_ITER_NEWTON} iterations",
+        iterations=MAX_ITER_NEWTON,
     )
 
 
@@ -170,7 +182,10 @@ def _continuation(
         try:
             f, its, res = step(frac * lam, h, f, tol)
         except SolverError as exc:
-            raise SolverError(f"lambda continuation stalled at {frac} * lam: {exc}") from exc
+            raise SolverError(
+                f"lambda continuation stalled at {frac} * lam: {exc}",
+                iterations=total + exc.iterations,
+            ) from exc
         total += its
     return f, total, res
 
@@ -226,8 +241,9 @@ def solve_resolvent(
             step, used = partial(_newton, H), "newton"
         try:
             f, iterations, res = step(lam, h.values, f0, tol)
-        except SolverError:
+        except SolverError as exc:
             f, iterations, res = _continuation(step, lam, h.values, f0, tol)
+            iterations += exc.iterations
             used += "+continuation"
 
     out = Fn(H.space, f)

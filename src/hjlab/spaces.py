@@ -76,7 +76,10 @@ class FiniteSpace:
 
     def nearest(self, targets: np.ndarray, within: np.ndarray | None = None) -> np.ndarray:
         """Indices of the nearest points to each target row, optionally restricted
-        to the point-index subset `within`.  Ties resolve to the lowest index."""
+        to the point-index subset `within`.  A target equidistant from several
+        points gets the one cKDTree's search meets first: the same choice for
+        the same pool and target on every run, but not always the lowest (or
+        the highest) index."""
         pool = np.arange(self.size) if within is None else np.asarray(within, dtype=int)
         if pool.size == 0:
             raise ValueError("nearest() over an empty subset")

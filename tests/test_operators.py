@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import chain, unit_grid
@@ -219,6 +219,38 @@ def test_howard_solver_matches_the_dense_reference(kind, n, amp, lam, seed):
     assert iters == want[1]
     assert res <= 1e-10
     assert np.abs(f - want[0]).max() <= 1e-10
+
+
+@given(
+    st.sampled_from(["mixed", "nonnegative", "nonpositive", "zeros"]),
+    st.integers(128, 600),
+    st.floats(0.0, 2.0),
+    st.floats(0.01, 10.0),
+    st.integers(0, 2**16),
+)
+@example("mixed", 512, 1.0, 1.0, 0)  # two half-grid levels, 512 -> 256 -> 128
+@settings(max_examples=10, deadline=None)
+def test_cascaded_howard_solver_matches_the_dense_reference(kind, n, amp, lam, seed):
+    # even n >= 256 starts Howard from the half-grid solution, so the iteration
+    # counts differ from the cold reference; the solution reached may not
+    b, h = howard_case(kind, n, amp, seed)
+    want = howard_reference.policy_solve(b, 1.0 / n, lam, h, h, 1e-10)
+    assert want is not None
+    f, _, res = upwind_quadratic(unit_grid(n), b).custom_solver(lam, h, h, 1e-10)
+    assert res <= 1e-10
+    assert np.abs(f - want[0]).max() <= 1e-10
+
+
+def test_cascade_cuts_the_iterations_of_the_negative_control_limit_solve():
+    # the limit problem of configs/negative_control.yaml; a cold Howard start
+    # from h takes 387 iterations on this grid
+    s = unit_grid(10240)
+    b = trig_polynomial(s, [], [0.75]).values
+    h = trig_polynomial(s, [0.0, 0.0, 0.2]).values
+    H = upwind_quadratic(s, b)
+    f, iters, _ = H.custom_solver(0.25, h, h, 1e-10)
+    assert np.abs(f - 0.25 * H.apply_values(f) - h).max() <= 1e-10
+    assert iters <= 60
 
 
 def test_upwind_jacobian_matches_finite_differences_off_ties():

@@ -193,6 +193,41 @@ def test_every_solve_path_has_a_label_the_benchmark_tracer_counts(monkeypatch):
     assert sorted(seen) == sorted(_tracer_methods())
 
 
+
+def test_iterations_of_failed_attempts_are_counted(monkeypatch):
+    # a step that fails after k iterations and then succeeds must report them
+    n, k = 6, 37
+    s = chain(n)
+    A = np.roll(np.eye(n), 1, axis=1) - np.eye(n)
+    h = Fn(s, np.linspace(-0.5, 0.5, n))
+
+    def fail_once(solve):
+        calls = []
+
+        def wrapped(*args):
+            calls.append(args)
+            if len(calls) == 1:
+                raise SolverError("simulated basin miss", iterations=k)
+            return solve(*args)
+
+        return wrapped
+
+    def exact(lam, hv, f0, tol):
+        return np.linalg.solve(np.eye(n) - lam * A, hv), 1, 0.0
+
+    H = Hamiltonian(space=s, apply_values=lambda v: A @ v, jacobian=lambda v: A,
+                    custom_solver=fail_once(exact))
+    _, diag = solve_resolvent(ResolventFamily(hamiltonian=H), 1.0, h)
+    assert diag.method == "custom+continuation"
+    assert diag.iterations == k + 5  # one per continuation stage
+
+    H = replace(H, custom_solver=None)
+    _, clean = solve_resolvent(ResolventFamily(hamiltonian=H), 1.0, h)
+    monkeypatch.setattr(resolvent, "_damped_newton", fail_once(resolvent._damped_newton))
+    _, diag = solve_resolvent(ResolventFamily(hamiltonian=H), 1.0, h)
+    assert diag.method == "newton"
+    assert diag.iterations >= clean.iterations + k
+
 def test_pseudo_resolvent_identity_holds_for_the_tilted_chain():
     family, s = tilted_family()
     rng = np.random.default_rng(3)
