@@ -278,23 +278,26 @@ def check_dissipative(
         if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(gv))):
             raise PreconditionError("dissipativity check needs finite pairs")
         fns.append((fv, gv))
+    if not fns:
+        return DissipativityReport(passed=True, checked=0, violations=())
+    if any(lam <= 0 for lam in lambdas):
+        raise PreconditionError("lambdas must be positive")
+    F = np.array([fv for fv, _ in fns])
+    G = np.array([gv for _, gv in fns])
+    lams = np.array([float(lam) for lam in lambdas])
+    # f - lam * g for every pair (axis 0) and lambda (axis 1)
+    R = F[:, None, :] - lams[:, None] * G[:, None, :]
     violations = []
     checked = 0
+    # pair i against every j >= i at once: lhs[j - i, l] for lambdas[l]
     for i in range(len(fns)):
-        f1, g1 = fns[i]
-        for j in range(i, len(fns)):
-            f2, g2 = fns[j]
-            rhs = float(np.abs(f1 - f2).max())
-            for lam in lambdas:
-                if lam <= 0:
-                    raise PreconditionError("lambdas must be positive")
-                lhs = float(np.abs((f1 - lam * g1) - (f2 - lam * g2)).max())
-                checked += 1
-                if lhs < rhs - tol:
-                    violations.append(
-                        {"i": i, "j": j, "lam": float(lam), "lhs": lhs, "rhs": rhs,
-                         "deficit": rhs - lhs}
-                    )
+        rhs = np.abs(F[i] - F[i:]).max(axis=1)
+        lhs = np.abs(R[i] - R[i:]).max(axis=2)
+        checked += lhs.size
+        for dj, li in np.argwhere(lhs < (rhs - tol)[:, None]):
+            r, l = float(rhs[dj]), float(lhs[dj, li])
+            violations.append({"i": i, "j": i + int(dj), "lam": float(lambdas[li]),
+                               "lhs": l, "rhs": r, "deficit": r - l})
     return DissipativityReport(passed=not violations, checked=checked, violations=tuple(violations))
 
 
@@ -480,13 +483,19 @@ def upwind_quadratic(
 # spurious branches, unlike Newton on the kinked scheme.  The frozen matrix is
 # periodic tridiagonal, so each step is an O(n) banded solve with a rank-one
 # correction for the wrap-around corners.
-def _improve(b: np.ndarray, dx: float, v: np.ndarray) -> np.ndarray:
+def _value_and_control(b: np.ndarray, dx: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scheme value at v (as _upwind_value) and the improved control, from
+    one evaluation of the upwind differences and the two branches."""
     p_minus, p_plus = _upwind_diffs(dx, v)
-    a_fwd = np.maximum(2.0 * p_plus - b, 0.0)
-    a_bwd = np.minimum(2.0 * p_minus - b, 0.0)
-    val_fwd = _hval(b, np.maximum(p_plus, 0.5 * b))
-    val_bwd = _hval(b, np.minimum(p_minus, 0.5 * b))
-    return np.where(val_fwd >= val_bwd, a_fwd, a_bwd)
+    theta = 0.5 * b
+    val_bwd = _hval(b, np.minimum(p_minus, theta))
+    val_fwd = _hval(b, np.maximum(p_plus, theta))
+    a = np.where(
+        val_fwd >= val_bwd,
+        np.maximum(2.0 * p_plus - b, 0.0),
+        np.minimum(2.0 * p_minus - b, 0.0),
+    )
+    return np.maximum(val_bwd, val_fwd), a
 
 
 def _policy_step(
@@ -550,11 +559,12 @@ def _howard(
         f[1::2] = 0.5 * (fc + np.roll(fc, -1))
     sweeps = max(500, n // 8)  # per level, enough for a cold start
     for it in range(sweeps + 1):
-        res = float(np.abs(f - lam * _upwind_value(b, dx, f) - h).max())
+        value, a = _value_and_control(b, dx, f)
+        res = float(np.abs(f - lam * value - h).max())
         if res <= tol:
             return f, done + it, res
         if it < sweeps:
-            f = _policy_step(b, dx, _improve(b, dx, f), lam, h)
+            f = _policy_step(b, dx, a, lam, h)
     raise SolverError(
         f"policy iteration did not converge: residual {res:.3g}", iterations=done + sweeps
     )

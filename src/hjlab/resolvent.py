@@ -16,8 +16,10 @@ f of f - lambda * H f = h.  The solve path follows from H and lambda alone:
 A custom or Newton step that fails at the full lambda falls back to one
 lambda continuation (the same for both), which walks lambda up from
 lambda / 16 with warm starts.  Residual tolerance is 1e-10 in the sup norm by
-default; solutions are cached per (lambda, h) so repeated sweeps are cheap.
-The algebraic checks:
+default.  solve_resolvent caches solutions per (lambda, h) so repeated sweeps
+are cheap; the steps of an iteration (crandall_liggett) never repeat a
+right-hand side, so they go through the uncached _solve and leave the cache
+untouched.  The algebraic checks:
 
   * pseudo-resolvent identity
         R(beta) h = R(alpha)[ R(beta) h - (alpha/beta)(R(beta) h - h) ]
@@ -193,12 +195,15 @@ def _continuation(
 def _fixed_point(
     H: Hamiltonian, lam: float, h: np.ndarray, f0: np.ndarray, tol: float
 ) -> tuple[np.ndarray, int, float, bool]:
+    # H f_k serves both iterate k's residual and the update to iterate k + 1
     f = f0.copy()
+    Hf = H.apply_values(f)
     res_prev = np.inf
     stall = 0
     for it in range(1, MAX_ITER_FIXED_POINT + 1):
-        f = h + lam * H.apply_values(f)
-        res = float(np.abs(_residual(H, lam, f, h)).max())
+        f = h + lam * Hf
+        Hf = H.apply_values(f)
+        res = float(np.abs(f - lam * Hf - h).max())
         if res <= tol:
             return f, it, res, True
         stall = stall + 1 if res > 0.999 * res_prev else 0
@@ -206,6 +211,34 @@ def _fixed_point(
         if stall >= 50:
             return f, it, res, False  # hand over to newton
     return f, MAX_ITER_FIXED_POINT, res, False
+
+
+def _solve(
+    H: Hamiltonian, lam: float, h: np.ndarray, tol: float
+) -> tuple[np.ndarray, SolveDiagnostics]:
+    """Solve f - lam * H f = h to tol, uncached; the path follows from H and
+    lam alone (see the module docstring)."""
+    f0 = h.astype(float)
+    L = H.lipschitz_bound
+    if H.custom_solver is None and L is not None and lam * L < 0.9:
+        f, iterations, res, ok = _fixed_point(H, lam, h, f0, tol)
+        used = "fixed_point"
+        if not ok:
+            f, its, res = _newton(H, lam, h, f, tol)
+            iterations += its
+            used = "fixed_point+newton"
+    else:
+        if H.custom_solver is not None:
+            step, used = H.custom_solver, "custom"
+        else:
+            step, used = partial(_newton, H), "newton"
+        try:
+            f, iterations, res = step(lam, h, f0, tol)
+        except SolverError as exc:
+            f, iterations, res = _continuation(step, lam, h, f0, tol)
+            iterations += exc.iterations
+            used += "+continuation"
+    return f, SolveDiagnostics(lam=float(lam), method=used, iterations=iterations, residual=res)
 
 
 def solve_resolvent(
@@ -224,30 +257,8 @@ def solve_resolvent(
             f, diag = family._cache[key]
             return f, replace(diag, from_cache=True)
 
-    f0 = h.values.astype(float)
-    tol = family.tol_residual
-    L = H.lipschitz_bound
-    if H.custom_solver is None and L is not None and lam * L < 0.9:
-        f, iterations, res, ok = _fixed_point(H, lam, h.values, f0, tol)
-        used = "fixed_point"
-        if not ok:
-            f, its, res = _newton(H, lam, h.values, f, tol)
-            iterations += its
-            used = "fixed_point+newton"
-    else:
-        if H.custom_solver is not None:
-            step, used = H.custom_solver, "custom"
-        else:
-            step, used = partial(_newton, H), "newton"
-        try:
-            f, iterations, res = step(lam, h.values, f0, tol)
-        except SolverError as exc:
-            f, iterations, res = _continuation(step, lam, h.values, f0, tol)
-            iterations += exc.iterations
-            used += "+continuation"
-
+    f, diag = _solve(H, lam, h.values, family.tol_residual)
     out = Fn(H.space, f)
-    diag = SolveDiagnostics(lam=float(lam), method=used, iterations=iterations, residual=res)
     with family._lock:
         family._cache[key] = (out, diag)
     return out, diag

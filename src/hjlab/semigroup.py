@@ -27,7 +27,7 @@ from scipy.linalg import expm
 from .errors import PreconditionError
 from .limits import ConvergenceVerdict, Fn, FnSequence, check_LIM, lift_to_members
 from .operators import scale_graph, validate_rate_matrix
-from .resolvent import ResolventFamily, solve_resolvent
+from .resolvent import ResolventFamily, _solve
 from .spaces import SpaceSequence
 from .viscosity import check_subsolution, check_supersolution
 
@@ -57,7 +57,12 @@ class SemigroupApprox:
 
 
 def crandall_liggett(family: ResolventFamily, t: float, n_steps: int, f: Fn) -> SemigroupApprox:
-    """n_steps-fold composition of R(t / n_steps) applied to f."""
+    """n_steps-fold composition of R(t / n_steps) applied to f.
+
+    The steps are not cached: no step repeats a right-hand side, so they call
+    the uncached solve on raw value arrays and leave the family's cache as it
+    was.  Every step reaches the residual tolerance (or raises), which implies
+    finite values, so only the result is wrapped as an Fn."""
     if t < 0:
         raise PreconditionError("time must be nonnegative")
     if n_steps <= 0:
@@ -70,17 +75,18 @@ def crandall_liggett(family: ResolventFamily, t: float, n_steps: int, f: Fn) -> 
             total_iterations=0, worst_residual=0.0, methods=(),
         )
     lam = t / n_steps
-    cur = f
+    H, tol = family.hamiltonian, family.tol_residual
+    cur = f.values
     total = 0
     worst = 0.0
     methods = set()
     for _ in range(n_steps):
-        cur, d = solve_resolvent(family, lam, cur)
+        cur, d = _solve(H, lam, cur, tol)
         total += d.iterations
         worst = max(worst, d.residual)
         methods.add(d.method)
     return SemigroupApprox(
-        t=float(t), n_steps=n_steps, lam=lam, result=cur,
+        t=float(t), n_steps=n_steps, lam=lam, result=Fn(f.space, cur),
         total_iterations=total, worst_residual=worst, methods=tuple(sorted(methods)),
     )
 

@@ -87,53 +87,63 @@ def _check_solution(u, G, h: Fn, lam: float, tol: float, tie_tol: float, sub: bo
     if not sub and uv.min() == -np.inf:
         raise PreconditionError("supersolution candidates must be bounded below")
     gamma = G.gamma
+    n_pairs = len(G.pairs)
+    F = np.array([f.values for f, _ in G.pairs], dtype=float).reshape(
+        n_pairs, G.base_space.size)
+    Gv = np.array([g.values for _, g in G.pairs], dtype=float).reshape(n_pairs, gamma.size)
+    sign = 1.0 if sub else -1.0
+    # maximize sign * (u - f), one row per pair: covers sub (maximizers) and
+    # super (minimizers); the gap is taken on the base space, the ties on the
+    # enlarged one through gamma
+    diff_x = sign * _ext_diff(uv, F)
+    gaps = diff_x.max(axis=1)
+    diff_y = diff_x[:, gamma]
+    finite = np.isfinite(gaps)
+    ties = (diff_y >= (gaps - tie_tol)[:, None]) & finite[:, None]
+    # u - h - lam * g, compared only at the ties of pairs with a finite gap
+    with np.errstate(invalid="ignore"):
+        uh = uv[gamma] - hv[gamma]
+    lg = _ext_scale(lam, Gv)
+    clash = ((uh == np.inf) & (lg == np.inf)) | ((uh == -np.inf) & (lg == -np.inf))
+    if (clash & ties).any():
+        raise PreconditionError("ill-defined difference of equal infinities")
+    with np.errstate(invalid="ignore"):
+        vals = uh - lg
+    # subsolution wants min over ties <= tol; supersolution wants max >= -tol.
+    # A row whose ties are all +-inf would pick a non-tie from the masked
+    # array, where the unmasked search picks the first tie.
+    fill = np.inf if sub else -np.inf
+    masked = np.where(ties, vals, fill)
+    best = np.argmin(masked, axis=1) if sub else np.argmax(masked, axis=1)
+    rows = np.arange(n_pairs)
+    best = np.where(masked[rows, best] == fill, ties.argmax(axis=1), best)
+    slacks = vals[rows, best]
+    n_ties = ties.sum(axis=1)
+
     per_pair = []
     notes: list[str] = []
     all_ok = True
-    sign = 1.0 if sub else -1.0
-    for k, (f, g) in enumerate(G.pairs):
-        # maximize sign * (u - f): covers sub (maximizers) and super (minimizers)
-        diff_x = sign * _ext_diff(uv, f.values)
-        gap = float(diff_x.max())
+    for k in range(n_pairs):
+        gap = float(gaps[k])
         record = {"pair": k, "skipped": False, "passed": True, "gap": sign * gap,
                   "slack": None, "witness_y": None, "witness_x": None, "n_ties": 0}
         if gap == np.inf:
             # the definition only quantifies over pairs with a finite gap
             record["skipped"] = True
-            per_pair.append(record)
-            continue
-        if gap == -np.inf:
+        elif gap == -np.inf:
             notes.append(f"pair {k}: degenerate gap (u - f identically infinite); vacuous pass")
-            per_pair.append(record)
-            continue
-        diff_y = diff_x[gamma]
-        ties = np.flatnonzero(diff_y >= gap - tie_tol)
-        if ties.size == 0:
+        elif n_ties[k] == 0:
             record["passed"] = False
             record["slack"] = np.inf
             notes.append(f"pair {k}: optimum not reachable through the enlarged space")
             all_ok = False
-            per_pair.append(record)
-            continue
-        gv = g.values[ties]
-        vals = _ext_diff(uv[gamma[ties]] - hv[gamma[ties]], _ext_scale(lam, gv))
-        # subsolution wants min over ties <= tol; supersolution wants max >= -tol
-        if sub:
-            best = int(np.argmin(vals))
-            slack = float(vals[best])
-            ok = slack <= tol
         else:
-            best = int(np.argmax(vals))
-            slack = float(vals[best])
-            ok = slack >= -tol
-        record.update(
-            slack=slack,
-            n_ties=int(ties.size),
-            witness_y=int(ties[best]),
-            witness_x=int(gamma[ties[best]]),
-            passed=ok,
-        )
-        all_ok = all_ok and ok
+            slack = float(slacks[k])
+            ok = slack <= tol if sub else slack >= -tol
+            y = int(best[k])
+            record.update(slack=slack, n_ties=int(n_ties[k]), witness_y=y,
+                          witness_x=int(gamma[y]), passed=ok)
+            all_ok = all_ok and ok
         per_pair.append(record)
     return ViscosityReport(
         kind="subsolution" if sub else "supersolution",

@@ -2,8 +2,10 @@
 
 The tracer wraps hjlab functions by name from outside the package, so a
 rename inside hjlab silently empties its per-layer metrics.  This runs one
-tiny traced grid experiment in a fresh interpreter and checks that the
-tracked-sequence metric is still fed.
+tiny traced run in a fresh interpreter and checks that the metrics a run
+feeds are still fed: the tracked sequences of a grid experiment, and the
+Crandall-Liggett steps of a semigroup suite, which no longer pass through
+the patched solve_resolvent.
 """
 
 import json
@@ -33,6 +35,22 @@ TINY_GRID = {
     },
 }
 
+TINY_SEMIGROUP = {
+    "schema_version": 1,
+    "name": "traced-tiny-semigroup",
+    "seed": 3,
+    "semigroup": {
+        "space": {"kind": "chain", "size": 4},
+        "operator": {"kind": "tilt", "rate_matrix": {"kind": "random", "scale": 0.5},
+                     "probe_radius": 1.0},
+        "initial": {"kind": "random", "count": 1, "bound": 0.5},
+        "t": 0.5,
+        "n_steps": [4, 16],
+        "oracle": "logexp",
+        "tol_final": 0.1,
+    },
+}
+
 SCRIPT = """
 import json, sys
 sys.path[:0] = [{perfbench!r}, {src!r}]
@@ -40,19 +58,29 @@ import tracer
 t = tracer.Tracer()
 t.install()
 from hjlab.cli import main
-code = main(["converge", "--config", {cfg!r}, "--out", {out!r}, "--jobs", "1"])
+code = main([{command!r}, "--config", {cfg!r}, "--out", {out!r}, "--jobs", "1"])
 print(json.dumps({{"exit": code, "metrics": t.layer_metrics()}}))
 """
 
 
-def test_traced_grid_run_feeds_the_tracked_sequence_metric(tmp_path):
-    cfg = tmp_path / "grid.yaml"
-    cfg.write_text(yaml.safe_dump(TINY_GRID))
+def _traced_run(tmp_path, command, config):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(yaml.safe_dump(config))
     script = SCRIPT.format(perfbench=str(ROOT / "perfbench"), src=str(ROOT / "src"),
-                           cfg=str(cfg), out=str(tmp_path / "out"))
+                           command=command, cfg=str(cfg), out=str(tmp_path / "out"))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["exit"] == 0
-    assert result["metrics"]["spaces.tracked_sequences"] > 0
+    return result["metrics"]
+
+
+def test_traced_grid_run_feeds_the_tracked_sequence_metric(tmp_path):
+    metrics = _traced_run(tmp_path, "converge", TINY_GRID)
+    assert metrics["spaces.tracked_sequences"] > 0
+
+
+def test_traced_semigroup_run_counts_every_crandall_liggett_step(tmp_path):
+    metrics = _traced_run(tmp_path, "semigroup", TINY_SEMIGROUP)
+    assert metrics["semigroup.cl_steps"] == sum(TINY_SEMIGROUP["semigroup"]["n_steps"])

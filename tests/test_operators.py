@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import chain, unit_grid
-from oracles import howard_reference
+from oracles import dissipativity_reference, howard_reference
 from hjlab import (
     ExtFn,
     Fn,
@@ -396,6 +396,24 @@ def test_check_dissipative_reports_a_fabricated_violation():
     assert rep.worst_margin() == pytest.approx(0.5)
     v = rep.violations[0]
     assert (v["i"], v["j"], v["lam"]) == (0, 1, 0.5)
+
+
+@given(
+    st.integers(0, 5), st.integers(1, 6),
+    st.lists(st.sampled_from([0.1, 0.5, 1.0, 10.0]), max_size=3),
+    st.sampled_from([0.0, 1e-9, 0.1]), st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_check_dissipative_matches_the_pairwise_reference(n_pairs, n, lambdas, tol, seed):
+    rng = np.random.default_rng(seed)
+    pairs = [(rng.standard_normal(n), rng.choice([0.01, 1.0, 10.0]) * rng.standard_normal(n))
+             for _ in range(n_pairs)]
+    if n_pairs > 1:  # a near copy of pair 0 with an unrelated g: violations
+        pairs[1] = (pairs[0][0] + 0.3, rng.standard_normal(n))
+    got = check_dissipative(pairs, lambdas, tol)
+    ref = dissipativity_reference.check_dissipative(pairs, lambdas, tol)
+    assert (got.passed, got.checked) == (ref.passed, ref.checked)
+    assert repr(got.violations) == repr(ref.violations)
 
 
 def test_check_dissipative_rejects_bad_inputs():

@@ -85,6 +85,23 @@ def test_method_auto_picks_fixed_point_inside_the_contraction_regime():
     assert diag.method.startswith("newton")
 
 
+def test_fixed_point_applies_H_once_per_iteration():
+    tilted, s = tilted_family()
+    calls = 0
+
+    def counted(v):
+        nonlocal calls
+        calls += 1
+        return tilted.hamiltonian.apply_values(v)
+
+    H = replace(tilted.hamiltonian, apply_values=counted)
+    h = Fn(s, np.random.default_rng(2).uniform(-1, 1, 10))
+    _, diag = solve_resolvent(ResolventFamily(hamiltonian=H), 0.5 / H.lipschitz_bound, h)
+    assert diag.method == "fixed_point" and diag.iterations > 1
+    # H f_k serves iterate k's residual and the update to f_{k+1}
+    assert calls == diag.iterations + 1
+
+
 def test_solve_rejects_bad_lambda_and_wrong_space():
     family, s = tilted_family()
     h = Fn(s, np.zeros(10))

@@ -22,6 +22,7 @@ from hjlab import (
     make_grid_sequence,
     random_rate_matrix,
     semigroup_convergence_experiment,
+    solve_resolvent,
     tilt_linear,
     trig_polynomial,
     upwind_quadratic,
@@ -105,6 +106,28 @@ def test_crandall_liggett_preconditions_and_zero_time():
     assert frozen.result is not f
     assert np.array_equal(frozen.result.values, f.values)
     assert frozen.total_iterations == 0 and frozen.methods == ()
+
+
+@pytest.mark.parametrize("path", ["fixed_point", "custom", "newton"])
+def test_crandall_liggett_steps_bypass_the_solve_cache(path):
+    if path == "custom":
+        s = unit_grid(32)
+        H = upwind_quadratic(s, 0.5 * np.sin(2.0 * np.pi * s.coords[:, 0]))
+        t, n = 0.5, 4
+    else:
+        s = chain(6)
+        H = tilt_linear(random_rate_matrix(np.random.default_rng(5), 6), s)
+        # L is about 49: lam * L below 0.9 takes the fixed point, above it Newton
+        t, n = (0.5, 64) if path == "fixed_point" else (1.0, 2)
+    f = Fn(s, 0.3 * np.cos(2.0 * np.pi * np.arange(s.size) / s.size))
+    family = ResolventFamily(hamiltonian=H)
+    approx = crandall_liggett(family, t, n, f)
+    assert approx.methods == (path,)
+    assert family._cache == {}
+    composed, stepper = f, ResolventFamily(hamiltonian=H)
+    for _ in range(n):
+        composed, _ = solve_resolvent(stepper, t / n, composed)
+    assert np.array_equal(approx.result.values, composed.values)
 
 
 def test_convergence_in_n_oracle_and_self_modes():

@@ -3,8 +3,11 @@ and the comparison / perturbation / density lemmas around them."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import chain
+from oracles import viscosity_reference
 from hjlab import (
     EnlargedOperatorGraph,
     ExtFn,
@@ -23,6 +26,7 @@ from hjlab import (
     random_rate_matrix,
     tilt_linear,
 )
+from hjlab.viscosity import _check_solution
 
 S3 = chain(3)
 H0 = Fn(S3, np.zeros(3))
@@ -335,3 +339,74 @@ def test_density_extension_preconditions():
     mixed = [Fn(h.space, h.values), Fn(h.space, h.values + 0.5)]
     rep = extend_solutions_by_density(family, mixed, G, lam, h, tol=1e-3)
     assert not rep.passed
+
+
+# values drawn from a small set so that exact ties, ties within tie_tol and
+# infinite gaps all occur
+_VALUES = [-1.0, -0.5, 0.0, 1e-13, 0.5, 1.0]
+_INF = [np.inf, -np.inf]
+
+
+def _ext(space, draw, n, allowed_inf):
+    vals = draw(st.lists(st.sampled_from(_VALUES + allowed_inf), min_size=n, max_size=n))
+    return ExtFn(space, vals)
+
+
+@st.composite
+def viscosity_case(draw):
+    n = draw(st.integers(1, 5))
+    base = chain(n)
+    kind = draw(st.sampled_from(["dagger", "ddagger"]))
+    f_inf, g_inf = ([np.inf], [-np.inf]) if kind == "dagger" else ([-np.inf], [np.inf])
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 7))
+        enlarged = chain(m, name=f"enlarged{m}")
+        # gamma need not be onto: some optima are unreachable
+        gamma = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+        pairs = tuple((_ext(base, draw, n, f_inf), _ext(enlarged, draw, m, g_inf))
+                      for _ in range(draw(st.integers(0, 4))))
+        G = EnlargedOperatorGraph(base_space=base, enlarged_space=enlarged,
+                                  gamma=np.array(gamma), pairs=pairs, kind=kind)
+    else:
+        pairs = tuple((_ext(base, draw, n, f_inf), _ext(base, draw, n, g_inf))
+                      for _ in range(draw(st.integers(0, 4))))
+        G = OperatorGraph(space=base, pairs=pairs, kind=kind)
+    u = draw(st.sampled_from([Fn, ExtFn, "array"]))
+    u_vals = draw(st.lists(st.sampled_from(_VALUES + (_INF if u != Fn else [])),
+                           min_size=n, max_size=n))
+    u = np.array(u_vals) if u == "array" else u(base, u_vals)
+    h = _ext(base, draw, n, _INF) if draw(st.booleans()) else Fn(
+        base, draw(st.lists(st.sampled_from(_VALUES), min_size=n, max_size=n)))
+    lam = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, -1.0]))
+    tol = draw(st.sampled_from([0.0, 1e-9, 0.5]))
+    tie_tol = draw(st.sampled_from([0.0, 1e-12, 0.6]))
+    return u, G, h, lam, tol, tie_tol, draw(st.booleans())
+
+
+def _outcome(check, case):
+    try:
+        rep = check(*case)
+    except PreconditionError as exc:
+        return ("raised", str(exc))
+    # repr is exact for floats, tells -0.0 from 0.0, and shows numpy scalars
+    return (rep.kind, rep.passed, repr(rep.per_pair), rep.notes)
+
+
+def _all_inf_slack(sub):
+    # lam = 0 keeps g's infinities, so both ties (x = 1, 2) have an infinite
+    # slack; x = 0 is not a tie but comes first
+    u = Fn(S3, [-1.0, 0.0, 0.0] if sub else [1.0, 0.0, 0.0])
+    inf = -np.inf if sub else np.inf
+    G = OperatorGraph(space=S3, pairs=((Fn(S3, np.zeros(3)), ExtFn(S3, [0.0, inf, inf])),),
+                      kind="dagger" if sub else "ddagger")
+    return u, G, H0, 0.0, 1e-9, 1e-12, sub
+
+
+@given(case=viscosity_case())
+@example(case=_all_inf_slack(True))
+@example(case=_all_inf_slack(False))
+@settings(max_examples=400, deadline=None)
+def test_vectorised_check_matches_the_per_pair_reference(case):
+    ref = _outcome(viscosity_reference.check_solution, case)
+    got = _outcome(_check_solution, case)
+    assert got == ref
