@@ -75,6 +75,11 @@ __all__ = [
 class Hamiltonian:
     """Single-valued operator on value vectors over a fixed finite space.
 
+    jacobian, when set, maps values v to the Jacobian of apply_values at v:
+    either a dense ndarray, or a scipy sparse matrix whose pattern (the stored
+    entries, explicit zeros included) is fixed per Hamiltonian, so only the
+    values change with v and the pattern can be computed once.
+
     custom_solver, when set, inverts f - lam * Hf = h better than generic
     Newton can (signature: (lam, h, f0, tol) -> (f, iters, res), raising
     SolverError when it does not reach tol from f0); schemes with max-type
@@ -414,6 +419,29 @@ def _grid_spacing(space: FiniteSpace) -> float:
     return float(dx[0])
 
 
+def _periodic_stencil(n: int, offsets: tuple[int, ...]) -> Callable[[np.ndarray], sp.csr_matrix]:
+    """One-pass assembly of the n x n periodic stencil matrix whose row i has
+    entries at columns (i + k) mod n for k in offsets.
+
+    The returned function takes the values stencil by stencil (n per offset,
+    in the order of offsets) and returns the canonical CSR matrix, duplicates
+    summed (on small grids two offsets can meet).  The nonzero pattern and
+    the scatter into it are computed here, once per Hamiltonian.
+    """
+    rows = np.tile(np.arange(n), len(offsets))
+    cols = (rows + np.repeat(offsets, n)) % n
+    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    indices = (keys % n).astype(np.int32)
+    indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(np.int32)
+
+    def assemble(data: np.ndarray) -> sp.csr_matrix:
+        values = np.bincount(slot, weights=data, minlength=keys.size)
+        # fresh index arrays: a caller may prune the returned matrix in place
+        return sp.csr_matrix((values, indices.copy(), indptr.copy()), shape=(n, n))
+
+    return assemble
+
+
 # Grids with at least this many points (and an even count) first solve the
 # same scheme on the half grid and start Howard from its interpolation.
 CASCADE_MIN_POINTS = 256
@@ -452,6 +480,7 @@ def upwind_quadratic(
     if b.shape[0] != space.size:
         raise PreconditionError("drift must have one value per grid point")
     theta = 0.5 * b
+    assemble = _periodic_stencil(b.shape[0], (0, -1, 1))
 
     def jac(v: np.ndarray) -> sp.csr_matrix:
         p_minus, p_plus = _upwind_diffs(dx, v)
@@ -460,14 +489,10 @@ def upwind_quadratic(
         take_minus = _hval(b, u) >= _hval(b, w)
         du = (2.0 * u - b) * (p_minus < theta) / dx
         dw = (2.0 * w - b) * (p_plus > theta) / dx
-        n = v.shape[0]
         diag = np.where(take_minus, du, -dw)
         sub = np.where(take_minus, -du, 0.0)
         sup = np.where(take_minus, 0.0, dw)
-        rows = np.concatenate([np.arange(n)] * 3)
-        cols = np.concatenate([np.arange(n), (np.arange(n) - 1) % n, (np.arange(n) + 1) % n])
-        data = np.concatenate([diag, sub, sup])
-        return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+        return assemble(np.concatenate([diag, sub, sup]))
 
     return Hamiltonian(
         space=space, apply_values=partial(_upwind_value, b, dx), jacobian=jac,
@@ -584,14 +609,12 @@ def centered_quadratic(
         pc = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * dx)
         return pc * pc - b * pc
 
+    assemble = _periodic_stencil(b.shape[0], (1, -1))
+
     def jac(v: np.ndarray) -> sp.csr_matrix:
         pc = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * dx)
         slope = (2.0 * pc - b) / (2.0 * dx)
-        n = v.shape[0]
-        rows = np.concatenate([np.arange(n)] * 2)
-        cols = np.concatenate([(np.arange(n) + 1) % n, (np.arange(n) - 1) % n])
-        data = np.concatenate([slope, -slope])
-        return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+        return assemble(np.concatenate([slope, -slope]))
 
     return Hamiltonian(
         space=space, apply_values=apply, jacobian=jac,
@@ -655,17 +678,32 @@ def slowfast_hamiltonian(
         return out.reshape(-1)
 
     jac_slow = slow.jacobian
+    # state (x, z) sits at x * n_fast + z: the fast chain n * kron(I, A_fast)
+    # is fixed, and fast state z's slow Jacobian J_z lands on the rows and
+    # columns x * n_fast + z, scaled by m_z
+    size = n_slow * n_fast
+    zi, zj = np.nonzero(A_fast)
+    block_start = np.arange(n_slow)[:, None] * n_fast
+    fast_rows = (block_start + zi).ravel()
+    fast_cols = (block_start + zj).ravel()
+    fast_data = np.tile(n * A_fast[zi, zj], n_slow)
+    coupled = [z for z in range(n_fast) if m[z] != 0.0]  # m_z = 0: no slow block
 
     def jac(v: np.ndarray) -> sp.csr_matrix:
-        # state (x, z) sits at x * n_fast + z, so fast-state z's slow block is
-        # kron(J_z, m_z e_z e_z^T) and the fast chain is kron(I, A_fast)
         V = v.reshape(n_slow, n_fast)
-        J = n * sp.kron(sp.eye(n_slow), A_fast)
-        for z in range(n_fast):
-            picker = np.zeros((n_fast, n_fast))
-            picker[z, z] = m[z]
-            J = J + sp.kron(jac_slow(V[:, z]), picker)
-        return J.tocsr()
+        rows, cols, data = [fast_rows], [fast_cols], [fast_data]
+        for z in coupled:
+            J_z = jac_slow(V[:, z])
+            if not sp.issparse(J_z):  # dense: store every entry, so the pattern stays fixed
+                J_z = (np.asarray(J_z).ravel(), np.divmod(np.arange(n_slow * n_slow), n_slow))
+            J_z = sp.coo_matrix(J_z, shape=(n_slow, n_slow))
+            rows.append(J_z.row * n_fast + z)
+            cols.append(J_z.col * n_fast + z)
+            data.append(J_z.data * m[z])
+        return sp.csr_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(size, size),
+        )
 
     L = None
     if slow.lipschitz_bound is not None:

@@ -5,7 +5,8 @@ rename inside hjlab silently empties its per-layer metrics.  This runs one
 tiny traced run in a fresh interpreter and checks that the metrics a run
 feeds are still fed: the tracked sequences of a grid experiment, and the
 Crandall-Liggett steps of a semigroup suite, which no longer pass through
-the patched solve_resolvent.
+the patched solve_resolvent, and the Jacobians of a slow-fast suite's Newton
+steps.
 """
 
 import json
@@ -51,6 +52,9 @@ TINY_SEMIGROUP = {
     },
 }
 
+# the shipped slow-fast suite is already small: 16 slow x 3 fast states
+SLOWFAST = yaml.safe_load((ROOT / "configs" / "slowfast.yaml").read_text())
+
 SCRIPT = """
 import json, sys
 sys.path[:0] = [{perfbench!r}, {src!r}]
@@ -84,3 +88,9 @@ def test_traced_grid_run_feeds_the_tracked_sequence_metric(tmp_path):
 def test_traced_semigroup_run_counts_every_crandall_liggett_step(tmp_path):
     metrics = _traced_run(tmp_path, "semigroup", TINY_SEMIGROUP)
     assert metrics["semigroup.cl_steps"] == sum(TINY_SEMIGROUP["semigroup"]["n_steps"])
+
+
+def test_traced_slowfast_run_sees_one_jacobian_per_newton_step(tmp_path):
+    metrics = _traced_run(tmp_path, "converge", SLOWFAST)
+    jacobians = metrics["operators.jacobian_calls"]
+    assert jacobians == metrics["resolvent.newton_linear_solve_calls"] > 0

@@ -1,6 +1,7 @@
 """Shipped Hamiltonians, operator graphs, and their structural checks."""
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import chain, unit_grid
-from oracles import dissipativity_reference, howard_reference
+from oracles import dissipativity_reference, howard_reference, jacobian_reference
 from hjlab import (
     ExtFn,
+    FiniteSpace,
     Fn,
     OperatorGraph,
     PreconditionError,
@@ -35,6 +37,7 @@ from hjlab import (
     upwind_quadratic,
 )
 from hjlab.operators import validate_rate_matrix
+from hjlab.resolvent import _solve
 
 
 def fd_jacobian(apply_values, v, eps=1e-7):
@@ -270,6 +273,48 @@ def test_centered_jacobian_matches_finite_differences():
     assert np.abs(J - fd_jacobian(H.apply_values, v)).max() < 1e-6
 
 
+def assert_same_newton_matrix(J, J_ref, lam):
+    # the damped Newton step factors I - lam * J; the same canonical CSC means
+    # the same SuperLU ordering and the same step, bit for bit
+    got = jacobian_reference.newton_matrix(J, lam)
+    want = jacobian_reference.newton_matrix(J_ref, lam)
+    assert got.has_canonical_format
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
+def tie_case(n, seed, tie_share):
+    """Values (with flat runs) and a drift that puts theta = b/2 exactly on
+    the backward or forward difference at about tie_share of the points."""
+    rng = np.random.default_rng(seed)
+    s = unit_grid(n)
+    dx = float(np.diff(s.coords[:, 0])[0])
+    v = rng.uniform(-1.0, 1.0, n)
+    v[rng.random(n) < tie_share] = 0.25
+    b = rng.uniform(-2.0, 2.0, n)
+    p_minus = (v - np.roll(v, 1)) / dx
+    p_plus = (np.roll(v, -1) - v) / dx
+    tie = rng.random(n) < tie_share
+    backward = rng.random(n) < 0.5
+    b[tie & backward] = 2.0 * p_minus[tie & backward]
+    b[tie & ~backward] = 2.0 * p_plus[tie & ~backward]
+    return s, dx, v, b
+
+
+@pytest.mark.parametrize("scheme", ["upwind", "centered"])
+@given(st.integers(2, 64), st.floats(0.0, 1.0), st.floats(0.01, 10.0), st.integers(0, 2**16))
+@example(2, 1.0, 1.0, 0)
+@settings(max_examples=60, deadline=None)
+def test_grid_jacobians_give_the_reference_newton_matrix(scheme, n, tie_share, lam, seed):
+    s, dx, v, b = tie_case(n, seed, tie_share)
+    build = upwind_quadratic if scheme == "upwind" else centered_quadratic
+    J = build(s, b).jacobian(v)
+    assert sp.issparse(J) and J.format == "csr"
+    J_ref = getattr(jacobian_reference, scheme)(b, dx, v)
+    assert np.array_equal(J.toarray(), J_ref.toarray())
+    assert_same_newton_matrix(J, J_ref, lam)
+
+
 def test_grid_schemes_require_uniform_grids_and_matching_drift():
     bad = np.array([0.0, 0.1, 0.5])
     s = unit_grid(8)
@@ -472,6 +517,94 @@ def test_slowfast_jacobian_is_sparse_and_matches_the_dense_block_assembly():
         idx = np.arange(8) * 3 + z
         want[np.ix_(idx, idx)] += m_z * coupling.slow.jacobian(V[:, z]).toarray()
     assert np.array_equal(J.toarray(), want)
+
+
+@pytest.mark.parametrize("dense_slow", [linear_generator, tilt_linear])
+def test_slowfast_jacobian_over_a_dense_slow_jacobian_is_csr(dense_slow):
+    product, coupling = slowfast_fixture()
+    # a slow operator whose Jacobian is a dense ndarray, with a zero entry
+    A_slow = random_rate_matrix(np.random.default_rng(14), 8)
+    A_slow[0, 0] += A_slow[0, 2]
+    A_slow[0, 2] = 0.0
+    coupling = replace(coupling, slow=dense_slow(A_slow, coupling.slow.space))
+    n = 4.0
+    H = slowfast_hamiltonian(product, n, coupling)
+    v = np.random.default_rng(13).uniform(-1, 1, 24)
+    J = H.jacobian(v)
+    assert sp.issparse(J) and J.format == "csr"
+    want = n * np.kron(np.eye(8), coupling.fast_rate_matrix)
+    V = v.reshape(8, 3)
+    for z, m_z in enumerate(coupling.multipliers):
+        J_z = coupling.slow.jacobian(V[:, z])
+        assert isinstance(J_z, np.ndarray)
+        idx = np.arange(8) * 3 + z
+        want[np.ix_(idx, idx)] += m_z * J_z
+    assert np.array_equal(J.toarray(), want)
+    # the dense blocks are stored whole, so entries that vanish at some v
+    # (exp underflow in the tilt) keep the pattern fixed
+    with np.errstate(over="ignore", invalid="ignore"):
+        J_far = H.jacobian(np.linspace(0.0, 2000.0, 24))
+    assert np.array_equal(J_far.indptr, J.indptr)
+    assert np.array_equal(J_far.indices, J.indices)
+
+
+@given(
+    st.integers(2, 4),
+    st.integers(3, 24),  # the product sequence's compact levels need 3 slow points
+    st.integers(0, 3),
+    st.floats(0.5, 64.0),
+    st.floats(0.01, 10.0),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_slowfast_jacobian_gives_the_reference_newton_matrix(
+    n_fast, n_slow, zero_at, n, lam, cycle, seed
+):
+    # a rate matrix with zero off-diagonal entries (a cycle) or without,
+    # and one fast state decoupled from the slow part by m_z = 0
+    rng = np.random.default_rng(seed)
+    s, dx, v_slow, b = tie_case(n_slow, seed, 0.3)
+    A_fast = cycle_matrix(n_fast, 1.5) if cycle else random_rate_matrix(rng, n_fast)
+    m = rng.uniform(0.1, 2.0, n_fast)
+    m[zero_at % n_fast] = 0.0
+    coupling = SlowFastCoupling(
+        slow=upwind_quadratic(s, b), fast_rate_matrix=A_fast, multipliers=tuple(m)
+    )
+    fast = FiniteSpace(points=tuple(range(n_fast)), coords=np.arange(float(n_fast)), name="fast")
+    H = slowfast_hamiltonian(make_product_sequence(s, fast, n_members=3), n, coupling)
+    v = np.repeat(v_slow, n_fast) + rng.uniform(-0.1, 0.1, n_slow * n_fast)
+    J = H.jacobian(v)
+    assert sp.issparse(J) and J.format == "csr"
+    J_ref = jacobian_reference.slowfast(
+        partial(jacobian_reference.upwind, b, dx), A_fast, coupling.multipliers, n, v
+    )
+    assert np.array_equal(J.toarray(), J_ref.toarray())
+    assert_same_newton_matrix(J, J_ref, lam)
+
+
+def test_slowfast_newton_solve_matches_the_reference_jacobian_bit_for_bit():
+    slow_space = unit_grid(64, "slow")
+    b = drift_sin(slow_space, 0.4)
+    fast = FiniteSpace(points=(0, 1, 2), coords=np.arange(3.0), name="fast")
+    A_fast = np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [1.0, 0.0, -1.0]])
+    coupling = SlowFastCoupling(
+        slow=upwind_quadratic(slow_space, b), fast_rate_matrix=A_fast,
+        multipliers=(0.5, 1.0, 1.5),
+    )
+    n = 8.0
+    H = slowfast_hamiltonian(make_product_sequence(slow_space, fast, n_members=3), n, coupling)
+    dx = float(np.diff(slow_space.coords[:, 0])[0])
+    H_ref = replace(H, jacobian=partial(
+        jacobian_reference.slowfast, partial(jacobian_reference.upwind, b, dx),
+        A_fast, coupling.multipliers, n,
+    ))
+    h = np.repeat(0.3 * np.cos(2.0 * np.pi * slow_space.coords[:, 0]), 3)
+    f, diag = _solve(H, 1.0, h, 1e-10)
+    f_ref, diag_ref = _solve(H_ref, 1.0, h, 1e-10)
+    assert diag.method == diag_ref.method == "newton"
+    assert diag.iterations == diag_ref.iterations > 0
+    assert np.array_equal(f, f_ref)
 
 
 def test_slowfast_rejects_nonpositive_coupling_and_bad_multipliers():
