@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import PreconditionError, SolverError, StructuralError
 from .limits import ExtFn, Fn
@@ -447,9 +447,19 @@ def _periodic_stencil(n: int, offsets: tuple[int, ...]) -> Callable[[np.ndarray]
 CASCADE_MIN_POINTS = 256
 
 
+def _prev(v: np.ndarray) -> np.ndarray:
+    # v[i - 1] at every i, periodically; cheaper per call than a general roll
+    return np.concatenate((v[-1:], v[:-1]))
+
+
+def _next(v: np.ndarray) -> np.ndarray:
+    # v[i + 1] at every i, periodically
+    return np.concatenate((v[1:], v[:1]))
+
+
 def _upwind_diffs(dx: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    p_minus = (v - np.roll(v, 1)) / dx
-    p_plus = (np.roll(v, -1) - v) / dx
+    p_minus = (v - _prev(v)) / dx
+    p_plus = (_next(v) - v) / dx
     return p_minus, p_plus
 
 
@@ -541,19 +551,19 @@ def _policy_step(
     sub = lam * a_neg / dx
     gamma = -diag[0]
     ratio = sub[0] / gamma
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1] = diag
-    ab[1, 0] -= gamma
-    ab[1, -1] -= sup[-1] * ratio
-    ab[2, :-1] = sub[1:]
-    rhs = np.zeros((n, 2))
+    rhs = np.zeros((n, 2), order="F")
     rhs[:, 0] = h - 0.25 * lam * (a + b) ** 2
     rhs[0, 1] = gamma
     rhs[-1, 1] = sup[-1]
-    y, z = solve_banded(
-        (1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False
-    ).T
+    diag[0] -= gamma
+    diag[-1] -= sup[-1] * ratio
+    # LAPACK gtsv overwrites its three diagonals and the right-hand sides
+    *_, x, info = dgtsv(sub[1:], diag, sup[:-1], rhs, 1, 1, 1, 1)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    y, z = x.T
     return y - ((y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1])) * z
 
 
@@ -581,7 +591,7 @@ def _howard(
     if n % 2 == 0 and n >= CASCADE_MIN_POINTS:
         fc, done, _ = _howard(b[::2], 2.0 * dx, lam, h[::2], f0[::2], tol)
         f[::2] = fc
-        f[1::2] = 0.5 * (fc + np.roll(fc, -1))
+        f[1::2] = 0.5 * (fc + _next(fc))
     sweeps = max(500, n // 8)  # per level, enough for a cold start
     for it in range(sweeps + 1):
         value, a = _value_and_control(b, dx, f)
@@ -606,13 +616,13 @@ def centered_quadratic(
         raise PreconditionError("drift must have one value per grid point")
 
     def apply(v: np.ndarray) -> np.ndarray:
-        pc = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * dx)
+        pc = (_next(v) - _prev(v)) / (2.0 * dx)
         return pc * pc - b * pc
 
     assemble = _periodic_stencil(b.shape[0], (1, -1))
 
     def jac(v: np.ndarray) -> sp.csr_matrix:
-        pc = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * dx)
+        pc = (_next(v) - _prev(v)) / (2.0 * dx)
         slope = (2.0 * pc - b) / (2.0 * dx)
         return assemble(np.concatenate([slope, -slope]))
 

@@ -76,21 +76,49 @@ class FiniteSpace:
 
     def nearest(self, targets: np.ndarray, within: np.ndarray | None = None) -> np.ndarray:
         """Indices of the nearest points to each target row, optionally restricted
-        to the point-index subset `within`.  A target equidistant from several
-        points gets the one cKDTree's search meets first: the same choice for
-        the same pool and target on every run, but not always the lowest (or
-        the highest) index."""
+        to the point-index subset `within`, by squared Euclidean distance.
+
+        On a 1-d space the pool is sorted once and each target is placed
+        between its two neighbours by binary search (np.searchsorted).  A
+        target equidistant from several pool points (an exact float tie, or a
+        pick on a duplicated coordinate, as in product spaces that collapse
+        the fast coordinate) is answered by cKDTree, as is every target of a
+        space with d > 1.  cKDTree gives such a target the point its search
+        meets first: the same choice for the same pool and target on every
+        run, but not always the lowest (or the highest) index."""
         pool = np.arange(self.size) if within is None else np.asarray(within, dtype=int)
         if pool.size == 0:
             raise ValueError("nearest() over an empty subset")
         return _nearest(self.coords, pool, targets)
 
 
+def _kdtree_nearest(coords: np.ndarray, pool: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    _, local = cKDTree(coords[pool]).query(targets)
+    return pool[np.atleast_1d(local)]
+
+
 def _nearest(coords: np.ndarray, pool: np.ndarray, targets: np.ndarray) -> np.ndarray:
     # index (into coords) of the nearest pool row to each target row
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    _, local = cKDTree(coords[pool]).query(targets)
-    return pool[np.atleast_1d(local)]
+    if coords.shape[1] != 1 or targets.shape[1] != 1:
+        return _kdtree_nearest(coords, pool, targets)
+    order = np.argsort(coords[pool, 0], kind="stable")
+    xs = coords[pool[order], 0]
+    t = targets[:, 0]
+    right = np.minimum(np.searchsorted(xs, t), xs.size - 1)
+    left = np.maximum(right - 1, 0)
+    pick = np.where((xs[right] - t) ** 2 < (xs[left] - t) ** 2, right, left)
+    # Squared distance falls, then rises along the sorted pool, so the pick is
+    # the only nearest point unless a sorted neighbour is exactly as far.
+    # Those targets (and non-finite ones) take cKDTree's tie choice, which
+    # is not a simple rule of the indices.
+    padded = np.concatenate(([-np.inf], xs, [np.inf]))
+    d = (padded[pick + 1] - t) ** 2
+    clear = (d < (padded[pick] - t) ** 2) & (d < (padded[pick + 2] - t) ** 2)
+    out = pool[order[pick]]
+    if not clear.all():
+        out[~clear] = _kdtree_nearest(coords, pool, targets[~clear])
+    return out
 
 
 def _index_matrix(columns: list) -> np.ndarray:

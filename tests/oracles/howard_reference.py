@@ -6,9 +6,14 @@ system assembled explicitly as a dense periodic matrix and solved with
 np.linalg.solve.  The package solves that system with a banded cyclic
 tridiagonal method instead; both must take the same number of iterations and
 agree to rounding.
+
+banded_policy_step keeps the package's earlier cyclic tridiagonal step, which
+went through scipy's solve_banded; the step that calls LAPACK gtsv directly
+must equal it bit for bit.
 """
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 
 def _diffs(v, i, dx):
@@ -66,3 +71,35 @@ def policy_solve(b, dx, lam, h, f0, tol):
             return None
         a = improve(f, b, dx)
         f = np.linalg.solve(frozen_matrix(a, lam, dx), h - 0.25 * lam * (a + b) ** 2)
+
+
+def banded_policy_step(b, dx, a, lam, h):
+    # The frozen system is tridiagonal plus the two periodic corners
+    # sup[n-1] at (n-1, 0) and sub[0] at (0, n-1).  Write it as a banded
+    # matrix T plus the rank-one term u v^T, u = gamma e_0 + sup[n-1] e_{n-1},
+    # v = e_0 + (sub[0] / gamma) e_{n-1}, and apply Sherman-Morrison.  With
+    # gamma = -diag[0] the corners only grow T's diagonal, so T stays
+    # strictly diagonally dominant (cyclic tridiagonal solve, Numerical
+    # Recipes 2.7).
+    n = a.shape[0]
+    a_pos = np.maximum(a, 0.0)
+    a_neg = np.minimum(a, 0.0)
+    diag = 1.0 + lam * (a_pos - a_neg) / dx
+    sup = -lam * a_pos / dx
+    sub = lam * a_neg / dx
+    gamma = -diag[0]
+    ratio = sub[0] / gamma
+    ab = np.zeros((3, n))
+    ab[0, 1:] = sup[:-1]
+    ab[1] = diag
+    ab[1, 0] -= gamma
+    ab[1, -1] -= sup[-1] * ratio
+    ab[2, :-1] = sub[1:]
+    rhs = np.zeros((n, 2))
+    rhs[:, 0] = h - 0.25 * lam * (a + b) ** 2
+    rhs[0, 1] = gamma
+    rhs[-1, 1] = sup[-1]
+    y, z = solve_banded(
+        (1, 1), ab, rhs, overwrite_ab=True, overwrite_b=True, check_finite=False
+    ).T
+    return y - ((y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1])) * z

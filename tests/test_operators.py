@@ -36,7 +36,8 @@ from hjlab import (
     trig_polynomial,
     upwind_quadratic,
 )
-from hjlab.operators import validate_rate_matrix
+from hjlab import operators
+from hjlab.operators import _next, _policy_step, _prev, validate_rate_matrix
 from hjlab.resolvent import _solve
 
 
@@ -242,6 +243,55 @@ def test_cascaded_howard_solver_matches_the_dense_reference(kind, n, amp, lam, s
     f, _, res = upwind_quadratic(unit_grid(n), b).custom_solver(lam, h, h, 1e-10)
     assert res <= 1e-10
     assert np.abs(f - want[0]).max() <= 1e-10
+
+
+@given(
+    st.sampled_from(["mixed", "nonnegative", "nonpositive", "sparse"]),
+    st.integers(3, 300),
+    st.sampled_from([1e-6, 0.25, 1.0, 10.0, 1e4]),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_policy_step_equals_the_banded_reference_bit_for_bit(kind, n, lam, seed):
+    rng = np.random.default_rng(seed)
+    dx = 1.0 / n
+    b = rng.uniform(-2.0, 2.0, n)
+    h = rng.uniform(-1.0, 1.0, n)
+    a = rng.uniform(-3.0, 3.0, n)
+    if kind == "nonnegative":
+        a = np.abs(a)
+    elif kind == "nonpositive":
+        a = -np.abs(a)
+    elif kind == "sparse":
+        a[rng.random(n) < 0.7] = 0.0
+    want = howard_reference.banded_policy_step(b, dx, a, lam, h)
+    assert np.array_equal(_policy_step(b, dx, a, lam, h), want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64])
+def test_periodic_neighbours_equal_a_roll_by_one(n):
+    v = np.random.default_rng(n).standard_normal(n)
+    assert np.array_equal(_prev(v), np.roll(v, 1))
+    assert np.array_equal(_next(v), np.roll(v, -1))
+
+
+def test_policy_step_raises_what_the_banded_solve_raised():
+    # lam < 0 zeroes the middle pivot of this frozen system: gtsv info > 0
+    b, a, h = np.zeros(3), np.array([0.0, 1.0, 0.0]), np.zeros(3)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        howard_reference.banded_policy_step(b, 1.0, a, -1.0, h)
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        _policy_step(b, 1.0, a, -1.0, h)
+
+
+def test_policy_step_reports_an_illegal_gtsv_argument(monkeypatch):
+    # the f2py wrapper validates shapes itself, so info < 0 needs a stand-in
+    def bad_gtsv(dl, d, du, rhs, *overwrite):
+        return dl, d, du, rhs, -4
+
+    monkeypatch.setattr(operators, "dgtsv", bad_gtsv)
+    with pytest.raises(ValueError, match="illegal value in 4-th argument"):
+        _policy_step(np.zeros(3), 1.0, np.ones(3), 1.0, np.zeros(3))
 
 
 def test_cascade_cuts_the_iterations_of_the_negative_control_limit_solve():

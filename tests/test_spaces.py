@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import chain, unit_grid
+from oracles import nearest_reference
 from hjlab import (
     CompactFamily,
     FiniteSpace,
+    Fn,
     SpaceSequence,
     kuratowski_limits,
+    lift_to_members,
     make_grid_sequence,
     make_product_sequence,
 )
@@ -39,6 +44,83 @@ def test_nearest_respects_the_within_restriction():
     s = FiniteSpace(points=(0, 1, 2, 3), coords=np.arange(4.0))
     picked = s.nearest(np.array([[0.0]]), within=np.array([2, 3]))
     assert picked.tolist() == [2]
+
+
+def test_nearest_keeps_the_kdtree_choice_of_the_higher_index_at_a_tie():
+    # 0.5 is exactly as far from point 0 as from point 1; cKDTree meets point
+    # 1 first in this 17-point pool, and the sorted search must not override it
+    s = chain(17)
+    assert s.nearest(np.array([[0.5]])).tolist() == [1]
+    assert s.nearest(np.array([[0.5], [1.5], [2.5]])).tolist() == [1, 1, 3]
+
+
+def nearest_case(kind, n, seed):
+    """Coordinates whose nearest-point queries tie often: a periodic grid,
+    a grid with every coordinate repeated (as product spaces collapse their
+    fast coordinate), coarse random values in shuffled order, and a plane."""
+    rng = np.random.default_rng(seed)
+    if kind == "grid":
+        return np.arange(n) / n
+    if kind == "duplicated":
+        return np.repeat(np.arange(n) / n, 3)
+    if kind == "coarse":
+        return rng.integers(-8, 9, n) / 8.0
+    return rng.integers(0, 5, (n, 2)) / 4.0
+
+
+@given(
+    st.sampled_from(["grid", "duplicated", "coarse", "plane"]),
+    st.integers(1, 40),
+    st.integers(1, 12),
+    st.booleans(),
+    st.integers(0, 2**16),
+)
+@example("grid", 64, 10, False, 0)
+@example("duplicated", 1, 3, False, 0)
+@example("grid", 1, 4, False, 0)
+@settings(max_examples=200, deadline=None)
+def test_nearest_matches_the_kdtree_reference(kind, n, factor, subset, seed):
+    coords = nearest_case(kind, n, seed)
+    s = FiniteSpace(points=tuple(range(len(coords))), coords=coords)
+    rng = np.random.default_rng(seed + 1)
+    pool = np.arange(s.size)
+    within = None
+    if subset:
+        within = rng.permutation(s.size)[: rng.integers(1, s.size + 1)]
+        pool = within
+    x = np.unique(s.coords[pool, 0])
+    lo, hi = x[0] - 0.5, x[-1] + 0.5
+    targets = np.concatenate([
+        (x[:-1] + x[1:]) / 2,  # midpoints: exact float ties on uniform grids
+        lo + (hi - lo) * np.arange(factor * n) / (factor * n),  # a finer grid, past the hull
+        rng.uniform(lo, hi, 8),
+    ])
+    if s.dim == 2:
+        targets = np.column_stack([targets, rng.permutation(targets)])
+    else:
+        targets = targets[:, None]
+    got = s.nearest(targets, within=within)
+    want = nearest_reference._nearest(s.coords, pool, targets)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def test_tracking_and_lifting_on_the_control_grids_match_the_kdtree_reference():
+    # the sequence of configs/positive_control.yaml and negative_control.yaml
+    seq = make_grid_sequence((0.0, 1.0), [64, 128, 256, 512, 1024], limit_resolution_factor=10)
+    for qi, q in enumerate(seq.compacts.labels):
+        targets = seq.limit.coords[seq.compacts.limit_sets[qi]]
+        want = np.stack([
+            nearest_reference._nearest(m.coords, seq.compacts.member_sets[qi][n], targets)
+            for n, m in enumerate(seq.members)
+        ], axis=1)
+        assert np.array_equal(seq.tracked(q), want)
+    # the lifted values of the index function are the lifting's indices
+    index_fn = Fn(seq.limit, np.arange(float(seq.limit.size)))
+    lifted = lift_to_members(index_fn, seq)
+    for m, f in zip(seq.members, lifted.members):
+        want = nearest_reference._nearest(seq.limit.coords, np.arange(seq.limit.size), m.coords)
+        assert np.array_equal(f.values, want.astype(float))
 
 
 def test_compact_family_rejects_empty_levels():
