@@ -303,12 +303,17 @@ CONFIG_SCHEMA = {
 }
 
 
+# libyaml's parser when PyYAML was built with it: the same dicts and the same
+# YAMLError classes as the pure-Python SafeLoader, at a fraction of the time
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
     return validate_config(raw)

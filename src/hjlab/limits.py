@@ -281,11 +281,9 @@ def lift_to_members(f: Fn, seq: SpaceSequence) -> FnSequence:
     sup norms never grow, and the lifted sequence converges back to f."""
     if f.space != seq.limit:
         raise PreconditionError("function must live on the limit space")
-    members = []
-    for m in seq.members:
-        nearest = seq.limit.nearest(m.coords)
-        members.append(Fn(m, f.values[nearest]))
-    return FnSequence(seq, tuple(members))
+    return FnSequence(seq, tuple(
+        Fn(m, f.values[nearest]) for m, nearest in zip(seq.members, seq.lifting())
+    ))
 
 
 def pair_norm(fs: FnSequence, f: Fn) -> float:

@@ -78,7 +78,11 @@ class Hamiltonian:
     jacobian, when set, maps values v to the Jacobian of apply_values at v:
     either a dense ndarray, or a scipy sparse matrix whose pattern (the stored
     entries, explicit zeros included) is fixed per Hamiltonian, so only the
-    values change with v and the pattern can be computed once.
+    values change with v and the pattern can be computed once.  The damped
+    Newton step relies on this: it computes the CSC pattern of I - lam * J on
+    the first step of a solve and then only writes values into it.  A
+    Jacobian whose pattern changes is still solved correctly, at the cost of
+    a new pattern per change.
 
     custom_solver, when set, inverts f - lam * Hf = h better than generic
     Newton can (signature: (lam, h, f0, tol) -> (f, iters, res), raising
@@ -419,18 +423,16 @@ def _grid_spacing(space: FiniteSpace) -> float:
     return float(dx[0])
 
 
-def _periodic_stencil(n: int, offsets: tuple[int, ...]) -> Callable[[np.ndarray], sp.csr_matrix]:
-    """One-pass assembly of the n x n periodic stencil matrix whose row i has
-    entries at columns (i + k) mod n for k in offsets.
+def _csr_assembler(
+    rows: np.ndarray, cols: np.ndarray, n: int
+) -> Callable[[np.ndarray], sp.csr_matrix]:
+    """One-pass assembly of n x n matrices with entries at (rows[k], cols[k]).
 
-    The returned function takes the values stencil by stencil (n per offset,
-    in the order of offsets) and returns the canonical CSR matrix, duplicates
-    summed (on small grids two offsets can meet).  The nonzero pattern and
-    the scatter into it are computed here, once per Hamiltonian.
+    The returned function takes one value per entry, in the order of rows and
+    cols, and returns the canonical CSR matrix, duplicates summed.  The
+    pattern and the scatter into it are computed here, once.
     """
-    rows = np.tile(np.arange(n), len(offsets))
-    cols = (rows + np.repeat(offsets, n)) % n
-    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    keys, slot = np.unique(rows.astype(np.int64) * n + cols, return_inverse=True)
     indices = (keys % n).astype(np.int32)
     indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(np.int32)
 
@@ -440,6 +442,15 @@ def _periodic_stencil(n: int, offsets: tuple[int, ...]) -> Callable[[np.ndarray]
         return sp.csr_matrix((values, indices.copy(), indptr.copy()), shape=(n, n))
 
     return assemble
+
+
+def _periodic_stencil(n: int, offsets: tuple[int, ...]) -> Callable[[np.ndarray], sp.csr_matrix]:
+    """Assembly of the n x n periodic stencil matrix whose row i has entries
+    at columns (i + k) mod n for k in offsets, from the values stencil by
+    stencil (n per offset, in the order of offsets); on small grids two
+    offsets can meet, and their values are summed."""
+    rows = np.tile(np.arange(n), len(offsets))
+    return _csr_assembler(rows, (rows + np.repeat(offsets, n)) % n, n)
 
 
 # Grids with at least this many points (and an even count) first solve the
@@ -662,6 +673,22 @@ class SlowFastCoupling:
         return self.fast_rate_matrix.shape[0]
 
 
+def _slow_block(J) -> tuple[np.ndarray, tuple | None]:
+    """The values of a slow Jacobian with their pattern: a sparse one's stored
+    entries in CSR order with (indptr, indices), a dense one's every entry,
+    row-major, with None (stored whole, so the pattern stays fixed)."""
+    if sp.issparse(J):
+        J = J.tocsr()
+        return J.data, (J.indptr, J.indices)
+    return np.asarray(J).ravel(), None
+
+
+def _same_pattern(a: tuple | None, b: tuple | None) -> bool:
+    if a is None or b is None:
+        return a is b
+    return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
 def slowfast_hamiltonian(
     product: EnlargedSpaceSequence, n: float, coupling: SlowFastCoupling
 ) -> Hamiltonian:
@@ -699,21 +726,36 @@ def slowfast_hamiltonian(
     fast_data = np.tile(n * A_fast[zi, zj], n_slow)
     coupled = [z for z in range(n_fast) if m[z] != 0.0]  # m_z = 0: no slow block
 
+    def assembler(patterns: list) -> Callable[[np.ndarray], sp.csr_matrix]:
+        rows, cols = [fast_rows], [fast_cols]
+        for z, pattern in zip(coupled, patterns):
+            if pattern is None:  # dense: every entry, row-major
+                r, c = np.divmod(np.arange(n_slow * n_slow), n_slow)
+            else:
+                indptr, c = pattern
+                r = np.repeat(np.arange(n_slow), np.diff(indptr))
+            rows.append(r * n_fast + z)
+            cols.append(c * n_fast + z)
+        return _csr_assembler(np.concatenate(rows), np.concatenate(cols), size)
+
+    # the slow patterns and the product assembly, learned on the first call;
+    # the slow Jacobians' patterns are fixed, so later calls only check them.
+    # A slow Jacobian that stores each entry once gives no product entry more
+    # than two contributions (a fast and a slow diagonal), so the scatter sums
+    # exactly what a COO -> CSR sum would
+    learned = None
+
     def jac(v: np.ndarray) -> sp.csr_matrix:
+        nonlocal learned
         V = v.reshape(n_slow, n_fast)
-        rows, cols, data = [fast_rows], [fast_cols], [fast_data]
-        for z in coupled:
-            J_z = jac_slow(V[:, z])
-            if not sp.issparse(J_z):  # dense: store every entry, so the pattern stays fixed
-                J_z = (np.asarray(J_z).ravel(), np.divmod(np.arange(n_slow * n_slow), n_slow))
-            J_z = sp.coo_matrix(J_z, shape=(n_slow, n_slow))
-            rows.append(J_z.row * n_fast + z)
-            cols.append(J_z.col * n_fast + z)
-            data.append(J_z.data * m[z])
-        return sp.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(size, size),
-        )
+        blocks = [_slow_block(jac_slow(V[:, z])) for z in coupled]
+        patterns = [pattern for _, pattern in blocks]
+        known = learned
+        if known is None or not all(map(_same_pattern, patterns, known[0])):
+            owned = [None if p is None else (p[0].copy(), p[1].copy()) for p in patterns]
+            known = learned = (owned, assembler(owned))
+        data = [fast_data] + [m[z] * values for z, (values, _) in zip(coupled, blocks)]
+        return known[1](np.concatenate(data))
 
     L = None
     if slow.lipschitz_bound is not None:

@@ -8,10 +8,12 @@ f of f - lambda * H f = h.  The solve path follows from H and lambda alone:
     bound L is known and lambda * L < 0.9 (the Crandall-Liggett regime of many
     small steps), handing over to Newton from its last iterate if it stalls;
   * otherwise Newton with backtracking line search on the residual, using the
-    Hamiltonian's Jacobian (sparse or dense).  When Newton fails from the
-    start it was given, it retries once from the constant mean(h): large data
-    can overflow H at f0 = h (exp in a tilt), and a constant start keeps every
-    difference f_j - f_i at zero, where such an H is finite.
+    Hamiltonian's Jacobian (sparse or dense; a sparse Jacobian's fixed pattern
+    gives I - lambda * J one CSC pattern per solve, see _NewtonPattern).  When
+    Newton fails from the start it was given, it retries once from the
+    constant mean(h): large data can overflow H at f0 = h (exp in a tilt), and
+    a constant start keeps every difference f_j - f_i at zero, where such an H
+    is finite.
 
 A custom or Newton step that fails at the full lambda falls back to one
 lambda continuation (the same for both), which walks lambda up from
@@ -126,6 +128,72 @@ def _newton(
     return f, spent + its, res
 
 
+def _canonical_csr(J):
+    """J as CSR with sorted, unique column indices; J itself when it already
+    is one, a canonical copy otherwise (J may be the Hamiltonian's own)."""
+    J = J.tocsr()
+    if not J.has_canonical_format:
+        J = J.copy()
+        J.sum_duplicates()
+    return J
+
+
+@dataclass(frozen=True)
+class _NewtonPattern:
+    """The CSC pattern of I - lam * J for one sparse pattern of a canonical CSR
+    Jacobian J: the union of J's stored entries and the diagonal, with the slot
+    of every stored entry of J and of every diagonal entry.
+
+    newton_matrix equals sp.eye(n, format="csc") - lam * J.tocsc() in data,
+    indices and indptr: a slot holds 0 - lam * J_ij, plus 1 on the diagonal,
+    and 1 + (0 - x) == 1 - x in IEEE arithmetic; exact zeros are dropped, as
+    sparse subtraction drops them.  The same matrix means the same SuperLU
+    ordering and the same Newton step, bit for bit.
+    """
+
+    jac_indptr: np.ndarray
+    jac_indices: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    jac_slot: np.ndarray
+    diag_slot: np.ndarray
+
+    @classmethod
+    def of(cls, J) -> "_NewtonPattern":
+        n = J.shape[0]
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(J.indptr))
+        diag = np.arange(n, dtype=np.int64)
+        # column-major keys, so sorting them gives CSC order
+        keys, slot = np.unique(
+            np.concatenate((J.indices.astype(np.int64) * n + rows, diag * (n + 1))),
+            return_inverse=True,
+        )
+        return cls(
+            jac_indptr=J.indptr.copy(),
+            jac_indices=J.indices.copy(),
+            indptr=np.searchsorted(keys // n, np.arange(n + 1)).astype(np.intc),
+            indices=(keys % n).astype(np.intc),
+            jac_slot=slot[: rows.shape[0]],
+            diag_slot=slot[rows.shape[0]:],
+        )
+
+    def fits(self, J) -> bool:
+        return np.array_equal(J.indptr, self.jac_indptr) and np.array_equal(
+            J.indices, self.jac_indices
+        )
+
+    def newton_matrix(self, J, lam: float) -> sp.csc_matrix:
+        data = np.zeros(self.indices.shape[0])
+        data[self.jac_slot] = 0.0 - lam * J.data
+        data[self.diag_slot] += 1.0
+        indices, indptr = self.indices, self.indptr
+        kept = data != 0.0
+        if not kept.all():
+            data, indices = data[kept], indices[kept]
+            indptr = np.concatenate(([0], np.cumsum(kept)))[indptr].astype(np.intc)
+        return sp.csc_matrix((data, indices, indptr), shape=J.shape)
+
+
 # A start outside H's domain (exp overflow in a tilt) gives inf/nan; the start
 # check and the line-search test reject those values, so numpy's warnings about
 # them are noise.
@@ -138,13 +206,16 @@ def _damped_newton(
     res = float(np.abs(g).max())
     if not np.isfinite(res):
         raise SolverError(f"newton start residual is not finite (lam={lam})")
+    pattern = None  # of I - lam * J, while J keeps the same sparse pattern
     for it in range(1, MAX_ITER_NEWTON + 1):
         if res <= tol:
             return f, it - 1, res
         J_H = H.jacobian(f)
         if sp.issparse(J_H):
-            A = sp.eye(f.shape[0], format="csc") - lam * J_H.tocsc()
-            step = spla.spsolve(A, -g)
+            J_H = _canonical_csr(J_H)
+            if pattern is None or not pattern.fits(J_H):
+                pattern = _NewtonPattern.of(J_H)
+            step = spla.spsolve(pattern.newton_matrix(J_H, lam), -g)
         else:
             A = np.eye(f.shape[0]) - lam * np.asarray(J_H)
             step = np.linalg.solve(A, -g)
@@ -195,15 +266,15 @@ def _continuation(
 def _fixed_point(
     H: Hamiltonian, lam: float, h: np.ndarray, f0: np.ndarray, tol: float
 ) -> tuple[np.ndarray, int, float, bool]:
-    # H f_k serves both iterate k's residual and the update to iterate k + 1
+    # lam * H f_k serves both iterate k's residual and the update to iterate k + 1
     f = f0.copy()
-    Hf = H.apply_values(f)
+    lam_Hf = lam * H.apply_values(f)
     res_prev = np.inf
     stall = 0
     for it in range(1, MAX_ITER_FIXED_POINT + 1):
-        f = h + lam * Hf
-        Hf = H.apply_values(f)
-        res = float(np.abs(f - lam * Hf - h).max())
+        f = h + lam_Hf
+        lam_Hf = lam * H.apply_values(f)
+        res = float(np.abs(f - lam_Hf - h).max())
         if res <= tol:
             return f, it, res, True
         stall = stall + 1 if res > 0.999 * res_prev else 0

@@ -221,6 +221,18 @@ class SpaceSequence:
             ])
         return self._cache[key]
 
+    def lifting(self) -> tuple:
+        """Nearest-point lifting of every member onto the limit space, as one
+        read-only index array per member: entry i is the limit point closest
+        to member point i in the ambient embedding."""
+        key = ("lifting",)
+        if key not in self._cache:
+            lifting = tuple(self.limit.nearest(m.coords) for m in self.members)
+            for idx in lifting:
+                idx.setflags(write=False)
+            self._cache[key] = lifting
+        return self._cache[key]
+
     def audit(self, tol: float, n0: int | None = None) -> SpaceAudit:
         """Check the compact family: levels grow along the chain, and embedded
         member sets approach the embedded limit set (Hausdorff) past n0."""

@@ -259,16 +259,33 @@ def test_converge_grid_experiment_end_to_end(tmp_path):
     )
 
 
-@pytest.mark.parametrize("stem, code", [("positive_control", 0), ("negative_control", 1)])
+# the report float the benchmark gates per config (cell, details key), and
+# the slow grid it runs slowfast.yaml on (its slowfast_product workload)
+BENCH_FLOATS = {
+    "positive_control": ("barles_perthame", "max_separation"),
+    "negative_control": ("barles_perthame", "max_separation"),
+    "slowfast": ("slowfast_averaging", "final_deviation"),
+}
+BENCH_SLOW_POINTS = 384
+
+
+@pytest.mark.parametrize(
+    "stem, code", [("positive_control", 0), ("negative_control", 1), ("slowfast", 0)]
+)
 def test_controls_reproduce_the_benchmark_separation(tmp_path, stem, code):
     # the benchmark gates these floats at 1e-8 against its recorded values;
-    # the nearest-point tie rule of the tracked sequences reaches them
+    # the nearest-point tie rule of the tracked sequences reaches the
+    # controls', and every Newton step of the product solves the slowfast one
     recorded = json.loads(BENCH_EXPECTED.read_text())["seed_free"]
+    cfg = yaml.safe_load((CONFIGS / f"{stem}.yaml").read_text())
+    if stem == "slowfast":
+        cfg["converge"]["slow_space"]["resolution"] = BENCH_SLOW_POINTS
     out = str(tmp_path / "out")
-    assert main(["converge", "--config", str(CONFIGS / f"{stem}.yaml"), "--out", out]) == code
-    cell = {c["name"]: c for c in read_report(out)["cells"]}["barles_perthame"]
-    want = recorded[f"{stem}.barles_perthame.max_separation"]
-    assert abs(cell["details"]["max_separation"] - want) <= 1e-8
+    assert main(["converge", "--config", write_cfg(tmp_path, cfg), "--out", out]) == code
+    cell_name, key = BENCH_FLOATS[stem]
+    cell = {c["name"]: c for c in read_report(out)["cells"]}[cell_name]
+    want = recorded[f"{stem}.{cell_name}.{key}"]
+    assert abs(cell["details"][key] - want) <= 1e-8
 
 
 def test_module_entrypoint_runs(tmp_path):

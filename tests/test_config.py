@@ -4,8 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from hjlab import ConfigError
+from hjlab import ConfigError, config
 from hjlab.config import (
     CONFIG_SCHEMA,
     SCHEMA_VERSION,
@@ -64,6 +65,28 @@ def test_all_shipped_configs_validate():
         cfg = load_config(path)
         assert cfg["schema_version"] == SCHEMA_VERSION
         assert cfg["name"]
+
+
+def test_libyaml_and_pure_python_loaders_agree_on_every_shipped_config(tmp_path):
+    # load_config parses with libyaml's CSafeLoader when PyYAML has it
+    loaders = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+    assert config._YAML_LOADER is loaders[-1]
+    for path in sorted(CONFIG_DIR.glob("*.yaml")):
+        text = path.read_text()
+        parsed = [yaml.load(text, Loader=loader) for loader in loaders]
+        assert all(p == parsed[0] for p in parsed)
+        assert load_config(path) == parsed[0]
+    for broken in ("name: [unclosed\n", "a: b: c\n", "key: 'open\n", "- a\nb: c\n"):
+        raised = []
+        for loader in loaders:
+            with pytest.raises(yaml.YAMLError) as info:
+                yaml.load(broken, Loader=loader)
+            raised.append(type(info.value))
+        assert len(set(raised)) == 1, (broken, raised)
+        path = tmp_path / "broken.yaml"
+        path.write_text(broken)
+        with pytest.raises(ConfigError, match="not valid YAML"):
+            load_config(path)
 
 
 def test_empty_suite_config_is_valid():

@@ -38,7 +38,7 @@ from hjlab import (
 )
 from hjlab import operators
 from hjlab.operators import _next, _policy_step, _prev, validate_rate_matrix
-from hjlab.resolvent import _solve
+from hjlab.resolvent import _NewtonPattern, _solve
 
 
 def fd_jacobian(apply_values, v, eps=1e-7):
@@ -324,13 +324,15 @@ def test_centered_jacobian_matches_finite_differences():
 
 
 def assert_same_newton_matrix(J, J_ref, lam):
-    # the damped Newton step factors I - lam * J; the same canonical CSC means
-    # the same SuperLU ordering and the same step, bit for bit
-    got = jacobian_reference.newton_matrix(J, lam)
+    # the damped Newton step factors I - lam * J, written into its CSC
+    # pattern; the same canonical CSC as the reference's sparse subtraction
+    # means the same SuperLU ordering and the same step, bit for bit
     want = jacobian_reference.newton_matrix(J_ref, lam)
-    assert got.has_canonical_format
-    for attr in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+    for got in (jacobian_reference.newton_matrix(J, lam),
+                _NewtonPattern.of(J).newton_matrix(J, lam)):
+        assert got.format == "csc" and got.has_canonical_format
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
 
 
 def tie_case(n, seed, tie_share):
@@ -631,6 +633,104 @@ def test_slowfast_jacobian_gives_the_reference_newton_matrix(
     )
     assert np.array_equal(J.toarray(), J_ref.toarray())
     assert_same_newton_matrix(J, J_ref, lam)
+
+
+def product_hamiltonian(slow, n_fast, n, seed):
+    rng = np.random.default_rng(seed)
+    fast = FiniteSpace(points=tuple(range(n_fast)), coords=np.arange(float(n_fast)), name="fast")
+    coupling = SlowFastCoupling(
+        slow=slow, fast_rate_matrix=random_rate_matrix(rng, n_fast),
+        multipliers=tuple(rng.uniform(0.1, 2.0, n_fast)),
+    )
+    return slowfast_hamiltonian(make_product_sequence(slow.space, fast, n_members=3), n, coupling)
+
+
+def jacobian_case(kind, n_slow, seed):
+    """A Jacobian of the given kind at random values: a grid scheme's, or a
+    slow-fast product's over an upwind (sparse) or tilted (dense) slow part."""
+    s, dx, v, b = tie_case(n_slow, seed, 0.3)
+    if kind in ("upwind", "centered"):
+        build = upwind_quadratic if kind == "upwind" else centered_quadratic
+        return build(s, b).jacobian(v)
+    if kind == "product":
+        slow = upwind_quadratic(s, b)
+    else:
+        slow = tilt_linear(random_rate_matrix(np.random.default_rng(seed), n_slow), s)
+    H = product_hamiltonian(slow, 3, 4.0, seed)
+    return H.jacobian(np.repeat(v, 3) + np.random.default_rng(seed).uniform(-0.1, 0.1, 3 * n_slow))
+
+
+@pytest.mark.parametrize("kind", ["upwind", "centered", "product", "dense_product"])
+@given(
+    st.integers(3, 24),
+    st.one_of(st.floats(0.01, 10.0), st.integers(-6, 6).map(lambda k: 2.0**k)),
+    st.floats(0.0, 0.5),
+    st.integers(0, 2**16),
+)
+@example(8, 0.25, 0.3, 0)
+@settings(max_examples=40, deadline=None)
+def test_newton_matrix_is_the_reference_subtraction(kind, n_slow, lam, zero_share, seed):
+    rng = np.random.default_rng(seed)
+    J = jacobian_case(kind, n_slow, seed)
+    pattern = _NewtonPattern.of(J)
+    # explicit zeros, and a stored diagonal J_ii = 1 / lam, so 1 - lam * J_ii
+    # is 0 exactly when lam is a power of two: the reference's sparse
+    # subtraction drops both kinds of zero from I - lam * J
+    J2 = J.copy()
+    J2.data = rng.uniform(-3.0, 3.0, J.nnz)
+    J2.data[rng.random(J.nnz) < zero_share] = 0.0
+    diag = np.flatnonzero(J2.indices == np.repeat(np.arange(J.shape[0]), np.diff(J.indptr)))
+    if diag.size:
+        J2.data[rng.choice(diag)] = 1.0 / lam
+    for M in (J, J2):
+        assert pattern.fits(M)
+        got = pattern.newton_matrix(M, lam)
+        want = jacobian_reference.newton_matrix(M, lam)
+        assert got.format == "csc" and got.has_canonical_format
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
+def test_newton_matrix_drops_an_exact_zero_diagonal():
+    J = sp.csr_matrix(np.array([[4.0, 0.0, 1.0], [0.0, 0.5, 0.0], [2.0, 0.0, 0.0]]))
+    J.data[J.data == 1.0] = 0.0  # an explicit zero off the diagonal
+    A = _NewtonPattern.of(J).newton_matrix(J, 0.25)
+    # 1 - 0.25 * 4 == 0 at (0, 0) and the explicit zero at (0, 2) are dropped;
+    # (2, 2), where J stores nothing, gets the bare diagonal 1
+    assert A.nnz == 3
+    assert np.array_equal(A.toarray(), [[0.0, 0.0, 0.0], [0.0, 0.875, 0.0], [-0.5, 0.0, 1.0]])
+    assert not _NewtonPattern.of(J).fits(sp.csr_matrix(np.eye(3)))
+
+
+def test_slowfast_follows_a_slow_jacobian_whose_pattern_changes():
+    # a slow Jacobian that breaks the fixed-pattern contract: the upwind
+    # scheme's with its zeros pruned, so its pattern follows the upwinding
+    slow_space = unit_grid(64, "slow")
+    upwind = upwind_quadratic(slow_space, drift_sin(slow_space, 0.4))
+
+    def pruned(v):
+        J = upwind.jacobian(v)
+        J.eliminate_zeros()
+        return J
+
+    H = product_hamiltonian(upwind, 3, 8.0, 5)
+    H_pruned = product_hamiltonian(replace(upwind, jacobian=pruned), 3, 8.0, 5)
+    patterns = set()
+
+    def seen(v):
+        J = H_pruned.jacobian(v)
+        patterns.add(J.indices.tobytes())
+        return J
+
+    h = np.repeat(0.3 * np.cos(2.0 * np.pi * slow_space.coords[:, 0]), 3)
+    f, diag = _solve(replace(H_pruned, jacobian=seen), 1.0, h, 1e-10)
+    f_ref, diag_ref = _solve(H, 1.0, h, 1e-10)
+    assert len(patterns) > 1
+    assert diag.method == diag_ref.method == "newton"
+    assert np.abs(f - H.apply_values(f) - h).max() <= 1e-10
+    # the pruned zeros are zeros of I - lam * J too: the same steps
+    assert diag.iterations == diag_ref.iterations
+    assert np.array_equal(f, f_ref)
 
 
 def test_slowfast_newton_solve_matches_the_reference_jacobian_bit_for_bit():

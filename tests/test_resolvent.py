@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import chain, unit_grid
 from hjlab import (
@@ -28,7 +29,8 @@ from hjlab import (
     trig_polynomial,
     upwind_quadratic,
 )
-from hjlab import resolvent
+from hjlab import centered_quadratic, resolvent
+from oracles import newton_reference
 from hjlab.resolvent import _continuation
 
 
@@ -100,6 +102,71 @@ def test_fixed_point_applies_H_once_per_iteration():
     assert diag.method == "fixed_point" and diag.iterations > 1
     # H f_k serves iterate k's residual and the update to f_{k+1}
     assert calls == diag.iterations + 1
+
+
+def test_fixed_point_equals_the_earlier_iteration_bit_for_bit():
+    tilted, s = tilted_family()
+    H = tilted.hamiltonian
+    h = np.random.default_rng(3).uniform(-1, 1, 10)
+    for lam in (0.1 / H.lipschitz_bound, 0.8 / H.lipschitz_bound):
+        got = resolvent._fixed_point(H, lam, h, h, 1e-12)
+        want = newton_reference.fixed_point(H, lam, h, h, 1e-12)
+        assert got[1:] == want[1:] and got[1] > 1
+        assert np.array_equal(got[0], want[0])
+
+
+def test_centered_newton_solve_equals_the_earlier_step_bit_for_bit():
+    # the negative control's finest member: sparse Newton on 1024 points
+    s = unit_grid(1024)
+    H = centered_quadratic(s, trig_polynomial(s, [], [0.75]).values)
+    h = trig_polynomial(s, [0.0, 0.0, 0.2]).values
+    f, its, res = resolvent._damped_newton(H, 0.25, h, h, 1e-10)
+    f_ref, its_ref, res_ref = newton_reference.damped_newton(H, 0.25, h, h, 1e-10)
+    assert its == its_ref > 1 and res == res_ref
+    assert np.array_equal(f, f_ref)
+
+
+def test_newton_stays_correct_when_the_jacobian_pattern_changes():
+    # a Jacobian that breaks the fixed-pattern contract: each call stores a
+    # different pattern in a different format, once with duplicate entries
+    # in unsorted rows
+    rng = np.random.default_rng(4)
+    n = 12
+    A = random_rate_matrix(rng, n)
+    A[A < 0.5] = 0.0
+    np.fill_diagonal(A, -A.sum(axis=1))
+    calls = 0
+
+    def jac(v):
+        nonlocal calls
+        calls += 1
+        J = sp.coo_matrix(A + np.diag(1.5 * np.cos(3.0 * v)))
+        if calls % 3 == 1:  # explicit zeros along the whole first row
+            rows = np.append(J.row, np.zeros(n, dtype=int))
+            cols = np.append(J.col, np.arange(n))
+            return sp.coo_matrix((np.append(J.data, np.zeros(n)), (rows, cols))).tocsc()
+        if calls % 3 == 2:  # every entry split in two halves
+            order = rng.permutation(2 * J.nnz)
+            rows = np.tile(J.row, 2)[order]
+            by_row = np.argsort(rows, kind="stable")
+            data = np.tile(0.5 * J.data, 2)[order][by_row]
+            cols = np.tile(J.col, 2)[order][by_row]
+            indptr = np.searchsorted(rows[by_row], np.arange(n + 1))
+            J = sp.csr_matrix((data, cols, indptr), shape=(n, n))
+            assert not J.has_canonical_format
+        return J
+
+    H = Hamiltonian(space=chain(n), apply_values=lambda v: A @ v + 0.5 * np.sin(3.0 * v),
+                    jacobian=jac)
+    h = rng.uniform(-2.0, 2.0, n)
+    f, its, res = resolvent._damped_newton(H, 2.0, h, h, 1e-12)
+    assert calls == its >= 3
+    assert np.abs(f - 2.0 * H.apply_values(f) - h).max() <= 1e-12
+    # the halves sum exactly and the zeros drop out of I - lam * J, so the
+    # earlier step, which subtracted whatever it was given, takes the same steps
+    calls = 0
+    f_ref, its_ref, _ = newton_reference.damped_newton(H, 2.0, h, h, 1e-12)
+    assert its == its_ref and np.array_equal(f, f_ref)
 
 
 def test_solve_rejects_bad_lambda_and_wrong_space():

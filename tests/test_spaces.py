@@ -17,6 +17,7 @@ from hjlab import (
     make_grid_sequence,
     make_product_sequence,
 )
+from hjlab import spaces
 
 
 def test_finite_space_normalizes_coords_and_indexes_points():
@@ -118,9 +119,26 @@ def test_tracking_and_lifting_on_the_control_grids_match_the_kdtree_reference():
     # the lifted values of the index function are the lifting's indices
     index_fn = Fn(seq.limit, np.arange(float(seq.limit.size)))
     lifted = lift_to_members(index_fn, seq)
-    for m, f in zip(seq.members, lifted.members):
+    for m, f, idx in zip(seq.members, lifted.members, seq.lifting()):
         want = nearest_reference._nearest(seq.limit.coords, np.arange(seq.limit.size), m.coords)
         assert np.array_equal(f.values, want.astype(float))
+        assert np.array_equal(idx, want)
+
+
+def test_lifting_is_searched_once_per_sequence(monkeypatch):
+    seq = make_grid_sequence((0.0, 1.0), [8, 16, 32], limit_resolution_factor=10)
+    searched = []
+    real = spaces._nearest
+    monkeypatch.setattr(spaces, "_nearest", lambda *a: searched.append(1) or real(*a))
+    f = Fn(seq.limit, np.sin(2.0 * np.pi * seq.limit.coords[:, 0]))
+    first = lift_to_members(f, seq)
+    second = lift_to_members(Fn(seq.limit, -f.values), seq)
+    assert len(searched) == seq.n_members
+    for a, b in zip(first.members, second.members):
+        assert np.array_equal(a.values, -b.values)
+    lifting = seq.lifting()
+    assert lifting is seq.lifting()
+    assert not any(idx.flags.writeable for idx in lifting)
 
 
 def test_compact_family_rejects_empty_levels():
