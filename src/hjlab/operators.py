@@ -397,15 +397,24 @@ def tilt_linear(
     if A.shape[0] != space.size:
         raise PreconditionError("rate matrix size must match the space")
 
+    n = A.shape[0]
+
+    def terms(v: np.ndarray) -> np.ndarray:
+        # A_ij exp(v_j - v_i) in one fresh n x n array, never in v or A
+        E = np.subtract(v[None, :], v[:, None], dtype=float)
+        np.exp(E, out=E)
+        np.multiply(A, E, out=E)
+        return E
+
     def apply(v: np.ndarray) -> np.ndarray:
-        E = np.exp(v[None, :] - v[:, None])
-        return (A * E).sum(axis=1)
+        # add.reduce is the reduction .sum(axis=1) calls
+        return np.add.reduce(terms(v), axis=1)
 
     def jac(v: np.ndarray) -> np.ndarray:
-        E = np.exp(v[None, :] - v[:, None])
-        J = A * E
-        np.fill_diagonal(J, 0.0)
-        np.fill_diagonal(J, -J.sum(axis=1))
+        J = terms(v)
+        diag = J.reshape(-1)[:: n + 1]
+        diag[:] = 0.0
+        np.negative(np.add.reduce(J, axis=1), out=diag)
         return J
 
     L = 2.0 * float(np.abs(np.diag(A)).max()) * float(np.exp(2.0 * probe_radius))

@@ -19,9 +19,13 @@ A custom or Newton step that fails at the full lambda falls back to one
 lambda continuation (the same for both), which walks lambda up from
 lambda / 16 with warm starts.  Residual tolerance is 1e-10 in the sup norm by
 default.  solve_resolvent caches solutions per (lambda, h) so repeated sweeps
-are cheap; the steps of an iteration (crandall_liggett) never repeat a
-right-hand side, so they go through the uncached _solve and leave the cache
-untouched.  The algebraic checks:
+are cheap; a hit returns the stored entry, diagnostics included.  The steps of
+an iteration (crandall_liggett) never repeat a right-hand side, so they go
+through the uncached _solve and leave the cache untouched.  Each step's
+right-hand side is the previous step's solution, whose lambda * H f the
+fixed point computed for its last residual; _solve returns it and takes it
+back, so the next step starts from it instead of applying H to the same
+values again.  The algebraic checks:
 
   * pseudo-resolvent identity
         R(beta) h = R(alpha)[ R(beta) h - (alpha/beta)(R(beta) h - h) ]
@@ -207,6 +211,7 @@ def _damped_newton(
     if not np.isfinite(res):
         raise SolverError(f"newton start residual is not finite (lam={lam})")
     pattern = None  # of I - lam * J, while J keeps the same sparse pattern
+    eye = None  # I for a dense J, built once per solve
     for it in range(1, MAX_ITER_NEWTON + 1):
         if res <= tol:
             return f, it - 1, res
@@ -217,7 +222,9 @@ def _damped_newton(
                 pattern = _NewtonPattern.of(J_H)
             step = spla.spsolve(pattern.newton_matrix(J_H, lam), -g)
         else:
-            A = np.eye(f.shape[0]) - lam * np.asarray(J_H)
+            if eye is None:
+                eye = np.eye(f.shape[0])
+            A = eye - lam * np.asarray(J_H)
             step = np.linalg.solve(A, -g)
         t = 1.0
         while t >= 2.0**-30:
@@ -264,41 +271,61 @@ def _continuation(
 
 
 def _fixed_point(
-    H: Hamiltonian, lam: float, h: np.ndarray, f0: np.ndarray, tol: float
-) -> tuple[np.ndarray, int, float, bool]:
+    H: Hamiltonian,
+    lam: float,
+    h: np.ndarray,
+    f0: np.ndarray,
+    tol: float,
+    lam_Hf0: np.ndarray | None = None,
+) -> tuple[np.ndarray, int, float, bool, np.ndarray]:
+    """f <- h + lam * H f from f0; returns (f, iterations, residual, converged,
+    lam * H f).  lam_Hf0, when the caller has it, is lam * H f0 (a
+    Crandall-Liggett step's start is the previous step's result, whose
+    lam * H f that step computed for its residual); neither f0 nor lam_Hf0 is
+    written to."""
     # lam * H f_k serves both iterate k's residual and the update to iterate k + 1
-    f = f0.copy()
-    lam_Hf = lam * H.apply_values(f)
+    lam_Hf = lam * H.apply_values(f0) if lam_Hf0 is None else lam_Hf0
     res_prev = np.inf
     stall = 0
     for it in range(1, MAX_ITER_FIXED_POINT + 1):
         f = h + lam_Hf
         lam_Hf = lam * H.apply_values(f)
-        res = float(np.abs(f - lam_Hf - h).max())
+        # |f - lam_Hf - h| in one scratch array; maximum.reduce is what .max() calls
+        r = f - lam_Hf
+        r -= h
+        np.abs(r, out=r)
+        res = float(np.maximum.reduce(r))
         if res <= tol:
-            return f, it, res, True
+            return f, it, res, True, lam_Hf
         stall = stall + 1 if res > 0.999 * res_prev else 0
         res_prev = res
         if stall >= 50:
-            return f, it, res, False  # hand over to newton
-    return f, MAX_ITER_FIXED_POINT, res, False
+            return f, it, res, False, lam_Hf  # hand over to newton
+    return f, MAX_ITER_FIXED_POINT, res, False, lam_Hf
 
 
 def _solve(
-    H: Hamiltonian, lam: float, h: np.ndarray, tol: float
-) -> tuple[np.ndarray, SolveDiagnostics]:
+    H: Hamiltonian, lam: float, h: np.ndarray, tol: float, lam_Hh: np.ndarray | None = None
+) -> tuple[np.ndarray, SolveDiagnostics, np.ndarray | None]:
     """Solve f - lam * H f = h to tol, uncached; the path follows from H and
-    lam alone (see the module docstring)."""
-    f0 = h.astype(float)
+    lam alone (see the module docstring).
+
+    lam_Hh, when given, is lam * H h; the fixed-point path starts from it
+    instead of applying H to h.  The third value returned is lam * H f on the
+    fixed-point path, for the next step of an iteration to pass back in, and
+    None on every other path (a Newton handover included)."""
     L = H.lipschitz_bound
+    lam_Hf = None
     if H.custom_solver is None and L is not None and lam * L < 0.9:
-        f, iterations, res, ok = _fixed_point(H, lam, h, f0, tol)
+        f, iterations, res, ok, lam_Hf = _fixed_point(H, lam, h, h, tol, lam_Hh)
         used = "fixed_point"
         if not ok:
             f, its, res = _newton(H, lam, h, f, tol)
             iterations += its
             used = "fixed_point+newton"
+            lam_Hf = None
     else:
+        f0 = h.astype(float)
         if H.custom_solver is not None:
             step, used = H.custom_solver, "custom"
         else:
@@ -309,7 +336,8 @@ def _solve(
             f, iterations, res = _continuation(step, lam, h, f0, tol)
             iterations += exc.iterations
             used += "+continuation"
-    return f, SolveDiagnostics(lam=float(lam), method=used, iterations=iterations, residual=res)
+    diag = SolveDiagnostics(lam=float(lam), method=used, iterations=iterations, residual=res)
+    return f, diag, lam_Hf
 
 
 def solve_resolvent(
@@ -324,14 +352,15 @@ def solve_resolvent(
         raise PreconditionError("right-hand side lives on the wrong space")
     key = (float(lam), _hash_values(h.values))
     with family._lock:
-        if key in family._cache:
-            f, diag = family._cache[key]
-            return f, replace(diag, from_cache=True)
+        hit = family._cache.get(key)
+    if hit is not None:
+        return hit
 
-    f, diag = _solve(H, lam, h.values, family.tol_residual)
+    f, diag, _ = _solve(H, lam, h.values, family.tol_residual)
     out = Fn(H.space, f)
     with family._lock:
-        family._cache[key] = (out, diag)
+        # a hit returns the entry as stored: its diagnostics say from_cache
+        family._cache[key] = (out, replace(diag, from_cache=True))
     return out, diag
 
 

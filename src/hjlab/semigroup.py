@@ -61,8 +61,11 @@ def crandall_liggett(family: ResolventFamily, t: float, n_steps: int, f: Fn) -> 
 
     The steps are not cached: no step repeats a right-hand side, so they call
     the uncached solve on raw value arrays and leave the family's cache as it
-    was.  Every step reaches the residual tolerance (or raises), which implies
-    finite values, so only the result is wrapped as an Fn."""
+    was.  Each step starts from the previous step's result, whose lam * H f
+    that step computed for its last residual; a fixed-point step hands it on,
+    so the next step does not apply H to the same values again.  Every step
+    reaches the residual tolerance (or raises), which implies finite values,
+    so only the result is wrapped as an Fn."""
     if t < 0:
         raise PreconditionError("time must be nonnegative")
     if n_steps <= 0:
@@ -77,11 +80,12 @@ def crandall_liggett(family: ResolventFamily, t: float, n_steps: int, f: Fn) -> 
     lam = t / n_steps
     H, tol = family.hamiltonian, family.tol_residual
     cur = f.values
+    lam_Hcur = None  # lam * H cur, when the last step computed it
     total = 0
     worst = 0.0
     methods = set()
     for _ in range(n_steps):
-        cur, d = _solve(H, lam, cur, tol)
+        cur, d, lam_Hcur = _solve(H, lam, cur, tol, lam_Hcur)
         total += d.iterations
         worst = max(worst, d.residual)
         methods.add(d.method)

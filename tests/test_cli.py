@@ -288,6 +288,26 @@ def test_controls_reproduce_the_benchmark_separation(tmp_path, stem, code):
     assert abs(cell["details"][key] - want) <= 1e-8
 
 
+# the seeded report floats the benchmark gates (1e-9 and 1e-8 absolute)
+# against the values it recorded per seed
+BENCH_SEEDED_FLOATS = {
+    "resolvent": ("pseudo_resolvent_identity", "worst_residual", 1e-9),
+    "semigroup": ("iteration_vs_oracle", "final", 1e-8),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(BENCH_SEEDED_FLOATS))
+def test_chain_suites_reproduce_the_benchmark_floats_at_seed_1(tmp_path, stem):
+    # every Crandall-Liggett step of the semigroup suite reaches this float
+    recorded = json.loads(BENCH_EXPECTED.read_text())["by_seed"]["1"]
+    out = str(tmp_path / "out")
+    config = str(CONFIGS / f"{stem}.yaml")
+    assert main([stem, "--config", config, "--out", out, "--seed", "1"]) == 0
+    cell_name, key, tol = BENCH_SEEDED_FLOATS[stem]
+    cell = {c["name"]: c for c in read_report(out)["cells"]}[cell_name]
+    assert abs(cell["details"][key] - recorded[f"{stem}.{cell_name}.{key}"]) <= tol
+
+
 def test_module_entrypoint_runs(tmp_path):
     cfg = write_cfg(tmp_path, EMPTY)
     out = str(tmp_path / "out")

@@ -119,6 +119,48 @@ def test_tilt_jacobian_matches_finite_differences():
     assert np.abs(H.jacobian(v) - fd_jacobian(H.apply_values, v)).max() < 1e-6
 
 
+def earlier_tilt_apply(A, v):
+    E = np.exp(v[None, :] - v[:, None])
+    return (A * E).sum(axis=1)
+
+
+def earlier_tilt_jac(A, v):
+    E = np.exp(v[None, :] - v[:, None])
+    J = A * E
+    np.fill_diagonal(J, 0.0)
+    np.fill_diagonal(J, -J.sum(axis=1))
+    return J
+
+
+@given(
+    n=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    zero_rows=st.floats(0.0, 1.0),
+    spread=st.sampled_from([0.0, 1.0, 30.0, 400.0, 2000.0]),
+)
+@example(n=1, seed=0, zero_rows=0.0, spread=1.0)
+@example(n=8, seed=1, zero_rows=0.5, spread=2000.0)
+@settings(max_examples=150, deadline=None)
+@np.errstate(over="ignore", invalid="ignore")
+def test_tilt_kernels_equal_the_earlier_expressions_bit_for_bit(n, seed, zero_rows, spread):
+    # spreads past ~710 overflow exp to inf, and a zero rate times inf is nan:
+    # the kernels must reproduce those values too, and write into no input
+    rng = np.random.default_rng(seed)
+    A = random_rate_matrix(rng, n)
+    A[rng.uniform(size=n) < zero_rows] = 0.0
+    v = rng.uniform(-spread, spread, n)
+    A_before, v_before = A.copy(), v.copy()
+    H = tilt_linear(A, chain(n))
+    assert np.array_equal(H.apply_values(v), earlier_tilt_apply(A, v), equal_nan=True)
+    J1, J2 = H.jacobian(v), H.jacobian(v)
+    want = earlier_tilt_jac(A, v)
+    assert np.array_equal(J1, want, equal_nan=True)
+    assert np.array_equal(J2, want, equal_nan=True)
+    assert not np.shares_memory(J1, J2)
+    assert not np.shares_memory(J1, A) and not np.shares_memory(J1, v)
+    assert np.array_equal(A, A_before) and np.array_equal(v, v_before)
+
+
 def test_tilt_reduces_to_linear_at_small_amplitude():
     # Hf = A e^{f-f_i} ~ A (1 + f - f_i) = Af + O(|f|^2) since rows sum to 0
     s = chain(5)
@@ -723,8 +765,8 @@ def test_slowfast_follows_a_slow_jacobian_whose_pattern_changes():
         return J
 
     h = np.repeat(0.3 * np.cos(2.0 * np.pi * slow_space.coords[:, 0]), 3)
-    f, diag = _solve(replace(H_pruned, jacobian=seen), 1.0, h, 1e-10)
-    f_ref, diag_ref = _solve(H, 1.0, h, 1e-10)
+    f, diag, _ = _solve(replace(H_pruned, jacobian=seen), 1.0, h, 1e-10)
+    f_ref, diag_ref, _ = _solve(H, 1.0, h, 1e-10)
     assert len(patterns) > 1
     assert diag.method == diag_ref.method == "newton"
     assert np.abs(f - H.apply_values(f) - h).max() <= 1e-10
@@ -750,8 +792,8 @@ def test_slowfast_newton_solve_matches_the_reference_jacobian_bit_for_bit():
         A_fast, coupling.multipliers, n,
     ))
     h = np.repeat(0.3 * np.cos(2.0 * np.pi * slow_space.coords[:, 0]), 3)
-    f, diag = _solve(H, 1.0, h, 1e-10)
-    f_ref, diag_ref = _solve(H_ref, 1.0, h, 1e-10)
+    f, diag, _ = _solve(H, 1.0, h, 1e-10)
+    f_ref, diag_ref, _ = _solve(H_ref, 1.0, h, 1e-10)
     assert diag.method == diag_ref.method == "newton"
     assert diag.iterations == diag_ref.iterations > 0
     assert np.array_equal(f, f_ref)

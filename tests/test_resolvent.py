@@ -111,8 +111,10 @@ def test_fixed_point_equals_the_earlier_iteration_bit_for_bit():
     for lam in (0.1 / H.lipschitz_bound, 0.8 / H.lipschitz_bound):
         got = resolvent._fixed_point(H, lam, h, h, 1e-12)
         want = newton_reference.fixed_point(H, lam, h, h, 1e-12)
-        assert got[1:] == want[1:] and got[1] > 1
+        assert got[1:4] == want[1:] and got[1] > 1
         assert np.array_equal(got[0], want[0])
+        # the fifth value is lam * H of the returned iterate
+        assert np.array_equal(got[4], lam * H.apply_values(got[0]))
 
 
 def test_centered_newton_solve_equals_the_earlier_step_bit_for_bit():

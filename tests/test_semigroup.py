@@ -1,10 +1,13 @@
 """Iterated-resolvent semigroups against exact flows, trend fits, and the
 zero-operator density check."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import chain, unit_grid
+from oracles import semigroup_reference
 from hjlab import (
     ExtFn,
     Fn,
@@ -16,6 +19,7 @@ from hjlab import (
     crandall_liggett,
     density_check_zero_operator,
     fit_loglog_slope,
+    linear_generator,
     linear_semigroup_oracle,
     logexp_oracle,
     lift_to_members,
@@ -128,6 +132,71 @@ def test_crandall_liggett_steps_bypass_the_solve_cache(path):
     for _ in range(n):
         composed, _ = solve_resolvent(stepper, t / n, composed)
     assert np.array_equal(approx.result.values, composed.values)
+
+
+def carry_case(path):
+    """(H, t, n_steps, initial values) reaching one solve path per step."""
+    if path == "custom":
+        s = unit_grid(32)
+        H = upwind_quadratic(s, 0.5 * np.sin(2.0 * np.pi * s.coords[:, 0]))
+        return H, 0.5, 4, 0.3 * np.cos(2.0 * np.pi * s.coords[:, 0])
+    s = chain(10)
+    A = random_rate_matrix(np.random.default_rng(0), 10)
+    f = np.random.default_rng(1).uniform(-1.0, 1.0, 10)
+    if path == "linear":
+        # L is about 14: lam = 1/64 iterates the fixed point
+        return linear_generator(A, s), 1.0, 64, f
+    H = tilt_linear(A, s)
+    if path == "stall":
+        # a Lipschitz bound far below the truth sends every step to the fixed
+        # point; where lam * H is expansive near the data, the fixed point
+        # stalls and hands over to Newton, and later steps converge by it again
+        return replace(H, lipschitz_bound=1e-3), 1.0, 14, f
+    # L is about 103: lam * L below 0.9 takes the fixed point, above it Newton
+    return H, 1.0, (128 if path == "fixed_point" else 4), f
+
+
+@pytest.mark.parametrize(
+    "path, methods",
+    [
+        ("fixed_point", ("fixed_point",)),
+        ("stall", ("fixed_point", "fixed_point+newton")),
+        ("newton", ("newton",)),
+        ("custom", ("custom",)),
+        ("linear", ("fixed_point",)),
+    ],
+)
+def test_crandall_liggett_equals_the_earlier_loop_bit_for_bit(path, methods):
+    # each step hands its lam * H f to the next; the earlier loop applied H to
+    # the same values again at the start of every step
+    H, t, n, f = carry_case(path)
+    family = ResolventFamily(hamiltonian=H)
+    approx = crandall_liggett(family, t, n, Fn(H.space, f))
+    want, total, worst, want_methods = semigroup_reference.crandall_liggett(
+        H, family.tol_residual, t, n, f
+    )
+    assert approx.methods == want_methods == methods
+    assert approx.total_iterations == total > n
+    assert approx.worst_residual == worst
+    assert np.array_equal(approx.result.values, want)
+
+
+@pytest.mark.parametrize("path", ["fixed_point", "linear"])
+def test_fixed_point_steps_apply_H_once_per_iteration_plus_once(path):
+    # one application for the first step's start; every later step starts
+    # from the lam * H f its predecessor computed for its last residual
+    H, t, n, f = carry_case(path)
+    calls = 0
+
+    def counted(v):
+        nonlocal calls
+        calls += 1
+        return H.apply_values(v)
+
+    family = ResolventFamily(hamiltonian=replace(H, apply_values=counted))
+    approx = crandall_liggett(family, t, n, Fn(H.space, f))
+    assert approx.methods == ("fixed_point",)
+    assert calls == approx.total_iterations + 1
 
 
 def test_convergence_in_n_oracle_and_self_modes():
