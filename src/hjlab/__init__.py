@@ -56,7 +56,6 @@ from .operators import (
     linear_generator,
     random_rate_matrix,
     scale_graph,
-    scale_hamiltonian,
     slowfast_hamiltonian,
     stationary_distribution,
     tilt_linear,

@@ -2,21 +2,22 @@
 
 A config is a mapping with a pinned schema_version, a name, an optional seed,
 and one section per subcommand (resolvent / semigroup / converge / check).
-Validation failures and unresolvable references raise ConfigError, which the
-CLI maps to exit code 2; everything downstream of a valid config is a suite
-result, never a schema error.
+CONFIG_SCHEMA, a JSON Schema (Draft 2020-12), is the one statement of what a
+config may hold; validate_config reads it with the few keywords it uses (see
+_KEYWORDS), so no schema library is loaded at startup.  Validation failures
+and unresolvable references raise ConfigError, which the CLI maps to exit
+code 2; everything downstream of a valid config is a suite result, never a
+schema error.
 """
 
 from __future__ import annotations
 
-import functools
+import numbers
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 import yaml
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
 
 from .errors import ConfigError
 from .limits import Fn
@@ -322,19 +323,113 @@ def load_config(path: str | Path) -> dict:
 def validate_config(raw: Any) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
-    exc = best_match(_validator().iter_errors(raw))
-    if exc is not None:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config schema violation at {where}: {exc.message}") from exc
+    errors = list(_violations(raw, CONFIG_SCHEMA, ()))
+    if errors:
+        # the one jsonschema's best_match names: the violation highest up in
+        # the document says most about what is wrong; of siblings, the one
+        # with the greatest path (paths differ first at keys of one mapping
+        # or indices of one list, so they compare)
+        path, message = max(errors, key=lambda e: (-len(e[0]), e[0]))
+        where = "/".join(str(p) for p in path) or "<root>"
+        raise ConfigError(f"config schema violation at {where}: {message}")
     return raw
 
 
-@functools.cache
-def _validator():
-    # jsonschema.validate re-checks the schema itself on every call, which
-    # costs far more than validating a config; the schema is checked once in
-    # the tests instead
-    return validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+# CONFIG_SCHEMA is read by the JSON Schema (Draft 2020-12) rules of the
+# keywords it uses, one function per keyword in _KEYWORDS; any other keyword
+# is a KeyError, and a test walks the schema for one.  Each function takes the
+# instance, the keyword's value, the enclosing schema and the instance's path,
+# and yields (path, message) per violation.  A keyword about objects, arrays,
+# strings or numbers passes an instance of any other type.
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    # True is neither a number nor an integer in JSON; 2.0 is an integer
+    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()
+    ),
+}
+
+
+def _json_equal(a: Any, b: Any) -> bool:
+    # for the scalars of enum and const; True == 1 in Python, not in JSON
+    return a is b if isinstance(a, bool) or isinstance(b, bool) else a == b
+
+
+def _rule(applies_to: str | None, fails, says: str):
+    """A keyword that tests one instance of its type (of any type for None)."""
+    def check(v, want, schema, path):
+        if (applies_to is None or _TYPES[applies_to](v)) and fails(v, want):
+            yield path, f"{v!r} {says.format(want)}"
+    return check
+
+
+def _properties(v, want, schema, path):
+    if isinstance(v, dict):
+        for name, sub in want.items():
+            if name in v:
+                yield from _violations(v[name], sub, (*path, name))
+
+
+def _required(v, want, schema, path):
+    if isinstance(v, dict):
+        for name in want:
+            if name not in v:
+                yield path, f"{name!r} is a required property"
+
+
+def _additional_properties(v, want, schema, path):
+    # CONFIG_SCHEMA sets additionalProperties only ever to false
+    if isinstance(v, dict):
+        extra = sorted((k for k in v if k not in schema.get("properties", {})), key=str)
+        if extra:
+            yield path, f"additional properties are not allowed: {', '.join(map(repr, extra))}"
+
+
+def _items(v, want, schema, path):
+    if isinstance(v, list):
+        for i, item in enumerate(v):
+            yield from _violations(item, want, (*path, i))
+
+
+def _one_of(v, want, schema, path):
+    branches = [list(_violations(v, sub, path)) for sub in want]
+    valid = branches.count([])
+    if valid > 1:
+        yield path, f"valid under {valid} of the oneOf schemas, not exactly one"
+    elif not valid:
+        # the branch that got furthest: the deepest shallowest violation,
+        # then the fewest violations
+        yield from min(branches, key=lambda errs: (-min(len(p) for p, _ in errs), len(errs)))
+
+
+_KEYWORDS = {
+    "type": _rule(None, lambda v, t: not _TYPES[t](v), "is not of type {!r}"),
+    "enum": _rule(None, lambda v, e: not any(_json_equal(v, x) for x in e), "is not one of {!r}"),
+    "const": _rule(None, lambda v, c: not _json_equal(v, c), "is not {!r}"),
+    "minimum": _rule("number", lambda v, m: v < m, "is less than the minimum of {!r}"),
+    "exclusiveMinimum": _rule("number", lambda v, m: v <= m,
+                              "is less than or equal to the minimum of {!r}"),
+    "minItems": _rule("array", lambda v, n: len(v) < n, "is too short (fewer than {} items)"),
+    "maxItems": _rule("array", lambda v, n: len(v) > n, "is too long (more than {} items)"),
+    "minLength": _rule("string", lambda v, n: len(v) < n,
+                       "is too short (fewer than {} characters)"),
+    "properties": _properties,
+    "required": _required,
+    "additionalProperties": _additional_properties,
+    "items": _items,
+    "oneOf": _one_of,
+}
+
+
+def _violations(v: Any, schema: dict, path: tuple):
+    for keyword, want in schema.items():
+        yield from _KEYWORDS[keyword](v, want, schema, path)
 
 
 def build_space(spec: dict) -> FiniteSpace:

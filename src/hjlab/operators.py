@@ -54,7 +54,6 @@ __all__ = [
     "SlowFastCoupling",
     "DissipativityReport",
     "scale_graph",
-    "scale_hamiltonian",
     "check_dissipative",
     "check_degenerate_elliptic",
     "graph_from_hamiltonian",

@@ -6,7 +6,8 @@ f of f - lambda * H f = h.  The solve path follows from H and lambda alone:
   * a custom solver, when H carries one (Howard iteration for kinked schemes);
   * otherwise the plain fixed point f <- h + lambda * H f whenever a Lipschitz
     bound L is known and lambda * L < 0.9 (the Crandall-Liggett regime of many
-    small steps), handing over to Newton from its last iterate if it stalls;
+    small steps), handing over to Newton from its last iterate if it stalls
+    or its residual turns non-finite;
   * otherwise Newton with backtracking line search on the residual, using the
     Hamiltonian's Jacobian (sparse or dense; a sparse Jacobian's fixed pattern
     gives I - lambda * J one CSC pattern per solve, see _NewtonPattern).  When
@@ -297,6 +298,9 @@ def _fixed_point(
         res = float(np.maximum.reduce(r))
         if res <= tol:
             return f, it, res, True, lam_Hf
+        if not res < np.inf:
+            # nan or inf: H overflowed, and a nan residual would read as progress
+            return f, it, res, False, lam_Hf
         stall = stall + 1 if res > 0.999 * res_prev else 0
         res_prev = res
         if stall >= 50:

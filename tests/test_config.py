@@ -1,10 +1,18 @@
 """Config loading, schema validation, and the declarative builders."""
 
+import copy
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema.exceptions import best_match
 
 from hjlab import ConfigError, config
 from hjlab.config import (
@@ -20,8 +28,11 @@ from hjlab.config import (
     validate_config,
 )
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 RNG = lambda: np.random.default_rng(0)
+# jsonschema is the reference the built-in checker must agree with
+ORACLE = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 
 def test_load_config_error_paths(tmp_path):
@@ -205,6 +216,204 @@ def test_build_probes_variants():
 
 
 def test_schema_is_self_consistent():
-    import jsonschema
-
     jsonschema.Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
+# --- the built-in checker against jsonschema ---------------------------------
+
+
+def _subschemas(schema):
+    """Every schema nested in schema, itself included."""
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+    for sub in schema.get("oneOf", []):
+        yield from _subschemas(sub)
+
+
+def test_checker_implements_exactly_the_keywords_the_schema_uses_in_the_form_used():
+    used = set().union(*map(set, _subschemas(CONFIG_SCHEMA)))
+    assert used == set(config._KEYWORDS)
+    for schema in _subschemas(CONFIG_SCHEMA):
+        # the forms the checker reads: one type name, additionalProperties
+        # false, scalar enum and const values
+        assert schema.get("type", "object") in config._TYPES
+        assert schema.get("additionalProperties", False) is False
+        for value in [schema.get("const", 0), *schema.get("enum", [])]:
+            assert isinstance(value, (str, int, float))
+
+
+def _check(doc):
+    """(valid, message) from validate_config."""
+    try:
+        validate_config(doc)
+    except ConfigError as exc:
+        return False, str(exc)
+    return True, ""
+
+
+def _oracle_location(doc):
+    path = best_match(ORACLE.iter_errors(doc)).absolute_path
+    return "/".join(str(p) for p in path) or "<root>"
+
+
+@pytest.mark.parametrize(
+    "schema, doc",
+    [
+        ({"type": "integer"}, True),  # a bool is not an integer
+        ({"type": "number"}, False),  # nor a number
+        ({"type": "integer"}, 2.0),  # 2.0 is an integer
+        ({"type": "integer"}, 2.5),
+        ({"const": 1}, True),  # true is not 1
+        ({"const": 1}, 1.0),  # 1.0 is
+        ({"enum": ["a", 0]}, False),
+        ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 3),  # both fit
+        ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 2.5),  # one fits
+        ({"oneOf": [{"type": "string"}, {"type": "integer"}]}, None),  # none fits
+        ({"type": "array", "minItems": 1, "maxItems": 1}, []),
+        ({"minimum": 0, "exclusiveMinimum": 0, "minLength": 2}, "a"),  # type-bound keywords
+        ({"type": "object", "required": ["a"], "additionalProperties": False}, {"b": 1}),
+    ],
+)
+def test_keywords_follow_draft_2020_12_as_jsonschema_does(schema, doc):
+    valid = not list(config._violations(doc, schema, ()))
+    assert valid == jsonschema.Draft202012Validator(schema).is_valid(doc)
+
+
+def _nodes(doc, schema, path=()):
+    """(path, value, schema) for every value of the valid doc, with a oneOf
+    resolved to the branch the value satisfies."""
+    if "oneOf" in schema:
+        schema = next(s for s in schema["oneOf"] if ORACLE.evolve(schema=s).is_valid(doc))
+    yield path, doc, schema
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _nodes(value, schema["properties"][key], (*path, key))
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _nodes(value, schema["items"], (*path, i))
+
+
+SHIPPED = {path.stem: load_config(path) for path in sorted(CONFIG_DIR.glob("*.yaml"))}
+NODES = {
+    name: {path: (value, schema) for path, value, schema in _nodes(doc, CONFIG_SCHEMA)}
+    for name, doc in SHIPPED.items()
+}
+# the two converge branches of the shipped configs, by kind
+CONVERGE = {doc["converge"]["kind"]: doc["converge"] for doc in SHIPPED.values() if "converge" in doc}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+def _delete_required(data, value, schema):
+    drop = data.draw(st.sampled_from([k for k in schema["required"] if k in value]))
+    return {k: v for k, v in value.items() if k != drop}
+
+
+def _add_unknown(data, value, schema):
+    key = data.draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in schema["properties"]))
+    return {**value, key: 0}
+
+
+def _mix_converge_branches(data, value, schema):
+    other = next(o for kind, o in CONVERGE.items() if kind != value["kind"])
+    key = data.draw(st.sampled_from(sorted(other)))
+    return {**value, key: copy.deepcopy(other[key])}
+
+
+# name -> (does it apply to this (value, schema) node, the drawn new value)
+MUTATIONS = {
+    "delete a required key": (
+        lambda v, s: isinstance(v, dict) and any(k in v for k in s.get("required", [])),
+        _delete_required,
+    ),
+    "add an unknown key": (
+        lambda v, s: isinstance(v, dict) and "additionalProperties" in s,
+        _add_unknown,
+    ),
+    "a bool, a string or a fraction for an integer": (
+        lambda v, s: s.get("type") == "integer",
+        lambda data, v, s: data.draw(st.sampled_from([True, False, "3", str(v), 2.5, v + 0.5])),
+    ),
+    "an integer as a float": (
+        lambda v, s: s.get("type") == "integer",
+        lambda data, v, s: float(v),
+    ),
+    "any JSON value for a typed or constant one": (
+        lambda v, s: "type" in s or "const" in s,
+        lambda data, v, s: data.draw(JSON_VALUES),
+    ),
+    "below the minimum": (
+        lambda v, s: "minimum" in s,
+        lambda data, v, s: s["minimum"] - data.draw(st.sampled_from([1, 0.5, 1e-9])),
+    ),
+    "onto or below the exclusive minimum": (
+        lambda v, s: "exclusiveMinimum" in s,
+        lambda data, v, s: s["exclusiveMinimum"] - data.draw(st.sampled_from([0, 0.0, 1e-300, 1])),
+    ),
+    "too few items": (
+        lambda v, s: "minItems" in s,
+        lambda data, v, s: v[: data.draw(st.integers(0, s["minItems"] - 1))],
+    ),
+    "too many items": (
+        lambda v, s: "maxItems" in s,
+        lambda data, v, s: v + v[:1] * data.draw(st.integers(s["maxItems"] + 1 - len(v), 4)),
+    ),
+    "outside the enum": (
+        lambda v, s: "enum" in s,
+        lambda data, v, s: data.draw(st.text(max_size=20).filter(lambda t: t not in s["enum"])),
+    ),
+    "keys of the other converge branch": (
+        lambda v, s: s.get("properties", {}).get("kind", {}).get("const") in CONVERGE,
+        _mix_converge_branches,
+    ),
+}
+
+
+def _mutate(data):
+    """One shipped config with one node changed: (document, path of the node)."""
+    name = data.draw(st.sampled_from(sorted(SHIPPED)))
+    nodes = NODES[name]
+    applies, change = MUTATIONS[data.draw(st.sampled_from(sorted(
+        m for m, (applies, _) in MUTATIONS.items() if any(applies(*n) for n in nodes.values())
+    )))]
+    path = data.draw(st.sampled_from([p for p, n in nodes.items() if applies(*n)]))
+    new = change(data, *nodes[path])
+    if not path:
+        return new, path
+    doc = copy.deepcopy(SHIPPED[name])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return doc, path
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_checker_agrees_with_jsonschema_on_single_violations_of_shipped_configs(data):
+    doc, path = _mutate(data)
+    valid, message = _check(doc)
+    assert valid == ORACLE.is_valid(doc)
+    if not isinstance(doc, dict):
+        assert message == "config must be a mapping"
+    elif not valid and path[:1] != ("converge",):
+        # inside converge's oneOf the two blame different branches
+        assert message.startswith(f"config schema violation at {_oracle_location(doc)}: ")
+
+
+def test_importing_the_package_loads_no_schema_library():
+    code = (
+        "import sys, hjlab; print('jsonschema' in sys.modules); "
+        "import hjlab.cli; print('jsonschema' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "False"]

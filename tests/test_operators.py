@@ -28,7 +28,6 @@ from hjlab import (
     make_product_sequence,
     random_rate_matrix,
     scale_graph,
-    scale_hamiltonian,
     slowfast_hamiltonian,
     solve_resolvent,
     stationary_distribution,
@@ -37,7 +36,13 @@ from hjlab import (
     upwind_quadratic,
 )
 from hjlab import operators
-from hjlab.operators import _next, _policy_step, _prev, validate_rate_matrix
+from hjlab.operators import (
+    _next,
+    _policy_step,
+    _prev,
+    scale_hamiltonian,
+    validate_rate_matrix,
+)
 from hjlab.resolvent import _NewtonPattern, _solve
 
 

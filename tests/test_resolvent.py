@@ -207,6 +207,22 @@ def test_newton_restarts_when_large_data_overflow_the_start():
         assert res <= 1e-10
 
 
+def test_fixed_point_hands_over_to_newton_at_the_first_non_finite_residual():
+    # a Lipschitz bound far below the true one keeps large data on the fixed
+    # point, whose exp overflows; a nan residual must not read as progress
+    # and run the iteration to its cap before Newton takes over
+    tilted, s = tilted_family()
+    H = replace(tilted.hamiltonian, lipschitz_bound=1e-3)
+    rng = np.random.default_rng(1)
+    for bound in (5.0, 20.0, 50.0):
+        h = rng.uniform(-bound, bound, 10)
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, diag, _ = resolvent._solve(H, 0.2, h, 1e-10)
+        assert diag.method == "fixed_point+newton"
+        assert diag.iterations < 50
+        assert np.abs(f - 0.2 * H.apply_values(f) - h).max() <= 1e-10
+
+
 def test_newton_without_a_jacobian_is_a_precondition_error():
     s = chain(4)
     H = Hamiltonian(space=s, apply_values=lambda v: -v, name="no_jacobian")
