@@ -35,7 +35,7 @@ The shipped constructions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -75,13 +75,13 @@ class Hamiltonian:
     """Single-valued operator on value vectors over a fixed finite space.
 
     jacobian, when set, maps values v to the Jacobian of apply_values at v:
-    either a dense ndarray, or a scipy sparse matrix whose pattern (the stored
-    entries, explicit zeros included) is fixed per Hamiltonian, so only the
-    values change with v and the pattern can be computed once.  The damped
-    Newton step relies on this: it computes the CSC pattern of I - lam * J on
-    the first step of a solve and then only writes values into it.  A
-    Jacobian whose pattern changes is still solved correctly, at the cost of
-    a new pattern per change.
+    a dense ndarray when jacobian_pattern is None, and otherwise a CSR matrix
+    on the declared pattern jacobian_pattern = (indptr, indices), which
+    stores each entry once (sorted, unique column indices per row, explicit
+    zeros allowed) and is the same at every v; only the values change with v.
+    The damped Newton step relies on this: it computes the CSC pattern of
+    I - lam * J once per solve and then only writes J.data into it.  Only the
+    constructors in this module declare a pattern.
 
     custom_solver, when set, inverts f - lam * Hf = h better than generic
     Newton can (signature: (lam, h, f0, tol) -> (f, iters, res), raising
@@ -96,6 +96,7 @@ class Hamiltonian:
     monotone: bool = False
     name: str = ""
     custom_solver: Callable | None = None
+    jacobian_pattern: tuple | None = field(default=None, repr=False, compare=False)
 
     def __call__(self, f: Fn) -> Fn:
         if f.space != self.space:
@@ -121,6 +122,7 @@ def scale_hamiltonian(c: float, H: Hamiltonian) -> Hamiltonian:
         monotone=H.monotone,
         name=f"{c}*{H.name}" if H.name else "",
         custom_solver=solver,
+        jacobian_pattern=H.jacobian_pattern,
     )
 
 
@@ -431,32 +433,33 @@ def _grid_spacing(space: FiniteSpace) -> float:
     return float(dx[0])
 
 
-def _csr_assembler(
-    rows: np.ndarray, cols: np.ndarray, n: int
-) -> Callable[[np.ndarray], sp.csr_matrix]:
+def _csr_assembler(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[tuple, Callable]:
     """One-pass assembly of n x n matrices with entries at (rows[k], cols[k]).
 
-    The returned function takes one value per entry, in the order of rows and
-    cols, and returns the canonical CSR matrix, duplicates summed.  The
-    pattern and the scatter into it are computed here, once.
+    Returns the pattern (indptr, indices) of the canonical CSR matrix, each
+    entry once, and the function that takes one value per entry, in the order
+    of rows and cols, and returns the CSR matrix on that pattern, duplicates
+    summed.  The pattern and the scatter into it are computed here, once.
     """
     keys, slot = np.unique(rows.astype(np.int64) * n + cols, return_inverse=True)
     indices = (keys % n).astype(np.int32)
     indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(np.int32)
+    indices.flags.writeable = indptr.flags.writeable = False
 
     def assemble(data: np.ndarray) -> sp.csr_matrix:
         values = np.bincount(slot, weights=data, minlength=keys.size)
         # fresh index arrays: a caller may prune the returned matrix in place
         return sp.csr_matrix((values, indices.copy(), indptr.copy()), shape=(n, n))
 
-    return assemble
+    return (indptr, indices), assemble
 
 
-def _periodic_stencil(n: int, offsets: tuple[int, ...]) -> Callable[[np.ndarray], sp.csr_matrix]:
-    """Assembly of the n x n periodic stencil matrix whose row i has entries
-    at columns (i + k) mod n for k in offsets, from the values stencil by
-    stencil (n per offset, in the order of offsets); on small grids two
-    offsets can meet, and their values are summed."""
+def _periodic_stencil(n: int, offsets: tuple[int, ...]) -> tuple[tuple, Callable]:
+    """Pattern and assembly (as _csr_assembler) of the n x n periodic stencil
+    matrix whose row i has entries at columns (i + k) mod n for k in offsets,
+    from the values stencil by stencil (n per offset, in the order of
+    offsets); on small grids two offsets can meet, and their values are
+    summed."""
     rows = np.tile(np.arange(n), len(offsets))
     return _csr_assembler(rows, (rows + np.repeat(offsets, n)) % n, n)
 
@@ -509,7 +512,7 @@ def upwind_quadratic(
     if b.shape[0] != space.size:
         raise PreconditionError("drift must have one value per grid point")
     theta = 0.5 * b
-    assemble = _periodic_stencil(b.shape[0], (0, -1, 1))
+    pattern, assemble = _periodic_stencil(b.shape[0], (0, -1, 1))
 
     def jac(v: np.ndarray) -> sp.csr_matrix:
         p_minus, p_plus = _upwind_diffs(dx, v)
@@ -526,7 +529,7 @@ def upwind_quadratic(
     return Hamiltonian(
         space=space, apply_values=partial(_upwind_value, b, dx), jacobian=jac,
         lipschitz_bound=None, monotone=True, name=name,
-        custom_solver=partial(_howard, b, dx),
+        custom_solver=partial(_howard, b, dx), jacobian_pattern=pattern,
     )
 
 
@@ -638,7 +641,7 @@ def centered_quadratic(
         pc = (_next(v) - _prev(v)) / (2.0 * dx)
         return pc * pc - b * pc
 
-    assemble = _periodic_stencil(b.shape[0], (1, -1))
+    pattern, assemble = _periodic_stencil(b.shape[0], (1, -1))
 
     def jac(v: np.ndarray) -> sp.csr_matrix:
         pc = (_next(v) - _prev(v)) / (2.0 * dx)
@@ -647,7 +650,7 @@ def centered_quadratic(
 
     return Hamiltonian(
         space=space, apply_values=apply, jacobian=jac,
-        lipschitz_bound=None, monotone=False, name=name,
+        lipschitz_bound=None, monotone=False, name=name, jacobian_pattern=pattern,
     )
 
 
@@ -681,22 +684,6 @@ class SlowFastCoupling:
         return self.fast_rate_matrix.shape[0]
 
 
-def _slow_block(J) -> tuple[np.ndarray, tuple | None]:
-    """The values of a slow Jacobian with their pattern: a sparse one's stored
-    entries in CSR order with (indptr, indices), a dense one's every entry,
-    row-major, with None (stored whole, so the pattern stays fixed)."""
-    if sp.issparse(J):
-        J = J.tocsr()
-        return J.data, (J.indptr, J.indices)
-    return np.asarray(J).ravel(), None
-
-
-def _same_pattern(a: tuple | None, b: tuple | None) -> bool:
-    if a is None or b is None:
-        return a is b
-    return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-
 def slowfast_hamiltonian(
     product: EnlargedSpaceSequence, n: float, coupling: SlowFastCoupling
 ) -> Hamiltonian:
@@ -723,47 +710,37 @@ def slowfast_hamiltonian(
         return out.reshape(-1)
 
     jac_slow = slow.jacobian
-    # state (x, z) sits at x * n_fast + z: the fast chain n * kron(I, A_fast)
-    # is fixed, and fast state z's slow Jacobian J_z lands on the rows and
-    # columns x * n_fast + z, scaled by m_z
-    size = n_slow * n_fast
-    zi, zj = np.nonzero(A_fast)
-    block_start = np.arange(n_slow)[:, None] * n_fast
-    fast_rows = (block_start + zi).ravel()
-    fast_cols = (block_start + zj).ravel()
-    fast_data = np.tile(n * A_fast[zi, zj], n_slow)
-    coupled = [z for z in range(n_fast) if m[z] != 0.0]  # m_z = 0: no slow block
-
-    def assembler(patterns: list) -> Callable[[np.ndarray], sp.csr_matrix]:
-        rows, cols = [fast_rows], [fast_cols]
-        for z, pattern in zip(coupled, patterns):
-            if pattern is None:  # dense: every entry, row-major
-                r, c = np.divmod(np.arange(n_slow * n_slow), n_slow)
-            else:
-                indptr, c = pattern
-                r = np.repeat(np.arange(n_slow), np.diff(indptr))
+    pattern = jac = None
+    if jac_slow is not None:
+        # state (x, z) sits at x * n_fast + z: the fast chain n * kron(I, A_fast)
+        # is fixed, and fast state z's slow Jacobian J_z lands on the rows and
+        # columns x * n_fast + z, scaled by m_z
+        zi, zj = np.nonzero(A_fast)
+        block_start = np.arange(n_slow)[:, None] * n_fast
+        rows, cols = [(block_start + zi).ravel()], [(block_start + zj).ravel()]
+        fast_data = np.tile(n * A_fast[zi, zj], n_slow)
+        coupled = [z for z in range(n_fast) if m[z] != 0.0]  # m_z = 0: no slow block
+        if slow.jacobian_pattern is None:  # dense: every entry, row-major
+            r, c = np.divmod(np.arange(n_slow * n_slow), n_slow)
+            slow_values = lambda J: np.asarray(J).ravel()
+        else:
+            indptr, c = slow.jacobian_pattern
+            r = np.repeat(np.arange(n_slow), np.diff(indptr))
+            slow_values = lambda J: J.data
+        for z in coupled:
             rows.append(r * n_fast + z)
             cols.append(c * n_fast + z)
-        return _csr_assembler(np.concatenate(rows), np.concatenate(cols), size)
+        # a slow pattern that stores each entry once gives no product entry
+        # more than two contributions (a fast and a slow diagonal), so the
+        # scatter sums exactly what a COO -> CSR sum would
+        pattern, assemble = _csr_assembler(
+            np.concatenate(rows), np.concatenate(cols), n_slow * n_fast
+        )
 
-    # the slow patterns and the product assembly, learned on the first call;
-    # the slow Jacobians' patterns are fixed, so later calls only check them.
-    # A slow Jacobian that stores each entry once gives no product entry more
-    # than two contributions (a fast and a slow diagonal), so the scatter sums
-    # exactly what a COO -> CSR sum would
-    learned = None
-
-    def jac(v: np.ndarray) -> sp.csr_matrix:
-        nonlocal learned
-        V = v.reshape(n_slow, n_fast)
-        blocks = [_slow_block(jac_slow(V[:, z])) for z in coupled]
-        patterns = [pattern for _, pattern in blocks]
-        known = learned
-        if known is None or not all(map(_same_pattern, patterns, known[0])):
-            owned = [None if p is None else (p[0].copy(), p[1].copy()) for p in patterns]
-            known = learned = (owned, assembler(owned))
-        data = [fast_data] + [m[z] * values for z, (values, _) in zip(coupled, blocks)]
-        return known[1](np.concatenate(data))
+        def jac(v: np.ndarray) -> sp.csr_matrix:
+            V = v.reshape(n_slow, n_fast)
+            data = [fast_data] + [m[z] * slow_values(jac_slow(V[:, z])) for z in coupled]
+            return assemble(np.concatenate(data))
 
     L = None
     if slow.lipschitz_bound is not None:
@@ -771,10 +748,11 @@ def slowfast_hamiltonian(
     return Hamiltonian(
         space=prod_space,
         apply_values=apply,
-        jacobian=jac if jac_slow is not None else None,
+        jacobian=jac,
         lipschitz_bound=L,
         monotone=slow.monotone,
         name=f"slowfast(n={n})",
+        jacobian_pattern=pattern,
     )
 
 

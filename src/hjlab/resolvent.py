@@ -9,12 +9,12 @@ f of f - lambda * H f = h.  The solve path follows from H and lambda alone:
     small steps), handing over to Newton from its last iterate if it stalls
     or its residual turns non-finite;
   * otherwise Newton with backtracking line search on the residual, using the
-    Hamiltonian's Jacobian (sparse or dense; a sparse Jacobian's fixed pattern
-    gives I - lambda * J one CSC pattern per solve, see _NewtonPattern).  When
-    Newton fails from the start it was given, it retries once from the
-    constant mean(h): large data can overflow H at f0 = h (exp in a tilt), and
-    a constant start keeps every difference f_j - f_i at zero, where such an H
-    is finite.
+    Hamiltonian's Jacobian (dense, or CSR on the pattern H.jacobian_pattern
+    declares, which gives I - lambda * J one CSC pattern per solve, see
+    _NewtonPattern).  When Newton fails from the start it was given, it
+    retries once from the constant mean(h): large data can overflow H at
+    f0 = h (exp in a tilt), and a constant start keeps every difference
+    f_j - f_i at zero, where such an H is finite.
 
 A custom or Newton step that fails at the full lambda falls back to one
 lambda continuation (the same for both), which walks lambda up from
@@ -133,21 +133,12 @@ def _newton(
     return f, spent + its, res
 
 
-def _canonical_csr(J):
-    """J as CSR with sorted, unique column indices; J itself when it already
-    is one, a canonical copy otherwise (J may be the Hamiltonian's own)."""
-    J = J.tocsr()
-    if not J.has_canonical_format:
-        J = J.copy()
-        J.sum_duplicates()
-    return J
-
-
 @dataclass(frozen=True)
 class _NewtonPattern:
-    """The CSC pattern of I - lam * J for one sparse pattern of a canonical CSR
-    Jacobian J: the union of J's stored entries and the diagonal, with the slot
-    of every stored entry of J and of every diagonal entry.
+    """The CSC pattern of I - lam * J for a CSR Jacobian J on a declared
+    pattern (indptr, indices), each entry stored once: the union of J's
+    stored entries and the diagonal, with the slot of every stored entry of J
+    and of every diagonal entry.
 
     newton_matrix equals sp.eye(n, format="csc") - lam * J.tocsc() in data,
     indices and indptr: a slot holds 0 - lam * J_ij, plus 1 on the diagonal,
@@ -156,35 +147,27 @@ class _NewtonPattern:
     ordering and the same Newton step, bit for bit.
     """
 
-    jac_indptr: np.ndarray
-    jac_indices: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     jac_slot: np.ndarray
     diag_slot: np.ndarray
 
     @classmethod
-    def of(cls, J) -> "_NewtonPattern":
-        n = J.shape[0]
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(J.indptr))
+    def of(cls, jacobian_pattern: tuple) -> "_NewtonPattern":
+        jac_indptr, jac_indices = jacobian_pattern
+        n = jac_indptr.shape[0] - 1
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(jac_indptr))
         diag = np.arange(n, dtype=np.int64)
         # column-major keys, so sorting them gives CSC order
         keys, slot = np.unique(
-            np.concatenate((J.indices.astype(np.int64) * n + rows, diag * (n + 1))),
+            np.concatenate((jac_indices.astype(np.int64) * n + rows, diag * (n + 1))),
             return_inverse=True,
         )
         return cls(
-            jac_indptr=J.indptr.copy(),
-            jac_indices=J.indices.copy(),
             indptr=np.searchsorted(keys // n, np.arange(n + 1)).astype(np.intc),
             indices=(keys % n).astype(np.intc),
             jac_slot=slot[: rows.shape[0]],
             diag_slot=slot[rows.shape[0]:],
-        )
-
-    def fits(self, J) -> bool:
-        return np.array_equal(J.indptr, self.jac_indptr) and np.array_equal(
-            J.indices, self.jac_indices
         )
 
     def newton_matrix(self, J, lam: float) -> sp.csc_matrix:
@@ -211,22 +194,18 @@ def _damped_newton(
     res = float(np.abs(g).max())
     if not np.isfinite(res):
         raise SolverError(f"newton start residual is not finite (lam={lam})")
-    pattern = None  # of I - lam * J, while J keeps the same sparse pattern
-    eye = None  # I for a dense J, built once per solve
+    if H.jacobian_pattern is None:
+        eye = np.eye(f.shape[0])
+    else:
+        pattern = _NewtonPattern.of(H.jacobian_pattern)
     for it in range(1, MAX_ITER_NEWTON + 1):
         if res <= tol:
             return f, it - 1, res
         J_H = H.jacobian(f)
-        if sp.issparse(J_H):
-            J_H = _canonical_csr(J_H)
-            if pattern is None or not pattern.fits(J_H):
-                pattern = _NewtonPattern.of(J_H)
-            step = spla.spsolve(pattern.newton_matrix(J_H, lam), -g)
+        if H.jacobian_pattern is None:
+            step = np.linalg.solve(eye - lam * np.asarray(J_H), -g)
         else:
-            if eye is None:
-                eye = np.eye(f.shape[0])
-            A = eye - lam * np.asarray(J_H)
-            step = np.linalg.solve(A, -g)
+            step = spla.spsolve(pattern.newton_matrix(J_H, lam), -g)
         t = 1.0
         while t >= 2.0**-30:
             f_try = f + t * step
@@ -271,6 +250,10 @@ def _continuation(
     return f, total, res
 
 
+# H overflowing (exp in a tilt) makes the residual non-finite, which hands over
+# to Newton at once; numpy's warnings about those values are noise, as in
+# _damped_newton.
+@np.errstate(over="ignore", invalid="ignore")
 def _fixed_point(
     H: Hamiltonian,
     lam: float,

@@ -1,6 +1,18 @@
+import os
+from pathlib import Path
+
 import numpy as np
 
 from hjlab import FiniteSpace
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def src_env() -> dict:
+    """os.environ with src/ first on PYTHONPATH, so that a subprocess running
+    hjlab imports this checkout whether or not the package is installed."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": SRC + (os.pathsep + path if path else "")}
 
 
 def unit_grid(n: int, name: str = "") -> FiniteSpace:

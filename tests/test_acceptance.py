@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import chain, unit_grid
+from conftest import chain, src_env, unit_grid
 from hjlab import (
     Fn,
     ResolventFamily,
@@ -283,7 +283,7 @@ def test_criterion_11_byte_identical_reruns(tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "hjlab.cli", "converge", "--config", cfg,
              "--out", out],
-            capture_output=True, text=True, cwd=PKG_ROOT,
+            capture_output=True, text=True, cwd=PKG_ROOT, env=src_env(),
         )
         assert proc.returncode == 0, proc.stderr
     r1 = (Path(outs[0]) / "report.json").read_bytes()

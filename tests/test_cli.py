@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import src_env
 from hjlab.cli import main, run_command
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -316,6 +317,7 @@ def test_module_entrypoint_runs(tmp_path):
          "--out", out],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (Path(out) / "report.json").exists()

@@ -102,6 +102,7 @@ def test_linear_generator_is_matrix_action():
     v = rng.standard_normal(5)
     assert np.allclose(H.apply_values(v), A @ v)
     assert np.array_equal(H.jacobian(v), A)
+    assert H.jacobian_pattern is None  # dense
     assert H.monotone
     with pytest.raises(PreconditionError):
         H(Fn(chain(5), np.zeros(5)))  # same shape, different space
@@ -122,6 +123,7 @@ def test_tilt_jacobian_matches_finite_differences():
     H = tilt_linear(A, s)
     v = np.random.default_rng(5).uniform(-1, 1, 6)
     assert np.abs(H.jacobian(v) - fd_jacobian(H.apply_values, v)).max() < 1e-6
+    assert H.jacobian_pattern is None  # dense
 
 
 def earlier_tilt_apply(A, v):
@@ -370,13 +372,19 @@ def test_centered_jacobian_matches_finite_differences():
     assert np.abs(J - fd_jacobian(H.apply_values, v)).max() < 1e-6
 
 
+def assert_on_declared_pattern(J, H):
+    assert sp.issparse(J) and J.format == "csr"
+    indptr, indices = H.jacobian_pattern
+    assert np.array_equal(J.indptr, indptr) and np.array_equal(J.indices, indices)
+
+
 def assert_same_newton_matrix(J, J_ref, lam):
     # the damped Newton step factors I - lam * J, written into its CSC
     # pattern; the same canonical CSC as the reference's sparse subtraction
     # means the same SuperLU ordering and the same step, bit for bit
     want = jacobian_reference.newton_matrix(J_ref, lam)
     for got in (jacobian_reference.newton_matrix(J, lam),
-                _NewtonPattern.of(J).newton_matrix(J, lam)):
+                _NewtonPattern.of((J.indptr, J.indices)).newton_matrix(J, lam)):
         assert got.format == "csc" and got.has_canonical_format
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
@@ -407,8 +415,9 @@ def tie_case(n, seed, tie_share):
 def test_grid_jacobians_give_the_reference_newton_matrix(scheme, n, tie_share, lam, seed):
     s, dx, v, b = tie_case(n, seed, tie_share)
     build = upwind_quadratic if scheme == "upwind" else centered_quadratic
-    J = build(s, b).jacobian(v)
-    assert sp.issparse(J) and J.format == "csr"
+    H = build(s, b)
+    J = H.jacobian(v)
+    assert_on_declared_pattern(J, H)
     J_ref = getattr(jacobian_reference, scheme)(b, dx, v)
     assert np.array_equal(J.toarray(), J_ref.toarray())
     assert_same_newton_matrix(J, J_ref, lam)
@@ -630,7 +639,7 @@ def test_slowfast_jacobian_over_a_dense_slow_jacobian_is_csr(dense_slow):
     H = slowfast_hamiltonian(product, n, coupling)
     v = np.random.default_rng(13).uniform(-1, 1, 24)
     J = H.jacobian(v)
-    assert sp.issparse(J) and J.format == "csr"
+    assert_on_declared_pattern(J, H)
     want = n * np.kron(np.eye(8), coupling.fast_rate_matrix)
     V = v.reshape(8, 3)
     for z, m_z in enumerate(coupling.multipliers):
@@ -643,8 +652,7 @@ def test_slowfast_jacobian_over_a_dense_slow_jacobian_is_csr(dense_slow):
     # (exp underflow in the tilt) keep the pattern fixed
     with np.errstate(over="ignore", invalid="ignore"):
         J_far = H.jacobian(np.linspace(0.0, 2000.0, 24))
-    assert np.array_equal(J_far.indptr, J.indptr)
-    assert np.array_equal(J_far.indices, J.indices)
+    assert_on_declared_pattern(J_far, H)
 
 
 @given(
@@ -674,7 +682,7 @@ def test_slowfast_jacobian_gives_the_reference_newton_matrix(
     H = slowfast_hamiltonian(make_product_sequence(s, fast, n_members=3), n, coupling)
     v = np.repeat(v_slow, n_fast) + rng.uniform(-0.1, 0.1, n_slow * n_fast)
     J = H.jacobian(v)
-    assert sp.issparse(J) and J.format == "csr"
+    assert_on_declared_pattern(J, H)
     J_ref = jacobian_reference.slowfast(
         partial(jacobian_reference.upwind, b, dx), A_fast, coupling.multipliers, n, v
     )
@@ -719,7 +727,7 @@ def jacobian_case(kind, n_slow, seed):
 def test_newton_matrix_is_the_reference_subtraction(kind, n_slow, lam, zero_share, seed):
     rng = np.random.default_rng(seed)
     J = jacobian_case(kind, n_slow, seed)
-    pattern = _NewtonPattern.of(J)
+    pattern = _NewtonPattern.of((J.indptr, J.indices))
     # explicit zeros, and a stored diagonal J_ii = 1 / lam, so 1 - lam * J_ii
     # is 0 exactly when lam is a power of two: the reference's sparse
     # subtraction drops both kinds of zero from I - lam * J
@@ -730,7 +738,6 @@ def test_newton_matrix_is_the_reference_subtraction(kind, n_slow, lam, zero_shar
     if diag.size:
         J2.data[rng.choice(diag)] = 1.0 / lam
     for M in (J, J2):
-        assert pattern.fits(M)
         got = pattern.newton_matrix(M, lam)
         want = jacobian_reference.newton_matrix(M, lam)
         assert got.format == "csc" and got.has_canonical_format
@@ -741,43 +748,11 @@ def test_newton_matrix_is_the_reference_subtraction(kind, n_slow, lam, zero_shar
 def test_newton_matrix_drops_an_exact_zero_diagonal():
     J = sp.csr_matrix(np.array([[4.0, 0.0, 1.0], [0.0, 0.5, 0.0], [2.0, 0.0, 0.0]]))
     J.data[J.data == 1.0] = 0.0  # an explicit zero off the diagonal
-    A = _NewtonPattern.of(J).newton_matrix(J, 0.25)
+    A = _NewtonPattern.of((J.indptr, J.indices)).newton_matrix(J, 0.25)
     # 1 - 0.25 * 4 == 0 at (0, 0) and the explicit zero at (0, 2) are dropped;
     # (2, 2), where J stores nothing, gets the bare diagonal 1
     assert A.nnz == 3
     assert np.array_equal(A.toarray(), [[0.0, 0.0, 0.0], [0.0, 0.875, 0.0], [-0.5, 0.0, 1.0]])
-    assert not _NewtonPattern.of(J).fits(sp.csr_matrix(np.eye(3)))
-
-
-def test_slowfast_follows_a_slow_jacobian_whose_pattern_changes():
-    # a slow Jacobian that breaks the fixed-pattern contract: the upwind
-    # scheme's with its zeros pruned, so its pattern follows the upwinding
-    slow_space = unit_grid(64, "slow")
-    upwind = upwind_quadratic(slow_space, drift_sin(slow_space, 0.4))
-
-    def pruned(v):
-        J = upwind.jacobian(v)
-        J.eliminate_zeros()
-        return J
-
-    H = product_hamiltonian(upwind, 3, 8.0, 5)
-    H_pruned = product_hamiltonian(replace(upwind, jacobian=pruned), 3, 8.0, 5)
-    patterns = set()
-
-    def seen(v):
-        J = H_pruned.jacobian(v)
-        patterns.add(J.indices.tobytes())
-        return J
-
-    h = np.repeat(0.3 * np.cos(2.0 * np.pi * slow_space.coords[:, 0]), 3)
-    f, diag, _ = _solve(replace(H_pruned, jacobian=seen), 1.0, h, 1e-10)
-    f_ref, diag_ref, _ = _solve(H, 1.0, h, 1e-10)
-    assert len(patterns) > 1
-    assert diag.method == diag_ref.method == "newton"
-    assert np.abs(f - H.apply_values(f) - h).max() <= 1e-10
-    # the pruned zeros are zeros of I - lam * J too: the same steps
-    assert diag.iterations == diag_ref.iterations
-    assert np.array_equal(f, f_ref)
 
 
 def test_slowfast_newton_solve_matches_the_reference_jacobian_bit_for_bit():
@@ -792,10 +767,19 @@ def test_slowfast_newton_solve_matches_the_reference_jacobian_bit_for_bit():
     n = 8.0
     H = slowfast_hamiltonian(make_product_sequence(slow_space, fast, n_members=3), n, coupling)
     dx = float(np.diff(slow_space.coords[:, 0])[0])
-    H_ref = replace(H, jacobian=partial(
+    jac_ref = partial(
         jacobian_reference.slowfast, partial(jacobian_reference.upwind, b, dx),
         A_fast, coupling.multipliers, n,
-    ))
+    )
+    # the reference Jacobian's values, written onto the declared pattern
+    indptr, indices = H.jacobian_pattern
+    rows = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
+
+    def on_pattern(v):
+        data = np.asarray(jac_ref(v)[rows, indices]).ravel()
+        return sp.csr_matrix((data, indices, indptr), shape=(v.shape[0], v.shape[0]))
+
+    H_ref = replace(H, jacobian=on_pattern)
     h = np.repeat(0.3 * np.cos(2.0 * np.pi * slow_space.coords[:, 0]), 3)
     f, diag, _ = _solve(H, 1.0, h, 1e-10)
     f_ref, diag_ref, _ = _solve(H_ref, 1.0, h, 1e-10)
@@ -825,6 +809,8 @@ def test_averaged_slowfast_scales_by_the_stationary_average():
     assert np.allclose(H_bar.apply_values(v), c_bar * coupling.slow.apply_values(v))
     assert H_bar.space is coupling.slow.space
     assert H_bar.name == "slowfast_averaged"
+    # and so does its declared Jacobian pattern
+    assert H_bar.jacobian_pattern is coupling.slow.jacobian_pattern
     # the slow operator's Howard solver survives the averaging
     assert H_bar.custom_solver is not None
     h = Fn(H_bar.space, 0.3 * v)

@@ -1,12 +1,12 @@
 """Resolvent solves against oracles, family identities, and the Hhat graph."""
 
 import importlib.util
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from conftest import chain, unit_grid
 from hjlab import (
@@ -128,49 +128,6 @@ def test_centered_newton_solve_equals_the_earlier_step_bit_for_bit():
     assert np.array_equal(f, f_ref)
 
 
-def test_newton_stays_correct_when_the_jacobian_pattern_changes():
-    # a Jacobian that breaks the fixed-pattern contract: each call stores a
-    # different pattern in a different format, once with duplicate entries
-    # in unsorted rows
-    rng = np.random.default_rng(4)
-    n = 12
-    A = random_rate_matrix(rng, n)
-    A[A < 0.5] = 0.0
-    np.fill_diagonal(A, -A.sum(axis=1))
-    calls = 0
-
-    def jac(v):
-        nonlocal calls
-        calls += 1
-        J = sp.coo_matrix(A + np.diag(1.5 * np.cos(3.0 * v)))
-        if calls % 3 == 1:  # explicit zeros along the whole first row
-            rows = np.append(J.row, np.zeros(n, dtype=int))
-            cols = np.append(J.col, np.arange(n))
-            return sp.coo_matrix((np.append(J.data, np.zeros(n)), (rows, cols))).tocsc()
-        if calls % 3 == 2:  # every entry split in two halves
-            order = rng.permutation(2 * J.nnz)
-            rows = np.tile(J.row, 2)[order]
-            by_row = np.argsort(rows, kind="stable")
-            data = np.tile(0.5 * J.data, 2)[order][by_row]
-            cols = np.tile(J.col, 2)[order][by_row]
-            indptr = np.searchsorted(rows[by_row], np.arange(n + 1))
-            J = sp.csr_matrix((data, cols, indptr), shape=(n, n))
-            assert not J.has_canonical_format
-        return J
-
-    H = Hamiltonian(space=chain(n), apply_values=lambda v: A @ v + 0.5 * np.sin(3.0 * v),
-                    jacobian=jac)
-    h = rng.uniform(-2.0, 2.0, n)
-    f, its, res = resolvent._damped_newton(H, 2.0, h, h, 1e-12)
-    assert calls == its >= 3
-    assert np.abs(f - 2.0 * H.apply_values(f) - h).max() <= 1e-12
-    # the halves sum exactly and the zeros drop out of I - lam * J, so the
-    # earlier step, which subtracted whatever it was given, takes the same steps
-    calls = 0
-    f_ref, its_ref, _ = newton_reference.damped_newton(H, 2.0, h, h, 1e-12)
-    assert its == its_ref and np.array_equal(f, f_ref)
-
-
 def test_solve_rejects_bad_lambda_and_wrong_space():
     family, s = tilted_family()
     h = Fn(s, np.zeros(10))
@@ -210,13 +167,15 @@ def test_newton_restarts_when_large_data_overflow_the_start():
 def test_fixed_point_hands_over_to_newton_at_the_first_non_finite_residual():
     # a Lipschitz bound far below the true one keeps large data on the fixed
     # point, whose exp overflows; a nan residual must not read as progress
-    # and run the iteration to its cap before Newton takes over
+    # and run the iteration to its cap before Newton takes over; the overflow
+    # is caught, so numpy's warnings about it are noise and must not show
     tilted, s = tilted_family()
     H = replace(tilted.hamiltonian, lipschitz_bound=1e-3)
     rng = np.random.default_rng(1)
     for bound in (5.0, 20.0, 50.0):
         h = rng.uniform(-bound, bound, 10)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             f, diag, _ = resolvent._solve(H, 0.2, h, 1e-10)
         assert diag.method == "fixed_point+newton"
         assert diag.iterations < 50
