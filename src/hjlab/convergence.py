@@ -35,6 +35,7 @@ from .limits import (
     ConvergenceVerdict,
     Fn,
     FnSequence,
+    _burn_in,
     _envelope_excess,
     _gather,
     _lim_verdict,
@@ -159,6 +160,39 @@ class WitnessBundle:
     notes: tuple = ()
 
 
+def _sequence_records(
+    ens: EnlargedSpaceSequence,
+    f_seq: FnSequence,
+    g_seq: FnSequence,
+    f_lim: Fn,
+    g_lim: Fn,
+    tol: float,
+    n0: int,
+    sub: bool,
+) -> tuple[tuple, bool]:
+    """One record per tracked enlarged sequence, and whether all pass: a
+    sequence whose f-tail stays within tol of f(gamma(y)) is gated, and a
+    gated one passes when max g_n (sub) stays below g(y) + tol, or min g_n
+    (super) above g(y) - tol, from n0 on."""
+    records = []
+    seq_ok = True
+    for qi, q in enumerate(ens.base.compacts.labels):
+        idx = ens.tracked_enlarged(q)
+        y = ens.enlarged_limit_sets[qi]
+        fv = _gather(f_seq, idx)[n0:]
+        gv = _gather(g_seq, idx)[n0:]
+        gated = np.abs(fv - f_lim.values[ens.gamma[y]]).max(axis=0) <= tol
+        if sub:
+            margin = g_lim.values[y] + tol - gv.max(axis=0)
+        else:
+            margin = gv.min(axis=0) - (g_lim.values[y] - tol)
+        passed = ~gated | (margin >= 0.0)
+        seq_ok = seq_ok and bool(passed.all())
+        for yi, g, ok, m in zip(y.tolist(), gated.tolist(), passed.tolist(), margin.tolist()):
+            records.append({"q": q, "y": yi, "gated": g, "passed": ok, "margin": m if g else None})
+    return tuple(records), seq_ok
+
+
 def _check_ex_one_sided(
     op_seq: OperatorSequence,
     limit_pair: tuple,
@@ -171,7 +205,7 @@ def _check_ex_one_sided(
     sub: bool,
 ) -> WitnessBundle:
     ens = op_seq.spaces
-    n0 = ens.base.n0 if n0 is None else n0
+    n0 = _burn_in(ens.base, n0)
     f_lim, g_lim = limit_pair
     g_seq = _member_images(op_seq, f_seq, g_seq, membership_tol)
     bound = float(max(f_lim.norm, 1e-12))
@@ -190,22 +224,7 @@ def _check_ex_one_sided(
         g_bound = float(max(g.values.max() for g in g_seq.members))
     else:
         g_bound = float(min(g.values.min() for g in g_seq.members))
-    records = []
-    seq_ok = True
-    for qi, q in enumerate(ens.base.compacts.labels):
-        idx = ens.tracked_enlarged(q)
-        y = ens.enlarged_limit_sets[qi]
-        fv = _gather(f_seq, idx)[:, n0:]
-        gv = _gather(g_seq, idx)[:, n0:]
-        gated = np.abs(fv - f_lim.values[ens.gamma[y]][:, None]).max(axis=1) <= tol
-        if sub:
-            margin = g_lim.values[y] + tol - gv.max(axis=1)
-        else:
-            margin = gv.min(axis=1) - (g_lim.values[y] - tol)
-        passed = ~gated | (margin >= 0.0)
-        seq_ok = seq_ok and bool(passed.all())
-        for yi, g, ok, m in zip(y.tolist(), gated.tolist(), passed.tolist(), margin.tolist()):
-            records.append({"q": q, "y": yi, "gated": g, "passed": ok, "margin": m if g else None})
+    records, seq_ok = _sequence_records(ens, f_seq, g_seq, f_lim, g_lim, tol, n0, sub)
     notes = []
     if not trunc_ok:
         notes.append("truncated limits failed")
@@ -216,7 +235,7 @@ def _check_ex_one_sided(
         kind="sub" if sub else "super",
         truncation=tuple(truncation),
         g_bound=g_bound,
-        sequence_records=tuple(records),
+        sequence_records=records,
         notes=tuple(notes),
     )
 

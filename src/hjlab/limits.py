@@ -163,30 +163,44 @@ class ConvergenceVerdict:
 
 
 def _gather(fs: FnSequence, idx: np.ndarray) -> np.ndarray:
-    """f_n(z_n) along every tracked sequence: rows of idx, one column per member."""
-    return np.stack([f.values[idx[:, n]] for n, f in enumerate(fs.members)], axis=1)
+    """f_n(z_n) along every tracked sequence, member-major: row n holds member
+    n's values at column n of the index matrix idx, one entry per row of idx.
+    Reductions over members run over axis 0, along contiguous rows."""
+    return np.stack([f.values[idx[:, n]] for n, f in enumerate(fs.members)])
+
+
+def _burn_in(seq: SpaceSequence, n0: int | None) -> int:
+    """The burn-in index to use: seq.n0 when n0 is None, else n0, which must
+    name a member (0 <= n0 < n_members)."""
+    n0 = seq.n0 if n0 is None else n0
+    if not 0 <= n0 < seq.n_members:
+        raise PreconditionError(
+            f"burn-in index n0={n0} outside [0, {seq.n_members}) members"
+        )
+    return n0
 
 
 def _lim_verdict(
     fs: FnSequence,
     f: Fn,
     tol: float,
-    n0: int,
+    n0: int | None,
     tracked: Callable[..., np.ndarray],
     limit_sets: Sequence[np.ndarray],
 ) -> ConvergenceVerdict:
     """LIM f_n = f along the tracked(q) index matrices, whose rows converge to
     the points limit_sets[qi] of the space f lives on."""
+    n0 = _burn_in(fs.spaces, n0)
     per_level: dict = {}
     passed = True
     notes: list[str] = []
     for qi, q in enumerate(fs.spaces.compacts.labels):
         limit_idx = limit_sets[qi]
-        dev = np.abs(_gather(fs, tracked(q)) - f.values[limit_idx][:, None])
-        worst_per_seq = dev[:, n0:].max(axis=1)
+        dev = np.abs(_gather(fs, tracked(q)) - f.values[limit_idx])
+        worst_per_seq = dev[n0:].max(axis=0)
         i_worst = int(np.argmax(worst_per_seq))
         worst = float(worst_per_seq[i_worst])
-        per_member = dev.max(axis=0)
+        per_member = dev.max(axis=1)
         level_ok = worst <= tol
         passed = passed and level_ok
         if per_member.size - n0 >= 2 and per_member[-1] > per_member[n0] + tol:
@@ -209,19 +223,18 @@ def _lim_verdict(
 
 def check_LIM(fs: FnSequence, f: Fn, tol: float, n0: int | None = None) -> ConvergenceVerdict:
     """Verdict on LIM f_n = f at the given tolerance and burn-in index."""
-    n0 = fs.spaces.n0 if n0 is None else n0
     return _lim_verdict(fs, f, tol, n0, fs.spaces.tracked, fs.spaces.compacts.limit_sets)
 
 
 def _envelope(fs: FnSequence, n0: int | None, upper: bool) -> ExtFn:
-    n0 = fs.spaces.n0 if n0 is None else n0
+    n0 = _burn_in(fs.spaces, n0)
     out = np.full(fs.spaces.limit.size, -np.inf if upper else np.inf)
     for qi, q in enumerate(fs.spaces.compacts.labels):
-        tail = _gather(fs, fs.spaces.tracked(q))[:, n0:]
+        tail = _gather(fs, fs.spaces.tracked(q))[n0:]
         if upper:
-            np.maximum.at(out, fs.spaces.compacts.limit_sets[qi], tail.max(axis=1))
+            np.maximum.at(out, fs.spaces.compacts.limit_sets[qi], tail.max(axis=0))
         else:
-            np.minimum.at(out, fs.spaces.compacts.limit_sets[qi], tail.min(axis=1))
+            np.minimum.at(out, fs.spaces.compacts.limit_sets[qi], tail.min(axis=0))
     return ExtFn(fs.spaces.limit, out)
 
 

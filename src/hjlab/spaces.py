@@ -19,6 +19,7 @@ the limit itself and the projection is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Hashable, Sequence
 
 import numpy as np
@@ -61,7 +62,6 @@ class FiniteSpace:
             raise ValueError("point labels must be distinct")
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.points)})
 
     @property
     def size(self) -> int:
@@ -70,6 +70,11 @@ class FiniteSpace:
     @property
     def dim(self) -> int:
         return self.coords.shape[1]
+
+    @cached_property
+    def _index(self) -> dict:
+        # label -> position, built on the first index() call
+        return {p: i for i, p in enumerate(self.points)}
 
     def index(self, point: Hashable) -> int:
         return self._index[point]
@@ -122,8 +127,9 @@ def _nearest(coords: np.ndarray, pool: np.ndarray, targets: np.ndarray) -> np.nd
 
 
 def _index_matrix(columns: list) -> np.ndarray:
-    # one column per member, frozen so cached matrices cannot be edited
-    idx = np.stack(columns, axis=1)
+    # one column per member, each stored contiguously (the transpose of a
+    # member-major stack), frozen so cached matrices cannot be edited
+    idx = np.stack(columns).T
     idx.setflags(write=False)
     return idx
 
@@ -210,7 +216,9 @@ class SpaceSequence:
         """Nearest-point lifting of every limit point of K^q, as a read-only
         (n_targets, n_members) index matrix: row i is the tracked sequence of
         limit point compacts.limit_sets[qi][i], and column n holds the closest
-        point of K_n^q in the ambient embedding."""
+        point of K_n^q in the ambient embedding.  Each column is stored
+        contiguously, so gathering one member's values along all tracked
+        sequences reads one contiguous index array."""
         key = ("tracked", q)
         if key not in self._cache:
             qi = self.compacts.level(q)

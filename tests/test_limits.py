@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import unit_grid
-from oracles import limit_reference
+from oracles import limit_core_reference, limit_reference
 from hjlab import (
     CompactFamily,
     ExtFn,
@@ -20,10 +20,12 @@ from hjlab import (
     compute_LIMSUP,
     lift_to_members,
     make_grid_sequence,
+    make_product_sequence,
     sandwich_to_LIM,
     trig_polynomial,
 )
-from hjlab.limits import pair_norm
+from hjlab.convergence import _sequence_records
+from hjlab.limits import _lim_verdict, pair_norm
 
 
 def test_fn_rejects_bad_values():
@@ -236,3 +238,92 @@ def test_array_core_matches_the_per_point_reference(r0, factor, n0, seed, tol, c
     for upper, compute in ((True, compute_LIMSUP), (False, compute_LIMINF)):
         got = compute(fs).values.tolist()
         assert got == limit_reference.envelope(seq, member_values, n0, upper)
+
+
+def _verdict_bytes(v):
+    # every float as its bytes, so a zero's sign and the last bit both count
+    return (v.passed, v.n0, v.notes, np.float64(v.uniform_bound).tobytes(), [
+        (q, np.float64(r["worst_dev"]).tobytes(), r["witness_limit_index"],
+         r["per_member_dev"].dtype, r["per_member_dev"].tobytes(), r["passed"])
+        for q, r in v.per_level.items()
+    ])
+
+
+# Member values drawn from a few levels tie often, and carry both +0.0 and
+# -0.0, so the member-major reductions must pick the same element of every
+# tie as the target-major ones.
+@settings(max_examples=60, deadline=None)
+@given(
+    product=st.booleans(),
+    res=st.lists(st.integers(3, 12), min_size=3, max_size=5, unique=True),
+    n0=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from([0.0, 0.5, 1.0]),
+    sub=st.booleans(),
+)
+def test_member_major_core_matches_the_target_major_reference_bytewise(
+    product, res, n0, seed, tol, sub
+):
+    if product:
+        ens = make_product_sequence(
+            unit_grid(res[0], "slow"), unit_grid(3, "fast"), n_members=len(res),
+            q_fractions=(0.5,),
+        )
+        seq = ens.base
+    else:
+        seq = make_grid_sequence((0.0, 1.0), sorted(res), q_widths=(0.4, 0.7), n0=0)
+        ens = seq.as_enlarged()
+    n0 = min(n0, seq.n_members - 1)
+    rng = np.random.default_rng(seed)
+    levels = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
+
+    def values(space):
+        return levels[rng.integers(0, levels.size, space.size)]
+
+    fs = FnSequence(seq, tuple(Fn(m, values(m)) for m in seq.members))
+    gs = FnSequence(seq, tuple(Fn(m, values(m)) for m in seq.members))
+    f = Fn(seq.limit, values(seq.limit))
+    g = Fn(ens.enlarged_limit, values(ens.enlarged_limit))
+
+    assert _verdict_bytes(check_LIM(fs, f, tol, n0=n0)) == _verdict_bytes(
+        limit_core_reference._lim_verdict(fs, f, tol, n0, seq.tracked, seq.compacts.limit_sets)
+    )
+    # the enlarged second-component verdict of check_ex_lim
+    args = (gs, g, tol, n0, ens.tracked_enlarged, ens.enlarged_limit_sets)
+    assert _verdict_bytes(_lim_verdict(*args)) == _verdict_bytes(
+        limit_core_reference._lim_verdict(*args)
+    )
+    for upper, compute in ((True, compute_LIMSUP), (False, compute_LIMINF)):
+        want = limit_core_reference._envelope(fs, n0, upper)
+        assert compute(fs, n0=n0).values.tobytes() == want.values.tobytes()
+
+    f_lim = Fn(seq.limit, values(seq.limit))
+    got_records, got_ok = _sequence_records(ens, fs, gs, f_lim, g, tol, n0, sub)
+    want_records, want_ok = limit_core_reference.sequence_records(
+        ens, fs, gs, f_lim, g, tol, n0, sub
+    )
+    # repr spells every float exactly, the sign of a zero included
+    assert repr(got_records) == repr(want_records)
+    assert got_ok == want_ok
+
+
+def test_burn_in_index_must_name_a_member():
+    # only the last of three members matches f, so n0 = 2 passes and n0 = 0
+    # fails; n0 = -1 would count from the end and n0 = 3 leaves no tail
+    seq = make_grid_sequence((0.0, 1.0), [8, 16, 32], n0=0)
+    f = trig_polynomial(seq.limit, [0.0, 1.0])
+    lifted = lift_to_members(f, seq)
+    members = tuple(
+        Fn(m, v.values + (5.0 if n < 2 else 0.0))
+        for n, (m, v) in enumerate(zip(seq.members, lifted.members))
+    )
+    fs = FnSequence(seq, members)
+    assert check_LIM(fs, f, tol=0.5, n0=2).passed
+    assert not check_LIM(fs, f, tol=0.5, n0=0).passed
+    for n0 in (-1, 3):
+        with pytest.raises(PreconditionError, match="burn-in"):
+            check_LIM(fs, f, tol=0.5, n0=n0)
+        with pytest.raises(PreconditionError, match="burn-in"):
+            compute_LIMSUP(fs, n0=n0)
+        with pytest.raises(PreconditionError, match="burn-in"):
+            compute_LIMINF(fs, n0=n0)

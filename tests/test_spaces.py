@@ -28,6 +28,15 @@ def test_finite_space_normalizes_coords_and_indexes_points():
     assert s.index("b") == 1
 
 
+def test_finite_space_builds_its_label_map_on_first_use():
+    s = FiniteSpace(points=(("a", 0), ("b", 1)), coords=np.array([0.0, 1.0]))
+    assert "_index" not in vars(s)
+    assert s.index(("b", 1)) == 1
+    assert "_index" in vars(s)
+    with pytest.raises(ValueError, match="distinct"):
+        FiniteSpace(points=("a", "b", "a"), coords=np.arange(3.0))
+
+
 def test_finite_space_equality_is_identity():
     a, b = unit_grid(4), unit_grid(4)
     assert a == a
@@ -205,6 +214,25 @@ def test_tracked_sequences_stay_within_member_spacing():
         target = seq.limit.coords[limit_idx, 0]
         # the embedding does not wrap, so the right edge costs one spacing
         assert np.all(np.abs(got - target) <= 1.0 / m.size + 1e-12)
+
+
+def test_tracked_matrices_are_read_only_with_contiguous_member_columns():
+    # perfbench's tracer counts tracked sequences as len() of these matrices
+    seq = make_grid_sequence((0.0, 1.0), [8, 16, 32], q_widths=(0.5,))
+    product = make_product_sequence(unit_grid(4, "slow"), unit_grid(3, "fast"), n_members=4)
+    cases = [(seq.tracked, seq.compacts.limit_sets, seq)]
+    for ens in (seq.as_enlarged(), product):
+        cases.append((ens.tracked_enlarged, ens.enlarged_limit_sets, ens.base))
+    for tracked, limit_sets, base in cases:
+        for qi, q in enumerate(base.compacts.labels):
+            idx = tracked(q)
+            assert idx.shape == (limit_sets[qi].size, base.n_members)
+            assert len(idx) == limit_sets[qi].size
+            assert not idx.flags.writeable
+            assert all(idx[:, n].flags.c_contiguous for n in range(base.n_members))
+            with pytest.raises(ValueError):
+                idx[0, 0] = 0
+            assert tracked(q) is idx
 
 
 def test_trivial_enlargement_has_identity_gamma():
