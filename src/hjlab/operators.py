@@ -84,9 +84,19 @@ class Hamiltonian:
     constructors in this module declare a pattern.
 
     custom_solver, when set, inverts f - lam * Hf = h better than generic
-    Newton can (signature: (lam, h, f0, tol) -> (f, iters, res), raising
-    SolverError when it does not reach tol from f0); schemes with max-type
-    kinks supply policy iteration through it.
+    Newton can (signature: (lam, h, f0, tol) -> (f, iters, res) with iters an
+    int and res a float, raising SolverError when it does not reach tol from
+    f0); schemes with max-type kinks supply policy iteration through it.
+
+    stacked_solver, when set, is custom_solver for a stack of k problems at
+    once: (lam, h, f0, tol) with lam of shape (k,) and h, f0 of shape (k, n)
+    -> (f, iters, res) of shapes (k, n), (k,), (k,), where row i equals
+    custom_solver(lam[i], h[i], f0[i], tol) bit for bit, and raising
+    SolverError when a row does not reach tol.  It pays the per-solve overhead
+    once per stack (ResolventFamily.solve_all).  Like jacobian_pattern it is
+    declared by the constructor, and a copy that replaces custom_solver must
+    replace it too.  The upwind scheme declares its Howard iteration (_howard)
+    here and its one-row case as custom_solver.
     """
 
     space: FiniteSpace
@@ -97,6 +107,7 @@ class Hamiltonian:
     name: str = ""
     custom_solver: Callable | None = None
     jacobian_pattern: tuple | None = field(default=None, repr=False, compare=False)
+    stacked_solver: Callable | None = field(default=None, repr=False, compare=False)
 
     def __call__(self, f: Fn) -> Fn:
         if f.space != self.space:
@@ -110,10 +121,12 @@ def scale_hamiltonian(c: float, H: Hamiltonian) -> Hamiltonian:
     jac = None
     if H.jacobian is not None:
         jac = lambda v: c * H.jacobian(v)
-    solver = None
+    solver = stacked = None
     if H.custom_solver is not None and c > 0:
         # f - lam * (cH) f = h is f - (lam c) H f = h
         solver = lambda lam, h, f0, tol: H.custom_solver(c * lam, h, f0, tol)
+    if H.stacked_solver is not None and c > 0:
+        stacked = lambda lam, h, f0, tol: H.stacked_solver(c * lam, h, f0, tol)
     return Hamiltonian(
         space=H.space,
         apply_values=lambda v: c * H.apply_values(v),
@@ -123,6 +136,7 @@ def scale_hamiltonian(c: float, H: Hamiltonian) -> Hamiltonian:
         name=f"{c}*{H.name}" if H.name else "",
         custom_solver=solver,
         jacobian_pattern=H.jacobian_pattern,
+        stacked_solver=stacked,
     )
 
 
@@ -470,13 +484,14 @@ CASCADE_MIN_POINTS = 256
 
 
 def _prev(v: np.ndarray) -> np.ndarray:
-    # v[i - 1] at every i, periodically; cheaper per call than a general roll
-    return np.concatenate((v[-1:], v[:-1]))
+    # v[i - 1] at every i along the last axis, periodically; cheaper per call
+    # than a general roll
+    return np.concatenate((v[..., -1:], v[..., :-1]), axis=-1)
 
 
 def _next(v: np.ndarray) -> np.ndarray:
-    # v[i + 1] at every i, periodically
-    return np.concatenate((v[1:], v[:1]))
+    # v[i + 1] at every i along the last axis, periodically
+    return np.concatenate((v[..., 1:], v[..., :1]), axis=-1)
 
 
 def _upwind_diffs(dx: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -505,7 +520,8 @@ def upwind_quadratic(
     is nonincreasing in the backward difference and nondecreasing in the
     forward one, which is the orientation that makes the implicit equation
     f - lambda * Hf = h comparison-compatible (check_degenerate_elliptic).
-    Its resolvent is solved by Howard iteration (_howard).
+    Its resolvent is solved by Howard iteration (_howard), declared as the
+    stacked solver; the custom solver is its one-row case.
     """
     dx = _grid_spacing(space)
     b = np.asarray(drift, dtype=float).reshape(-1)
@@ -513,6 +529,7 @@ def upwind_quadratic(
         raise PreconditionError("drift must have one value per grid point")
     theta = 0.5 * b
     pattern, assemble = _periodic_stencil(b.shape[0], (0, -1, 1))
+    howard = partial(_howard, b, dx)
 
     def jac(v: np.ndarray) -> sp.csr_matrix:
         p_minus, p_plus = _upwind_diffs(dx, v)
@@ -529,7 +546,8 @@ def upwind_quadratic(
     return Hamiltonian(
         space=space, apply_values=partial(_upwind_value, b, dx), jacobian=jac,
         lipschitz_bound=None, monotone=True, name=name,
-        custom_solver=partial(_howard, b, dx), jacobian_pattern=pattern,
+        custom_solver=partial(_one_row, howard), jacobian_pattern=pattern,
+        stacked_solver=howard,
     )
 
 
@@ -540,24 +558,34 @@ def upwind_quadratic(
 # spurious branches, unlike Newton on the kinked scheme.  The frozen matrix is
 # periodic tridiagonal, so each step is an O(n) banded solve with a rank-one
 # correction for the wrap-around corners.
-def _value_and_control(b: np.ndarray, dx: float, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _value_and_control(
+    b: np.ndarray, theta: np.ndarray, dx: float, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The scheme value at v (as _upwind_value) and the improved control, from
-    one evaluation of the upwind differences and the two branches."""
-    p_minus, p_plus = _upwind_diffs(dx, v)
-    theta = 0.5 * b
+    one evaluation of the upwind differences and the two branches.  v is one
+    value vector or a stack of them, one per row, and b and theta = b / 2
+    have its shape."""
+    p_minus = (v - _prev(v)) / dx
+    p_plus = _next(p_minus)  # p_plus[i] = p_minus[i + 1] = (v[i + 1] - v[i]) / dx
     val_bwd = _hval(b, np.minimum(p_minus, theta))
     val_fwd = _hval(b, np.maximum(p_plus, theta))
+    # p + p is 2 p exactly, and numpy adds two arrays faster than it scales one
     a = np.where(
         val_fwd >= val_bwd,
-        np.maximum(2.0 * p_plus - b, 0.0),
-        np.minimum(2.0 * p_minus - b, 0.0),
+        np.maximum(p_plus + p_plus - b, 0.0),
+        np.minimum(p_minus + p_minus - b, 0.0),
     )
     return np.maximum(val_bwd, val_fwd), a
 
 
 def _policy_step(
-    b: np.ndarray, dx: float, a: np.ndarray, lam: float, h: np.ndarray
+    b: np.ndarray, dx: float, a: np.ndarray, lam, h: np.ndarray
 ) -> np.ndarray:
+    """The next Howard iterate for the control a at lam with data h: of one
+    problem when a and h have shape (n,) and lam is a scalar, and of a stack
+    when they have shape (k, n) and lam is a (k, 1) column or a scalar, row i
+    solving the frozen system of a[i] at lam[i] with data h[i].  b broadcasts
+    against a."""
     # The frozen system is tridiagonal plus the two periodic corners
     # sup[n-1] at (n-1, 0) and sub[0] at (0, n-1).  Write it as a banded
     # matrix T plus the rank-one term u v^T, u = gamma e_0 + sup[n-1] e_{n-1},
@@ -565,66 +593,143 @@ def _policy_step(
     # gamma = -diag[0] the corners only grow T's diagonal, so T stays
     # strictly diagonally dominant (cyclic tridiagonal solve, Numerical
     # Recipes 2.7).
-    n = a.shape[0]
+    # every row's first and last entries: scalars for one problem, columns
+    # for a stack
+    first, last = (0, -1) if a.ndim == 1 else (np.s_[:, :1], np.s_[:, -1:])
     a_pos = np.maximum(a, 0.0)
     a_neg = np.minimum(a, 0.0)
-    diag = 1.0 + lam * (a_pos - a_neg) / dx
     sup = -lam * a_pos / dx
     sub = lam * a_neg / dx
-    gamma = -diag[0]
-    ratio = sub[0] / gamma
-    rhs = np.zeros((n, 2), order="F")
-    rhs[:, 0] = h - 0.25 * lam * (a + b) ** 2
-    rhs[0, 1] = gamma
-    rhs[-1, 1] = sup[-1]
-    diag[0] -= gamma
-    diag[-1] -= sup[-1] * ratio
+    # 1 + lam * |a| / dx: in every cell one of sup and sub is zero and the
+    # other is -lam * |a| / dx, exactly
+    diag = 1.0 - (sup + sub)
+    gamma = -diag[first]
+    ratio = sub[first] / gamma
+    # the right-hand sides y and z of every row, as the two columns of one
+    # Fortran-ordered (k * n, 2) array
+    rhs = np.zeros((2,) + a.shape)
+    y, z = rhs[0], rhs[1]
+    np.subtract(h, 0.25 * lam * (a + b) ** 2, out=y)
+    z[first] = gamma
+    z[last] = sup[last]
+    diag[first] -= gamma
+    diag[last] -= sup[last] * ratio
+    # The rows' systems are the blocks of one block-diagonal system, whose
+    # entries between blocks are exact zeros.  Partial pivoting never swaps
+    # across a zero subdiagonal entry, the factorization of every block is
+    # that of its own solve, and the elimination and back substitution across
+    # a block boundary add or subtract exact zeros.  x - (-0.0) turns a -0.0
+    # into +0.0, so the only bits this can change are the signs of exact zeros.
+    sub[first] = 0.0
+    sup[last] = 0.0
     # LAPACK gtsv overwrites its three diagonals and the right-hand sides
-    *_, x, info = dgtsv(sub[1:], diag, sup[:-1], rhs, 1, 1, 1, 1)
+    *_, x, info = dgtsv(
+        sub.reshape(-1)[1:], diag.reshape(-1), sup.reshape(-1)[:-1],
+        rhs.reshape(2, -1).T, 1, 1, 1, 1,
+    )
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
-    y, z = x.T
-    return y - ((y[0] + ratio * y[-1]) / (1.0 + z[0] + ratio * z[-1])) * z
+    f, z = x.T.reshape(rhs.shape)
+    c = (f[first] + ratio * f[last]) / (1.0 + z[first] + ratio * z[last])
+    # f = y - c z, in place
+    z *= c
+    f -= z
+    if f.ndim == 2 and f.shape[0] > 1:
+        # a nonzero entry of f is the same from either zero sign in y or z, but
+        # an exact zero may carry the other sign than its row's own solve
+        # gives: such a row is solved again alone
+        b = np.broadcast_to(b, f.shape)
+        lam = np.broadcast_to(lam, (f.shape[0], 1))
+        for i in np.flatnonzero((f == 0.0).any(axis=1)):
+            f[i] = _policy_step(b[i], dx, a[i], lam[i, 0], h[i])
+    return f
 
 
 def _howard(
-    b: np.ndarray, dx: float, lam: float, h: np.ndarray, f0: np.ndarray, tol: float
-) -> tuple[np.ndarray, int, float]:
+    b: np.ndarray, dx: float, lam: np.ndarray, h: np.ndarray, f0: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve f - lam * Hf = h for the upwind scheme with drift b on a periodic
-    grid of spacing dx: Howard iteration on the control form, which improves
-    the control per cell and then solves the resulting linear transport system
-    exactly.  Convergence is judged on the true scheme residual.
+    grid of spacing dx, for a stack of k problems: lam has shape (k,), h and the
+    starts f0 have shape (k, n), and row i is the problem (lam[i], h[i]) from
+    f0[i].  Returns the solutions (k, n), the iteration counts (k,) and the
+    residuals (k,).  Howard iteration on the control form improves the
+    control per cell and then solves the resulting linear transport system
+    exactly; convergence is judged on the true scheme residual, row by row.
+    A row that has converged drops out: later steps evaluate the scheme,
+    improve the control and solve the frozen systems (one gtsv call, see
+    _policy_step) only for the rows still iterating.  Every row gets the bits,
+    iteration count and residual of its own one-row solve.
 
     A cold start can need about one step per cell the information has to
     cross, so the iteration is a cascade (cascadic multigrid, Bornemann &
-    Deuflhard 1996): an even grid of at least CASCADE_MIN_POINTS points first solves the
-    same scheme on the half grid (drift b[::2], spacing 2 dx, data h[::2],
-    start f0[::2]), recursively, and starts from that solution interpolated
-    linearly and periodically.  Howard converges from any start for this
-    monotone scheme (Bokanowski, Maroso & Zidani 2009), so the start changes
-    the work, not the solution reached.  The returned iteration count is the
-    sum of Howard steps over all levels; a SolverError carries that sum too.
+    Deuflhard 1996): an even grid of at least CASCADE_MIN_POINTS points first
+    solves the same stack on the half grid (drift b[::2], spacing 2 dx, data
+    h[:, ::2], starts f0[:, ::2]), recursively, and starts from those solutions
+    interpolated linearly and periodically.  Howard converges from any start
+    for this monotone scheme (Bokanowski, Maroso & Zidani 2009), so the start
+    changes the work, not the solution reached.  A row's iteration count is
+    the sum of its Howard steps over all levels.  When a row does not reach
+    tol within the step budget, the SolverError names the first such row's
+    residual and carries its count.
     """
+    k, n = h.shape
     f = f0.copy()
-    done = 0
-    n = f.shape[0]
+    iterations = np.zeros(k, dtype=int)
     if n % 2 == 0 and n >= CASCADE_MIN_POINTS:
-        fc, done, _ = _howard(b[::2], 2.0 * dx, lam, h[::2], f0[::2], tol)
-        f[::2] = fc
-        f[1::2] = 0.5 * (fc + _next(fc))
+        fc, iterations, _ = _howard(b[::2], 2.0 * dx, lam, h[:, ::2], f0[:, ::2], tol)
+        f[:, ::2] = fc
+        f[:, 1::2] = 0.5 * (fc + _next(fc))
     sweeps = max(500, n // 8)  # per level, enough for a cold start
+    # The rows still iterating, with their iterates, data, lambdas, drifts
+    # and half drifts.  One problem iterates on 1-D arrays with a scalar
+    # lambda, and a stack on (k, n) arrays with the drift repeated per row:
+    # numpy spends less per operation on 1-D arrays and scalars than on
+    # (1, n) arrays, and less on operands of one shape than on broadcast ones.
+    rows = np.arange(k)
+    if k == 1:
+        f_it, h_it, lam_it, b_it = f[0], h[0], float(lam[0]), np.ascontiguousarray(b)
+    else:
+        f_it, h_it, lam_it, b_it = f, h, lam[:, None], np.tile(b, (k, 1))
+    theta_it = 0.5 * b_it
+    residuals = np.empty(k)
     for it in range(sweeps + 1):
-        value, a = _value_and_control(b, dx, f)
-        res = float(np.abs(f - lam * value - h).max())
-        if res <= tol:
-            return f, done + it, res
+        value, a = _value_and_control(b_it, theta_it, dx, f_it)
+        # the residual of every row, as an array also for one problem;
+        # maximum.reduce is what .max() calls
+        res = np.maximum.reduce(np.abs(f_it - lam_it * value - h_it).reshape(-1, n), axis=1)
+        # Python compares a short list faster than numpy a small array
+        ok = [r <= tol for r in res.tolist()]
+        converged = ok.count(True)
+        if converged == k:  # every row at once: f_it holds them all
+            iterations += it
+            return f_it.reshape(k, n), iterations, res
+        if converged:
+            ok = np.array(ok)
+            done = rows[ok]
+            f[done] = f_it[ok]
+            iterations[done] += it
+            residuals[done] = res[ok]
+            if converged == rows.shape[0]:
+                return f, iterations, residuals
+            left = ~ok
+            rows, f_it, h_it, lam_it = rows[left], f_it[left], h_it[left], lam_it[left]
+            a, res = a[left], res[left]
+            b_it, theta_it = b_it[: rows.shape[0]], theta_it[: rows.shape[0]]
         if it < sweeps:
-            f = _policy_step(b, dx, a, lam, h)
+            f_it = _policy_step(b_it, dx, a, lam_it, h_it)
     raise SolverError(
-        f"policy iteration did not converge: residual {res:.3g}", iterations=done + sweeps
+        f"policy iteration did not converge: residual {res[0]:.3g}",
+        iterations=int(iterations[rows[0]]) + sweeps,
     )
+
+
+def _one_row(stacked: Callable, lam: float, h: np.ndarray, f0: np.ndarray, tol: float):
+    """The custom-solver protocol (lam, h, f0, tol) -> (f, iterations,
+    residual) as the one-row case of a stacked solver."""
+    f, iterations, residuals = stacked(np.array([lam], dtype=float), h[None], f0[None], tol)
+    return f[0], int(iterations[0]), float(residuals[0])
 
 
 def centered_quadratic(

@@ -20,13 +20,14 @@ A custom or Newton step that fails at the full lambda falls back to one
 lambda continuation (the same for both), which walks lambda up from
 lambda / 16 with warm starts.  Residual tolerance is 1e-10 in the sup norm by
 default.  solve_resolvent caches solutions per (lambda, h) so repeated sweeps
-are cheap; a hit returns the stored entry, diagnostics included.  The steps of
-an iteration (crandall_liggett) never repeat a right-hand side, so they go
-through the uncached _solve and leave the cache untouched.  Each step's
-right-hand side is the previous step's solution, whose lambda * H f the
-fixed point computed for its last residual; _solve returns it and takes it
-back, so the next step starts from it instead of applying H to the same
-values again.  The algebraic checks:
+are cheap; a hit returns the stored entry, diagnostics included.
+ResolventFamily.solve_all solves a list of (lambda, h) pairs through the same
+cache, and first solves the pairs not yet cached in one call of the
+Hamiltonian's stacked solver when it declares one.  The steps of an iteration
+(crandall_liggett) never repeat a right-hand side, so they bypass the cache:
+on the fixed-point path they run _fixed_point_step directly (the path follows
+from H and lambda, which a run does not change), otherwise the uncached
+_solve.  The algebraic checks:
 
   * pseudo-resolvent identity
         R(beta) h = R(alpha)[ R(beta) h - (alpha/beta)(R(beta) h - h) ]
@@ -103,6 +104,42 @@ class ResolventFamily:
     def solve(self, lam: float, h: Fn) -> Fn:
         f, _ = solve_resolvent(self, lam, h)
         return f
+
+    def solve_all(self, problems: Sequence[tuple[float, Fn]]) -> list[Fn]:
+        """R(lam) h for every (lam, h) in problems, in order, through the cache.
+
+        When the Hamiltonian declares a stacked solver, the problems not yet
+        cached are first solved in one stacked call and stored under
+        solve_resolvent's keys, with the diagnostics of a custom solve.  Every
+        problem then goes through solve_resolvent, which finds those cached.
+        Without a stacked solver, or when the stacked call raises, each
+        problem is solved there one at a time, so errors read as they do for
+        single solves."""
+        stacked = self.hamiltonian.stacked_solver
+        if stacked is not None:
+            keys = [_cache_key(self, lam, h) for lam, h in problems]
+            with self._lock:
+                misses = {
+                    key: h for key, (_, h) in zip(keys, problems) if key not in self._cache
+                }
+            if misses:
+                self._store_stacked(stacked, misses)
+        return [solve_resolvent(self, lam, h)[0] for lam, h in problems]
+
+    def _store_stacked(self, stacked, misses: dict) -> None:
+        lams = np.array([lam for lam, _ in misses])
+        hs = np.array([h.values for h in misses.values()])
+        try:
+            f, iterations, residuals = stacked(lams, hs, hs, self.tol_residual)
+        except (SolverError, ValueError):
+            return  # solve_resolvent solves them one at a time
+        with self._lock:
+            for i, key in enumerate(misses):
+                diag = SolveDiagnostics(
+                    lam=key[0], method="custom", iterations=int(iterations[i]),
+                    residual=float(residuals[i]), from_cache=True,
+                )
+                self._cache[key] = (Fn(self.space, f[i]), diag)
 
     @property
     def space(self):
@@ -250,10 +287,6 @@ def _continuation(
     return f, total, res
 
 
-# H overflowing (exp in a tilt) makes the residual non-finite, which hands over
-# to Newton at once; numpy's warnings about those values are noise, as in
-# _damped_newton.
-@np.errstate(over="ignore", invalid="ignore")
 def _fixed_point(
     H: Hamiltonian,
     lam: float,
@@ -266,7 +299,10 @@ def _fixed_point(
     lam * H f).  lam_Hf0, when the caller has it, is lam * H f0 (a
     Crandall-Liggett step's start is the previous step's result, whose
     lam * H f that step computed for its residual); neither f0 nor lam_Hf0 is
-    written to."""
+    written to.  H overflowing (exp in a tilt) makes the residual non-finite,
+    which ends the iteration at once; callers run it inside
+    np.errstate(over="ignore", invalid="ignore"), because numpy's warnings
+    about those values are noise, as in _damped_newton."""
     # lam * H f_k serves both iterate k's residual and the update to iterate k + 1
     lam_Hf = lam * H.apply_values(f0) if lam_Hf0 is None else lam_Hf0
     res_prev = np.inf
@@ -291,26 +327,36 @@ def _fixed_point(
     return f, MAX_ITER_FIXED_POINT, res, False, lam_Hf
 
 
-def _solve(
-    H: Hamiltonian, lam: float, h: np.ndarray, tol: float, lam_Hh: np.ndarray | None = None
-) -> tuple[np.ndarray, SolveDiagnostics, np.ndarray | None]:
-    """Solve f - lam * H f = h to tol, uncached; the path follows from H and
-    lam alone (see the module docstring).
-
-    lam_Hh, when given, is lam * H h; the fixed-point path starts from it
-    instead of applying H to h.  The third value returned is lam * H f on the
-    fixed-point path, for the next step of an iteration to pass back in, and
-    None on every other path (a Newton handover included)."""
+def _takes_fixed_point(H: Hamiltonian, lam: float) -> bool:
+    """The path rule's first branch: the plain fixed point, when H has no
+    custom solver and lam * L < 0.9 for a known Lipschitz bound L."""
     L = H.lipschitz_bound
-    lam_Hf = None
-    if H.custom_solver is None and L is not None and lam * L < 0.9:
-        f, iterations, res, ok, lam_Hf = _fixed_point(H, lam, h, h, tol, lam_Hh)
-        used = "fixed_point"
-        if not ok:
-            f, its, res = _newton(H, lam, h, f, tol)
-            iterations += its
-            used = "fixed_point+newton"
-            lam_Hf = None
+    return H.custom_solver is None and L is not None and lam * L < 0.9
+
+
+def _fixed_point_step(
+    H: Hamiltonian, lam: float, h: np.ndarray, tol: float, lam_Hh: np.ndarray | None = None
+) -> tuple[np.ndarray, int, float, str, np.ndarray | None]:
+    """Solve f - lam * H f = h on the fixed-point path: the fixed point from h,
+    handing over to Newton from its last iterate when it does not converge.
+    lam_Hh, when given, is lam * H h.  Returns (f, iterations, residual,
+    method, lam * H f), the last None after a handover.  Run it inside
+    np.errstate(over="ignore", invalid="ignore") (see _fixed_point)."""
+    f, iterations, res, ok, lam_Hf = _fixed_point(H, lam, h, h, tol, lam_Hh)
+    if ok:
+        return f, iterations, res, "fixed_point", lam_Hf
+    f, its, res = _newton(H, lam, h, f, tol)
+    return f, iterations + its, res, "fixed_point+newton", None
+
+
+def _solve(
+    H: Hamiltonian, lam: float, h: np.ndarray, tol: float
+) -> tuple[np.ndarray, SolveDiagnostics]:
+    """Solve f - lam * H f = h to tol, uncached; the path follows from H and
+    lam alone (see the module docstring)."""
+    if _takes_fixed_point(H, lam):
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, iterations, res, used, _ = _fixed_point_step(H, lam, h, tol)
     else:
         f0 = h.astype(float)
         if H.custom_solver is not None:
@@ -323,8 +369,15 @@ def _solve(
             f, iterations, res = _continuation(step, lam, h, f0, tol)
             iterations += exc.iterations
             used += "+continuation"
-    diag = SolveDiagnostics(lam=float(lam), method=used, iterations=iterations, residual=res)
-    return f, diag, lam_Hf
+    return f, SolveDiagnostics(lam=float(lam), method=used, iterations=iterations, residual=res)
+
+
+def _cache_key(family: ResolventFamily, lam: float, h: Fn) -> tuple:
+    if lam <= 0:
+        raise PreconditionError("lambda must be positive")
+    if h.space != family.space:
+        raise PreconditionError("right-hand side lives on the wrong space")
+    return (float(lam), _hash_values(h.values))
 
 
 def solve_resolvent(
@@ -332,18 +385,14 @@ def solve_resolvent(
 ) -> tuple[Fn, SolveDiagnostics]:
     """Solve f - lam * H f = h to the family's residual tolerance; returns the
     solution with the diagnostics of this call (from_cache on a cache hit)."""
-    if lam <= 0:
-        raise PreconditionError("lambda must be positive")
-    H = family.hamiltonian
-    if h.space != H.space:
-        raise PreconditionError("right-hand side lives on the wrong space")
-    key = (float(lam), _hash_values(h.values))
+    key = _cache_key(family, lam, h)
     with family._lock:
         hit = family._cache.get(key)
     if hit is not None:
         return hit
 
-    f, diag, _ = _solve(H, lam, h.values, family.tol_residual)
+    H = family.hamiltonian
+    f, diag = _solve(H, lam, h.values, family.tol_residual)
     out = Fn(H.space, f)
     with family._lock:
         # a hit returns the entry as stored: its diagnostics say from_cache
@@ -495,16 +544,18 @@ def build_Hhat(
 
     Second components are computed from the solved first components, so
     f - l * g = h holds to machine precision for the generating (l, h);
-    the generating metadata is returned alongside the graph.
+    the generating metadata is returned alongside the graph.  The solves go
+    through family.solve_all, so a Hamiltonian with a stacked solver solves
+    every pair not yet cached in one call.
     """
-    pairs = []
-    meta = []
-    for lam in lambdas:
-        if lam <= 0:
-            raise PreconditionError("lambda must be positive")
-        for k, h in enumerate(hs):
-            f = family.solve(lam, h)
-            g = Fn(f.space, (f.values - h.values) / lam)
-            pairs.append((f, g))
-            meta.append({"lam": float(lam), "h_index": k, "h": h})
+    if any(lam <= 0 for lam in lambdas):
+        raise PreconditionError("lambda must be positive")
+    problems = [(lam, h) for lam in lambdas for h in hs]
+    pairs = [
+        (f, Fn(f.space, (f.values - h.values) / lam))
+        for f, (lam, h) in zip(family.solve_all(problems), problems)
+    ]
+    meta = [
+        {"lam": float(lam), "h_index": k, "h": h} for lam in lambdas for k, h in enumerate(hs)
+    ]
     return OperatorGraph(space=family.space, pairs=tuple(pairs), kind=kind), tuple(meta)

@@ -27,7 +27,7 @@ from scipy.linalg import expm
 from .errors import PreconditionError
 from .limits import ConvergenceVerdict, Fn, FnSequence, check_LIM, lift_to_members
 from .operators import scale_graph, validate_rate_matrix
-from .resolvent import ResolventFamily, _solve
+from .resolvent import ResolventFamily, _fixed_point_step, _solve, _takes_fixed_point
 from .spaces import SpaceSequence
 from .viscosity import check_subsolution, check_supersolution
 
@@ -59,13 +59,17 @@ class SemigroupApprox:
 def crandall_liggett(family: ResolventFamily, t: float, n_steps: int, f: Fn) -> SemigroupApprox:
     """n_steps-fold composition of R(t / n_steps) applied to f.
 
-    The steps are not cached: no step repeats a right-hand side, so they call
-    the uncached solve on raw value arrays and leave the family's cache as it
-    was.  Each step starts from the previous step's result, whose lam * H f
-    that step computed for its last residual; a fixed-point step hands it on,
-    so the next step does not apply H to the same values again.  Every step
-    reaches the residual tolerance (or raises), which implies finite values,
-    so only the result is wrapped as an Fn."""
+    The steps are not cached: no step repeats a right-hand side, so they work
+    on raw value arrays and leave the family's cache as it was.  lam = t /
+    n_steps is the same for every step, so the solver path (which follows
+    from H and lam alone) is chosen once per run.  On the fixed-point path
+    every step runs inside one np.errstate context, with no per-step
+    diagnostics: each starts from the previous step's result, whose lam * H f
+    that step computed for its last residual, so it does not apply H to the
+    same values again, and a step that does not converge hands over to
+    Newton as a single solve does.  On every other path each step is one
+    uncached solve.  Every step reaches the residual tolerance (or raises),
+    which implies finite values, so only the result is wrapped as an Fn."""
     if t < 0:
         raise PreconditionError("time must be nonnegative")
     if n_steps <= 0:
@@ -80,15 +84,23 @@ def crandall_liggett(family: ResolventFamily, t: float, n_steps: int, f: Fn) -> 
     lam = t / n_steps
     H, tol = family.hamiltonian, family.tol_residual
     cur = f.values
-    lam_Hcur = None  # lam * H cur, when the last step computed it
     total = 0
     worst = 0.0
     methods = set()
-    for _ in range(n_steps):
-        cur, d, lam_Hcur = _solve(H, lam, cur, tol, lam_Hcur)
-        total += d.iterations
-        worst = max(worst, d.residual)
-        methods.add(d.method)
+    if _takes_fixed_point(H, lam):
+        lam_Hcur = None  # lam * H cur, when the last step computed it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(n_steps):
+                cur, its, res, method, lam_Hcur = _fixed_point_step(H, lam, cur, tol, lam_Hcur)
+                total += its
+                worst = max(worst, res)
+                methods.add(method)
+    else:
+        for _ in range(n_steps):
+            cur, d = _solve(H, lam, cur, tol)
+            total += d.iterations
+            worst = max(worst, d.residual)
+            methods.add(d.method)
     return SemigroupApprox(
         t=float(t), n_steps=n_steps, lam=lam, result=Fn(f.space, cur),
         total_iterations=total, worst_residual=worst, methods=tuple(sorted(methods)),

@@ -176,6 +176,13 @@ class SpaceAudit:
     reasons: tuple
 
 
+def _check_burn_in(n0: int, count: int) -> None:
+    # a burn-in index names one of count members: a negative one would count
+    # from the end, and one past the last leaves nothing to check
+    if not 0 <= n0 < count:
+        raise ValueError("n0 out of range")
+
+
 def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
     # two-sided Hausdorff distance between finite point clouds
     ta, tb = cKDTree(a), cKDTree(b)
@@ -205,8 +212,7 @@ class SpaceSequence:
         for per_q in self.compacts.member_sets:
             if len(per_q) != len(self.members):
                 raise ValueError("compact family must cover every member")
-        if not (0 <= self.n0 < len(self.members)):
-            raise ValueError("n0 out of range")
+        _check_burn_in(self.n0, len(self.members))
 
     @property
     def n_members(self) -> int:
@@ -243,8 +249,10 @@ class SpaceSequence:
 
     def audit(self, tol: float, n0: int | None = None) -> SpaceAudit:
         """Check the compact family: levels grow along the chain, and embedded
-        member sets approach the embedded limit set (Hausdorff) past n0."""
+        member sets approach the embedded limit set (Hausdorff) past n0,
+        which must name a member."""
         n0 = self.n0 if n0 is None else n0
+        _check_burn_in(n0, self.n_members)
         reasons: list[str] = []
         monotone = True
         for qi in range(self.compacts.n_levels - 1):
@@ -463,7 +471,7 @@ def kuratowski_limits(
     some n >= n0 (the finite surrogate of "infinitely many n"), and to the
     lower limit when its eps-ball meets every O_n with n >= n0 ("all but
     finitely many").  The lower limit is contained in the upper one by
-    construction.
+    construction.  n0 must name one of the sets.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
     if candidates.shape[0] == 0:
@@ -471,9 +479,8 @@ def kuratowski_limits(
     clouds = [np.atleast_2d(np.asarray(s, dtype=float)) for s in sets]
     if n0 is None:
         n0 = len(clouds) // 2
+    _check_burn_in(n0, len(clouds))
     tail = clouds[n0:]
-    if not tail:
-        raise ValueError("n0 leaves no tail sets")
     hit = np.stack(
         [cKDTree(c).query(candidates)[0] <= eps for c in tail], axis=1
     )  # (n_candidates, n_tail)

@@ -3,10 +3,12 @@
 The tracer wraps hjlab functions by name from outside the package, so a
 rename inside hjlab silently empties its per-layer metrics.  This runs one
 tiny traced run in a fresh interpreter and checks that the metrics a run
-feeds are still fed: the tracked sequences of a grid experiment, and the
-Crandall-Liggett steps of a semigroup suite, which no longer pass through
-the patched solve_resolvent, and the Jacobians of a slow-fast suite's Newton
-steps.
+feeds are still fed: the tracked sequences and Howard iterations of a grid
+experiment, and the Crandall-Liggett steps of a semigroup suite, which no
+longer pass through the patched solve_resolvent, and the Jacobians of a
+slow-fast suite's Newton steps.  A traced check suite, whose graph solves go
+through the upwind scheme's stacked solver, must still report metrics that
+json.dumps accepts.
 """
 
 import json
@@ -52,6 +54,20 @@ TINY_SEMIGROUP = {
     },
 }
 
+TINY_CHECK = {
+    "schema_version": 1,
+    "name": "traced-tiny-check",
+    "seed": 3,
+    "check": {
+        "space": {"kind": "grid", "domain": [0.0, 1.0], "resolution": 32,
+                  "periodic": True},
+        "operator": {"kind": "upwind_quadratic", "drift": {"kind": "trig", "sin": [0.4]}},
+        "probes": {"kind": "random", "count": 3, "bound": 0.5},
+        "hhat": {"lambdas": [0.5, 1.0], "dissipativity_lambdas": [0.5, 2.0]},
+        "spike": {"magnitude": 0.5, "expect_failure": True},
+    },
+}
+
 # the shipped slow-fast suite is already small: 16 slow x 3 fast states
 SLOWFAST = yaml.safe_load((ROOT / "configs" / "slowfast.yaml").read_text())
 
@@ -83,6 +99,16 @@ def _traced_run(tmp_path, command, config):
 def test_traced_grid_run_feeds_the_tracked_sequence_metric(tmp_path):
     metrics = _traced_run(tmp_path, "converge", TINY_GRID)
     assert metrics["spaces.tracked_sequences"] > 0
+    # the tracer sums the iteration counts the custom solver returns
+    policy_iterations = metrics["operators.policy_iterations"]
+    assert isinstance(policy_iterations, int) and policy_iterations > 0
+
+
+def test_traced_check_run_reports_metrics_json_accepts(tmp_path):
+    # _traced_run requires exit 0 and prints layer_metrics() through
+    # json.dumps, which rejects numpy arrays and numpy integers
+    metrics = _traced_run(tmp_path, "check", TINY_CHECK)
+    assert isinstance(metrics["operators.policy_iterations"], int)
 
 
 def test_traced_semigroup_run_counts_every_crandall_liggett_step(tmp_path):

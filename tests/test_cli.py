@@ -187,6 +187,13 @@ def test_jobs_do_not_change_the_outputs(tmp_path):
     assert main(["resolvent", "--config", cfg, "--out", out1, "--jobs", "1"]) == 0
     assert main(["resolvent", "--config", cfg, "--out", out2, "--jobs", "2"]) == 0
     assert_identical_outputs(out1, out2)
+    # the three cells of the shipped check suite share one family, whose
+    # cache the graph cells fill from stacked solves at the same time
+    cfg = str(CONFIGS / "check.yaml")
+    out1, out2 = str(tmp_path / "check1"), str(tmp_path / "check3")
+    assert main(["check", "--config", cfg, "--out", out1, "--jobs", "1"]) == 0
+    assert main(["check", "--config", cfg, "--out", out2, "--jobs", "3"]) == 0
+    assert_identical_outputs(out1, out2)
 
 
 def test_check_suite_cells_and_spike_witness(tmp_path):

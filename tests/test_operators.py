@@ -18,6 +18,7 @@ from hjlab import (
     OperatorGraph,
     PreconditionError,
     ResolventFamily,
+    SolverError,
     SlowFastCoupling,
     averaged_slowfast_hamiltonian,
     centered_quadratic,
@@ -315,6 +316,67 @@ def test_policy_step_equals_the_banded_reference_bit_for_bit(kind, n, lam, seed)
         a[rng.random(n) < 0.7] = 0.0
     want = howard_reference.banded_policy_step(b, dx, a, lam, h)
     assert np.array_equal(_policy_step(b, dx, a, lam, h), want)
+
+
+def stacked_howard_case(kind, k, n, seed):
+    """Drift, a stack of k data rows and a lambda per row: smooth data, data
+    on a coarse lattice of levels (equal neighbours and exact ties between
+    the two branches of the scheme), or zero drift on data from {0, -0, 1/2,
+    -1/2} (exact zeros of both signs in the iterates)."""
+    rng = np.random.default_rng(seed)
+    x = np.arange(n) / n
+    lam = rng.choice([0.01, 0.2, 1.0, 4.0], k)
+    if kind == "smooth":
+        b = rng.uniform(0.0, 2.0) * np.sin(2.0 * np.pi * (x + rng.uniform()))
+        phase = rng.uniform(size=(k, 1))
+        return b, 0.3 * np.cos(2.0 * np.pi * (x + phase)) + rng.uniform(-0.1, 0.1, (k, n)), lam
+    if kind == "ties":
+        b = np.round(4.0 * np.sin(2.0 * np.pi * x)) / 4.0
+        b[rng.random(n) < 0.3] = 0.0
+        return b, np.round(rng.uniform(-2.0, 2.0, (k, n))) / 4.0, lam
+    return np.zeros(n), rng.choice([0.0, -0.0, 0.5, -0.5], (k, n)), lam
+
+
+@given(
+    st.sampled_from(["smooth", "ties", "zeros"]),
+    st.integers(1, 8),
+    st.sampled_from([2, 3, 16, 33, 128, 255, 256, 300, 512]),
+    st.integers(0, 2**16),
+)
+@example("smooth", 4, 512, 0)  # two half-grid levels, 512 -> 256 -> 128
+@example("zeros", 4, 3, 1)  # a zero of either sign at a block boundary
+@settings(max_examples=60, deadline=None)
+def test_stacked_howard_rows_equal_the_one_problem_solve_bitwise(kind, k, n, seed):
+    # howard_reference._howard is the one-problem solve from before stacking;
+    # every row of a stack, whose rows converge after different numbers of
+    # steps and drop out, must give its bits, iteration count and residual
+    b, h, lam = stacked_howard_case(kind, k, n, seed)
+    H = upwind_quadratic(unit_grid(n), b)
+    want = [howard_reference._howard(b, 1.0 / n, lam[i], h[i], h[i], 1e-10) for i in range(k)]
+    f, iterations, residuals = H.stacked_solver(lam, h, h, 1e-10)
+    assert f.shape == h.shape and iterations.shape == residuals.shape == (k,)
+    for i, (f_i, its, res) in enumerate(want):
+        assert f[i].tobytes() == f_i.tobytes()
+        assert iterations[i] == its and residuals[i] == res
+    f_1, its_1, res_1 = H.custom_solver(lam[0], h[0], h[0], 1e-10)
+    assert type(its_1) is int and type(res_1) is float
+    assert (f_1.tobytes(), its_1, res_1) == (want[0][0].tobytes(), want[0][1], want[0][2])
+
+
+def test_stacked_howard_raises_what_the_one_problem_solve_raised():
+    # no residual reaches tol = 0 but that of the zero solution: the stack
+    # runs out of steps and names its first unconverged row, as that row
+    # alone would
+    s = unit_grid(24)
+    b = 0.5 * np.sin(2.0 * np.pi * s.coords[:, 0])
+    h = np.stack([np.zeros(24), 0.3 * np.cos(2.0 * np.pi * s.coords[:, 0]), np.ones(24)])
+    lam = np.array([1.0, 0.5, 2.0])
+    with pytest.raises(SolverError) as want:
+        howard_reference._howard(b, 1.0 / 24, lam[1], h[1], h[1], 0.0)
+    with pytest.raises(SolverError) as got:
+        upwind_quadratic(s, b).stacked_solver(lam, h, h, 0.0)
+    assert str(got.value) == str(want.value)
+    assert got.value.iterations == want.value.iterations == 500
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64])
@@ -781,8 +843,8 @@ def test_slowfast_newton_solve_matches_the_reference_jacobian_bit_for_bit():
 
     H_ref = replace(H, jacobian=on_pattern)
     h = np.repeat(0.3 * np.cos(2.0 * np.pi * slow_space.coords[:, 0]), 3)
-    f, diag, _ = _solve(H, 1.0, h, 1e-10)
-    f_ref, diag_ref, _ = _solve(H_ref, 1.0, h, 1e-10)
+    f, diag = _solve(H, 1.0, h, 1e-10)
+    f_ref, diag_ref = _solve(H_ref, 1.0, h, 1e-10)
     assert diag.method == diag_ref.method == "newton"
     assert diag.iterations == diag_ref.iterations > 0
     assert np.array_equal(f, f_ref)

@@ -176,7 +176,7 @@ def test_fixed_point_hands_over_to_newton_at_the_first_non_finite_residual():
         h = rng.uniform(-bound, bound, 10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            f, diag, _ = resolvent._solve(H, 0.2, h, 1e-10)
+            f, diag = resolvent._solve(H, 0.2, h, 1e-10)
         assert diag.method == "fixed_point+newton"
         assert diag.iterations < 50
         assert np.abs(f - 0.2 * H.apply_values(f) - h).max() <= 1e-10
@@ -383,6 +383,58 @@ def test_build_Hhat_pairs_satisfy_the_generating_equation():
         assert graph_contains(G, f, g)
     with pytest.raises(PreconditionError):
         build_Hhat(family, [-1.0], hs)
+
+
+def upwind_problems(n=48, seed=8):
+    s = unit_grid(n)
+    H = upwind_quadratic(s, 0.5 * np.sin(2.0 * np.pi * s.coords[:, 0]))
+    rng = np.random.default_rng(seed)
+    hs = [Fn(s, rng.uniform(-0.5, 0.5, n)) for _ in range(3)]
+    return H, [(lam, h) for lam in (0.2, 1.0, 5.0) for h in hs]
+
+
+def test_solve_all_caches_what_single_solves_would():
+    H, problems = upwind_problems()
+    calls = []
+
+    def counted(lam, h, f0, tol):
+        calls.append(lam.tolist())
+        return H.stacked_solver(lam, h, f0, tol)
+
+    family = ResolventFamily(hamiltonian=replace(H, stacked_solver=counted))
+    solve_resolvent(family, *problems[4])
+    # a repeated pair is solved once, and a cached one not again
+    got = family.solve_all(problems + [problems[0]])
+    assert calls == [[lam for i, (lam, _) in enumerate(problems) if i != 4]]
+    single = ResolventFamily(hamiltonian=H)
+    want = [solve_resolvent(single, lam, h) for lam, h in problems]
+    for f, (f_ref, _) in zip(got, want + want[:1]):
+        assert f.values.tobytes() == f_ref.values.tobytes()
+    # stored under the same keys, with the diagnostics of the single solves
+    assert family._cache.keys() == single._cache.keys()
+    for key, (_, diag) in family._cache.items():
+        assert diag == single._cache[key][1]
+        assert diag.method == "custom" and diag.from_cache
+
+
+def test_solve_all_falls_back_to_single_solves_when_the_stack_raises():
+    H, problems = upwind_problems()
+
+    def unlucky(lam, h, f0, tol):
+        raise SolverError("simulated stack failure", iterations=3)
+
+    family = ResolventFamily(hamiltonian=replace(H, stacked_solver=unlucky))
+    got = family.solve_all(problems)
+    single = ResolventFamily(hamiltonian=H)
+    for f, (lam, h) in zip(got, problems):
+        assert f.values.tobytes() == single.solve(lam, h).values.tobytes()
+    # without a stacked solver, errors read as those of single solves
+    tilted, s = tilted_family()
+    h = Fn(s, np.zeros(10))
+    with pytest.raises(PreconditionError, match="positive"):
+        tilted.solve_all([(0.5, h), (0.0, h)])
+    with pytest.raises(PreconditionError, match="space"):
+        ResolventFamily(hamiltonian=H).solve_all([(0.5, h)])
 
 
 def test_equicontinuity_fit_finds_a_level_for_upwind_resolvents():

@@ -1,6 +1,7 @@
 """Iterated-resolvent semigroups against exact flows, trend fits, and the
 zero-operator density check."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -197,6 +198,24 @@ def test_fixed_point_steps_apply_H_once_per_iteration_plus_once(path):
     approx = crandall_liggett(family, t, n, Fn(H.space, f))
     assert approx.methods == ("fixed_point",)
     assert calls == approx.total_iterations + 1
+
+
+def test_fixed_point_runs_hide_the_overflow_they_hand_over_to_newton():
+    # the run's steps share one np.errstate: an exp overflow at a step's start
+    # hands it over to Newton without a numpy warning, as in a single solve
+    H, _, _, _ = carry_case("stall")
+    f = np.random.default_rng(1).uniform(-50.0, 50.0, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        approx = crandall_liggett(ResolventFamily(hamiltonian=H), 0.4, 2, Fn(H.space, f))
+    assert "fixed_point+newton" in approx.methods
+    # the steps as single solves
+    composed, stepper, total = Fn(H.space, f), ResolventFamily(hamiltonian=H), 0
+    for _ in range(2):
+        composed, diag = solve_resolvent(stepper, 0.2, composed)
+        total += diag.iterations
+    assert approx.total_iterations == total
+    assert np.array_equal(approx.result.values, composed.values)
 
 
 def test_convergence_in_n_oracle_and_self_modes():

@@ -195,6 +195,18 @@ def test_grid_sequence_audit_fails_at_impossible_tolerance():
     assert any("Hausdorff" in r for r in audit.reasons)
 
 
+def test_audit_burn_in_must_name_a_member():
+    # only the finest member is within 0.05 of the limit grid, so a burn-in
+    # index counted from the end would pass, and one past the last member
+    # leaves nothing to check
+    seq = make_grid_sequence((0.0, 1.0), [4, 16, 64], n0=0)
+    assert not seq.audit(0.05, n0=0).passed
+    assert seq.audit(0.05, n0=2).passed
+    for n0 in (-1, seq.n_members):
+        with pytest.raises(ValueError, match="n0 out of range"):
+            seq.audit(0.05, n0=n0)
+
+
 def test_grid_sequence_rejects_bad_arguments():
     with pytest.raises(ValueError):
         make_grid_sequence((1.0, 0.0), [8, 16, 32])
@@ -290,6 +302,17 @@ def test_kuratowski_lower_always_inside_upper():
     upper, lower = kuratowski_limits(sets, cands, eps=0.15)
     upper_set = {tuple(r) for r in upper.tolist()}
     assert all(tuple(r) in upper_set for r in lower.tolist())
+
+
+def test_kuratowski_burn_in_must_name_a_set():
+    # a burn-in index counted from the end would keep only the last set
+    sets = [np.array([[0.0]]), np.array([[1.0]])] * 3
+    cands = np.array([[0.0], [1.0]])
+    upper, lower = kuratowski_limits(sets, cands, eps=0.1, n0=len(sets) - 1)
+    assert upper[:, 0].tolist() == lower[:, 0].tolist() == [1.0]
+    for n0 in (-1, len(sets)):
+        with pytest.raises(ValueError, match="n0 out of range"):
+            kuratowski_limits(sets, cands, eps=0.1, n0=n0)
 
 
 def test_kuratowski_rejects_empty_candidates():
