@@ -20,7 +20,6 @@ from .spaces import (
     EnlargedSpaceSequence,
     FiniteSpace,
     SpaceSequence,
-    kuratowski_limits,
     make_grid_sequence,
     make_product_sequence,
 )
@@ -30,11 +29,9 @@ from .limits import (
     Fn,
     FnSequence,
     check_LIM,
-    check_P_closedness,
     compute_LIMINF,
     compute_LIMSUP,
     lift_to_members,
-    sandwich_to_LIM,
 )
 from .probes import (
     bump,
@@ -51,7 +48,6 @@ from .operators import (
     centered_quadratic,
     check_degenerate_elliptic,
     check_dissipative,
-    graph_contains,
     graph_from_hamiltonian,
     linear_generator,
     random_rate_matrix,
@@ -73,7 +69,6 @@ from .viscosity import (
     check_comparison,
     check_subsolution,
     check_supersolution,
-    extend_solutions_by_density,
     find_optimizing_sequence,
     identification_bound,
     perturb_subsolution,

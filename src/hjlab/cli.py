@@ -8,8 +8,9 @@ writes report.json and tables/*.csv into --out.
 
 Exit codes: 0 all declared suites passed, 1 suite failure, 2 config/schema
 error.  Runs are deterministic: the same config and seed produce
-byte-identical outputs, independent of --jobs (cells share nothing and are
-assembled in declaration order).
+byte-identical outputs, independent of --jobs (cells are assembled in
+declaration order, and the cells of one suite share only solve caches, whose
+entries do not depend on which cell filled them).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .operators import (
     check_dissipative,
     graph_from_hamiltonian,
 )
-from .probes import trig_polynomial
 from .reporting import write_report, write_table
 from .resolvent import (
     ResolventFamily,
@@ -223,7 +223,7 @@ def _cells_converge_grid(section: dict, seed: int):
     ddagger = graph_from_hamiltonian(H_lim, D, kind="ddagger")
     op_seq = OperatorSequence(
         spaces=ens, members=members, limit_hamiltonian=H_lim,
-        limit_dagger=dagger, limit_ddagger=ddagger, name=section["scheme"],
+        limit_dagger=dagger, limit_ddagger=ddagger,
     )
     env = section["envelope_tolerance"]
     if "value" in env:

@@ -74,6 +74,14 @@ __all__ = [
     "slowfast_resolvent_experiment",
 ]
 
+# sup-norm deviation up to which a witness g_n counts as H_n f_n
+MEMBERSHIP_TOL = 1e-9
+# truncation levels c of the one-sided checks, evenly spaced over
+# [-2 ||f||, 2 ||f||]
+TRUNCATION_LEVELS = 5
+# residual tolerance of the limit family's pseudo-resolvent identity
+IDENTITY_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class OperatorSequence:
@@ -89,7 +97,6 @@ class OperatorSequence:
     limit_hamiltonian: Hamiltonian | None = None
     limit_dagger: object | None = None
     limit_ddagger: object | None = None
-    name: str = ""
 
     def __post_init__(self) -> None:
         if len(self.members) != self.spaces.base.n_members:
@@ -97,7 +104,7 @@ class OperatorSequence:
 
 
 def _member_images(
-    op_seq: OperatorSequence, f_seq: FnSequence, g_seq: FnSequence | None, membership_tol: float
+    op_seq: OperatorSequence, f_seq: FnSequence, g_seq: FnSequence | None
 ) -> FnSequence:
     """Validate (f_n, g_n) in H_n; when g_seq is None, construct g_n = H_n f_n."""
     images = []
@@ -105,7 +112,7 @@ def _member_images(
         img = H(f_seq.members[n])
         if g_seq is not None:
             dev = float(np.abs(img.values - g_seq.members[n].values).max())
-            if dev > membership_tol:
+            if dev > MEMBERSHIP_TOL:
                 raise StructuralError(
                     f"witness pair {n} is not in the member operator: ||H f_n - g_n|| = {dev:.3g}"
                 )
@@ -129,7 +136,6 @@ def check_ex_lim(
     g_seq: FnSequence | None,
     tol: float,
     n0: int | None = None,
-    membership_tol: float = 1e-9,
 ) -> ExLimReport:
     """Two-sided extended limit: LIM f_n = f and LIM g_n = g with
     (f_n, g_n) in H_n (membership violations are structural errors).  The
@@ -137,7 +143,7 @@ def check_ex_lim(
     points of the enlarged limit."""
     ens = op_seq.spaces
     f_lim, g_lim = limit_pair
-    g_seq = _member_images(op_seq, f_seq, g_seq, membership_tol)
+    g_seq = _member_images(op_seq, f_seq, g_seq)
     f_verdict = check_LIM(f_seq, f_lim, tol, n0=n0)
     g_verdict = _lim_verdict(
         g_seq, g_lim, tol, ens.base.n0 if n0 is None else n0,
@@ -200,16 +206,14 @@ def _check_ex_one_sided(
     g_seq: FnSequence | None,
     tol: float,
     n0: int | None,
-    c_levels: int,
-    membership_tol: float,
     sub: bool,
 ) -> WitnessBundle:
     ens = op_seq.spaces
     n0 = _burn_in(ens.base, n0)
     f_lim, g_lim = limit_pair
-    g_seq = _member_images(op_seq, f_seq, g_seq, membership_tol)
+    g_seq = _member_images(op_seq, f_seq, g_seq)
     bound = float(max(f_lim.norm, 1e-12))
-    c_grid = np.linspace(-2.0 * bound, 2.0 * bound, c_levels)
+    c_grid = np.linspace(-2.0 * bound, 2.0 * bound, TRUNCATION_LEVELS)
     truncation = []
     trunc_ok = True
     for c in c_grid:
@@ -247,16 +251,12 @@ def check_ex_sublim(
     g_seq: FnSequence | None = None,
     tol: float = 1e-6,
     n0: int | None = None,
-    c_levels: int = 5,
-    membership_tol: float = 1e-9,
 ) -> WitnessBundle:
     """One-sided extended limit for dagger pairs: truncated limits of f_n,
     uniform upper bound on g_n, and the tail inequality
     max_{n >= n0} g_n(z_n) <= g(y) + tol along every gated tracked sequence
     (gated = the f-values do converge to f(gamma(y)))."""
-    return _check_ex_one_sided(
-        op_seq, limit_pair, f_seq, g_seq, tol, n0, c_levels, membership_tol, sub=True
-    )
+    return _check_ex_one_sided(op_seq, limit_pair, f_seq, g_seq, tol, n0, sub=True)
 
 
 def check_ex_superlim(
@@ -266,14 +266,10 @@ def check_ex_superlim(
     g_seq: FnSequence | None = None,
     tol: float = 1e-6,
     n0: int | None = None,
-    c_levels: int = 5,
-    membership_tol: float = 1e-9,
 ) -> WitnessBundle:
     """Mirror of check_ex_sublim for ddagger pairs (truncation from below,
     uniform lower bound, liminf inequality)."""
-    return _check_ex_one_sided(
-        op_seq, limit_pair, f_seq, g_seq, tol, n0, c_levels, membership_tol, sub=False
-    )
+    return _check_ex_one_sided(op_seq, limit_pair, f_seq, g_seq, tol, n0, sub=False)
 
 
 @dataclass(frozen=True)
@@ -355,7 +351,6 @@ def resolvent_convergence_experiment(
     tol_viscosity: float = 1e-8,
     equicontinuity_delta: float = 0.5,
     expectation: str = "converge",
-    identity_tol: float = 1e-8,
     tol_witness: float | None = None,
 ) -> ResolventExperimentReport:
     """The full convergence chain for a family of member Hamiltonians.
@@ -470,7 +465,7 @@ def resolvent_convergence_experiment(
     if limit_family is not None and len(lambdas) >= 2:
         lams = sorted(set(float(l) for l in lambdas))
         ab = [(lams[i], lams[j]) for i in range(len(lams)) for j in range(i + 1, len(lams))]
-        limit_identity = check_pseudo_resolvent_identity(limit_family, ab, list(D), identity_tol)
+        limit_identity = check_pseudo_resolvent_identity(limit_family, ab, list(D), IDENTITY_TOL)
 
     structural_ok = (
         all(r["passed"] and r["norm_preserved"] for r in lifting)
@@ -507,7 +502,6 @@ class SlowFastReport:
     oscillations: tuple
     decay_order: float
     final_deviation: float
-    lim_verdict: ConvergenceVerdict
     notes: tuple = ()
 
 
@@ -519,7 +513,6 @@ def slowfast_resolvent_experiment(
     h_slow: Fn,
     tol_deviation: float,
     min_decay_order: float = 0.8,
-    tol_lim: float | None = None,
 ) -> SlowFastReport:
     """Averaging across coupling strengths: fast-variable oscillation of
     R_n(lam)h decays like 1/n, and the strongest-coupling solution matches
@@ -530,26 +523,21 @@ def slowfast_resolvent_experiment(
     n_slow = base.limit.size
     n_fast = coupling.n_fast
     h_seq = lift_to_members(h_slow, base)
-    sols = []
     oscs = []
     for k, n in enumerate(couplings):
         H_n = slowfast_hamiltonian(product, n, coupling)
-        fam = ResolventFamily(hamiltonian=H_n)
-        u = fam.solve(lam, h_seq.members[k])
-        sols.append(u)
+        u = ResolventFamily(hamiltonian=H_n).solve(lam, h_seq.members[k])
         V = u.values.reshape(n_slow, n_fast)
         oscs.append(float((V.max(axis=1) - V.min(axis=1)).max()))
     H_bar = averaged_slowfast_hamiltonian(coupling)
     fam_bar = ResolventFamily(hamiltonian=H_bar)
     u_bar = fam_bar.solve(lam, h_slow)
-    V_last = sols[-1].values.reshape(n_slow, n_fast)
-    final_dev = float(np.abs(V_last - u_bar.values[:, None]).max())
+    # V is the solution at the strongest coupling, the last one solved
+    final_dev = float(np.abs(V - u_bar.values[:, None]).max())
     # order is an asymptotic quantity: fit on the tail half of the grid,
     # the weakest couplings are pre-asymptotic
     k0 = len(couplings) // 2 if len(couplings) >= 6 else 0
     order = -fit_loglog_slope(couplings[k0:], oscs[k0:])
-    u_seq = FnSequence(base, tuple(sols))
-    lim_verdict = check_LIM(u_seq, u_bar, tol_deviation if tol_lim is None else tol_lim)
     notes = []
     if not np.isfinite(order):
         notes.append("oscillation hit zero; decay order undefined")
@@ -560,6 +548,5 @@ def slowfast_resolvent_experiment(
         oscillations=tuple(oscs),
         decay_order=float(order),
         final_deviation=final_dev,
-        lim_verdict=lim_verdict,
         notes=tuple(notes),
     )

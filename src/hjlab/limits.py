@@ -7,16 +7,12 @@ nearest-point liftings of the limit points, one row of the sequence's index
 matrix each; tolerances apply from the burn-in index on.
 
 The one-sided envelopes LIMSUP and LIMINF replace the limit along each
-tracked sequence by the tail maximum or minimum; the sandwich lemma
-(LIMSUP f_n <= f <= LIMINF f_n implies LIM f_n = f) is provided as an
-executable verdict.  Closedness of the space of convergent pairs
-<f, {f_n}> under the norm max(||f||, sup_n ||f_n||) is checked at 3x the
-tolerance, which is what the triangle inequality gives.
+tracked sequence by the tail maximum or minimum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,10 +28,7 @@ __all__ = [
     "check_LIM",
     "compute_LIMSUP",
     "compute_LIMINF",
-    "sandwich_to_LIM",
     "lift_to_members",
-    "check_P_closedness",
-    "pair_norm",
 ]
 
 
@@ -113,15 +106,6 @@ class ExtFn:
     @property
     def bounded_below(self) -> bool:
         return bool(self.values.min() > -np.inf)
-
-    @property
-    def finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
-
-    def as_fn(self) -> Fn:
-        if not self.finite:
-            raise ValueError("extended function has infinite values")
-        return Fn(self.space, self.values)
 
 
 @dataclass(frozen=True)
@@ -263,31 +247,6 @@ def _envelope_excess(upper: ExtFn, lower: ExtFn, f: Fn, seq: SpaceSequence) -> l
     return out
 
 
-def sandwich_to_LIM(fs: FnSequence, f: Fn, tol: float, n0: int | None = None) -> ConvergenceVerdict:
-    """If LIMSUP f_n <= f <= LIMINF f_n within tol on every compact level, the
-    two-sided limit holds; returns the check_LIM verdict, annotated when the
-    sandwich itself fails."""
-    upper = compute_LIMSUP(fs, n0=n0)
-    lower = compute_LIMINF(fs, n0=n0)
-    notes = []
-    for q, over, under in _envelope_excess(upper, lower, f, fs.spaces):
-        if over > tol:
-            notes.append(f"level {q}: LIMSUP exceeds target by {over:.3g}")
-        if under > tol:
-            notes.append(f"level {q}: target exceeds LIMINF by {under:.3g}")
-    verdict = check_LIM(fs, f, tol, n0=n0)
-    if notes:
-        return ConvergenceVerdict(
-            passed=False,
-            tol=verdict.tol,
-            n0=verdict.n0,
-            uniform_bound=verdict.uniform_bound,
-            per_level=verdict.per_level,
-            notes=verdict.notes + tuple(notes),
-        )
-    return verdict
-
-
 def lift_to_members(f: Fn, seq: SpaceSequence) -> FnSequence:
     """Pull a limit function back to every member space through the embeddings:
     each member point takes the value of f at the nearest limit point.  The
@@ -298,41 +257,3 @@ def lift_to_members(f: Fn, seq: SpaceSequence) -> FnSequence:
         Fn(m, f.values[nearest]) for m, nearest in zip(seq.members, seq.lifting())
     ))
 
-
-def pair_norm(fs: FnSequence, f: Fn) -> float:
-    """Norm of the pair <f, {f_n}>: the larger of the two sup norms."""
-    return max(fs.norm, f.norm)
-
-
-def check_P_closedness(
-    pairs: Sequence[tuple],
-    tol: float,
-    n0: int | None = None,
-) -> bool:
-    """Closedness probe for the subspace of convergent pairs.
-
-    `pairs` is a Cauchy sequence of (FnSequence, Fn) pairs, each assumed to
-    pass check_LIM at tol; the norm-limit is realized by the final pair.
-    The Cauchy property is a precondition (non-increasing increments, last
-    increment below tol).  Returns whether the final pair passes check_LIM
-    at 3 * tol, the constant the triangle inequality yields.
-    """
-    if len(pairs) < 2:
-        raise PreconditionError("need at least two pairs")
-    increments = []
-    for (fs_a, f_a), (fs_b, f_b) in zip(pairs[:-1], pairs[1:]):
-        d_members = max(
-            float(np.abs(fa.values - fb.values).max())
-            for fa, fb in zip(fs_a.members, fs_b.members)
-        )
-        d_limit = float(np.abs(f_a.values - f_b.values).max())
-        increments.append(max(d_members, d_limit))
-    if any(b > a + 1e-12 for a, b in zip(increments[:-1], increments[1:])):
-        raise PreconditionError("pair sequence is not Cauchy: increments grow")
-    if increments[-1] > tol:
-        raise PreconditionError(
-            f"pair sequence is not Cauchy at tolerance {tol}: last increment {increments[-1]:.3g}"
-        )
-    fs_last, f_last = pairs[-1]
-    verdict = check_LIM(fs_last, f_last, 3.0 * tol, n0=n0)
-    return verdict.passed

@@ -57,7 +57,6 @@ __all__ = [
     "check_dissipative",
     "check_degenerate_elliptic",
     "graph_from_hamiltonian",
-    "graph_contains",
     "linear_generator",
     "tilt_linear",
     "upwind_quadratic",
@@ -94,16 +93,18 @@ class Hamiltonian:
     custom_solver(lam[i], h[i], f0[i], tol) bit for bit, and raising
     SolverError when a row does not reach tol.  It pays the per-solve overhead
     once per stack (ResolventFamily.solve_all).  Like jacobian_pattern it is
-    declared by the constructor, and a copy that replaces custom_solver must
-    replace it too.  The upwind scheme declares its Howard iteration (_howard)
-    here and its one-row case as custom_solver.
+    declared by the constructor.  It is used only while custom_solver is set,
+    the same rule by which a single solve takes the custom path: a copy with
+    custom_solver=None takes the fixed point or Newton for every solve, and a
+    copy that swaps in another custom_solver must replace stacked_solver
+    too.  The upwind scheme declares its Howard iteration (_howard) here and
+    its one-row case as custom_solver.
     """
 
     space: FiniteSpace
     apply_values: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], object] | None = None
     lipschitz_bound: float | None = None
-    monotone: bool = False
     name: str = ""
     custom_solver: Callable | None = None
     jacobian_pattern: tuple | None = field(default=None, repr=False, compare=False)
@@ -132,7 +133,6 @@ def scale_hamiltonian(c: float, H: Hamiltonian) -> Hamiltonian:
         apply_values=lambda v: c * H.apply_values(v),
         jacobian=jac,
         lipschitz_bound=None if H.lipschitz_bound is None else c * H.lipschitz_bound,
-        monotone=H.monotone,
         name=f"{c}*{H.name}" if H.name else "",
         custom_solver=solver,
         jacobian_pattern=H.jacobian_pattern,
@@ -218,18 +218,6 @@ class EnlargedOperatorGraph:
         _validate_graph_pairs(pairs, self.kind)
         object.__setattr__(self, "pairs", pairs)
 
-    @classmethod
-    def from_product(
-        cls, seq: EnlargedSpaceSequence, pairs, kind: str = "dagger"
-    ) -> "EnlargedOperatorGraph":
-        return cls(
-            base_space=seq.base.limit,
-            enlarged_space=seq.enlarged_limit,
-            gamma=seq.gamma,
-            pairs=pairs,
-            kind=kind,
-        )
-
 
 def _ext_scale(c: float, values: np.ndarray) -> np.ndarray:
     # c * (+-inf) = +-inf for every c >= 0, including c = 0
@@ -263,19 +251,6 @@ def graph_from_hamiltonian(H: Hamiltonian, probes: Sequence[Fn], kind: str = "da
     return OperatorGraph(
         space=H.space, pairs=tuple((p, H(p)) for p in probes), kind=kind
     )
-
-
-def graph_contains(G, f: Fn, g: Fn, tol: float = 1e-9) -> bool:
-    fv, gv = np.asarray(f.values), np.asarray(g.values)
-    for fi, gi in G.pairs:
-        if (
-            np.all(np.isfinite(fi.values))
-            and np.all(np.isfinite(gi.values))
-            and np.abs(fi.values - fv).max() <= tol
-            and np.abs(gi.values - gv).max() <= tol
-        ):
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -394,7 +369,6 @@ def linear_generator(A: np.ndarray, space: FiniteSpace, name: str = "linear") ->
         apply_values=lambda v: A @ v,
         jacobian=lambda v: A,
         lipschitz_bound=float(np.abs(A).sum(axis=1).max()),
-        monotone=True,
         name=name,
     )
 
@@ -435,7 +409,7 @@ def tilt_linear(
     L = 2.0 * float(np.abs(np.diag(A)).max()) * float(np.exp(2.0 * probe_radius))
     return Hamiltonian(
         space=space, apply_values=apply, jacobian=jac,
-        lipschitz_bound=L, monotone=True, name=name,
+        lipschitz_bound=L, name=name,
     )
 
 
@@ -545,7 +519,7 @@ def upwind_quadratic(
 
     return Hamiltonian(
         space=space, apply_values=partial(_upwind_value, b, dx), jacobian=jac,
-        lipschitz_bound=None, monotone=True, name=name,
+        lipschitz_bound=None, name=name,
         custom_solver=partial(_one_row, howard), jacobian_pattern=pattern,
         stacked_solver=howard,
     )
@@ -755,7 +729,7 @@ def centered_quadratic(
 
     return Hamiltonian(
         space=space, apply_values=apply, jacobian=jac,
-        lipschitz_bound=None, monotone=False, name=name, jacobian_pattern=pattern,
+        lipschitz_bound=None, name=name, jacobian_pattern=pattern,
     )
 
 
@@ -855,7 +829,6 @@ def slowfast_hamiltonian(
         apply_values=apply,
         jacobian=jac,
         lipschitz_bound=L,
-        monotone=slow.monotone,
         name=f"slowfast(n={n})",
         jacobian_pattern=pattern,
     )

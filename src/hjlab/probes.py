@@ -24,11 +24,10 @@ def trig_polynomial(
     cos_coeffs: Sequence[float],
     sin_coeffs: Sequence[float] = (),
     period: float = 1.0,
-    column: int = 0,
 ) -> Fn:
     """sum_k a_k cos(2 pi k x / period) + b_k sin(2 pi k x / period) sampled
-    on one coordinate column of the space."""
-    x = space.coords[:, column]
+    on the first coordinate of the space."""
+    x = space.coords[:, 0]
     v = np.zeros(space.size)
     for k, a in enumerate(cos_coeffs):
         v += a * np.cos(2.0 * np.pi * k * x / period)
@@ -52,10 +51,10 @@ def trig_basis(space: FiniteSpace, max_degree: int, period: float = 1.0) -> list
     return out
 
 
-def bump(space: FiniteSpace, center: float, width: float, height: float = 1.0,
-         column: int = 0) -> Fn:
-    """Smooth compactly-peaked probe exp(-(x-c)^2 / w^2), scaled."""
-    x = space.coords[:, column]
+def bump(space: FiniteSpace, center: float, width: float, height: float = 1.0) -> Fn:
+    """Smooth compactly-peaked probe exp(-(x-c)^2 / w^2), scaled, in the first
+    coordinate of the space."""
+    x = space.coords[:, 0]
     return Fn(space, height * np.exp(-((x - center) / width) ** 2))
 
 

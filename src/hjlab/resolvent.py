@@ -23,11 +23,11 @@ default.  solve_resolvent caches solutions per (lambda, h) so repeated sweeps
 are cheap; a hit returns the stored entry, diagnostics included.
 ResolventFamily.solve_all solves a list of (lambda, h) pairs through the same
 cache, and first solves the pairs not yet cached in one call of the
-Hamiltonian's stacked solver when it declares one.  The steps of an iteration
-(crandall_liggett) never repeat a right-hand side, so they bypass the cache:
-on the fixed-point path they run _fixed_point_step directly (the path follows
-from H and lambda, which a run does not change), otherwise the uncached
-_solve.  The algebraic checks:
+Hamiltonian's stacked solver when it declares one and the path rule takes the
+custom solver.  The steps of an iteration (crandall_liggett) never repeat a
+right-hand side, so they bypass the cache: on the fixed-point path they run
+_fixed_point_step directly (the path follows from H and lambda, which a run
+does not change), otherwise the uncached _solve.  The algebraic checks:
 
   * pseudo-resolvent identity
         R(beta) h = R(alpha)[ R(beta) h - (alpha/beta)(R(beta) h - h) ]
@@ -58,7 +58,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import PreconditionError, SolverError
-from .limits import Fn, FnSequence
+from .limits import Fn
 from .operators import Hamiltonian, OperatorGraph
 from .spaces import SpaceSequence
 
@@ -108,15 +108,15 @@ class ResolventFamily:
     def solve_all(self, problems: Sequence[tuple[float, Fn]]) -> list[Fn]:
         """R(lam) h for every (lam, h) in problems, in order, through the cache.
 
-        When the Hamiltonian declares a stacked solver, the problems not yet
-        cached are first solved in one stacked call and stored under
-        solve_resolvent's keys, with the diagnostics of a custom solve.  Every
-        problem then goes through solve_resolvent, which finds those cached.
-        Without a stacked solver, or when the stacked call raises, each
-        problem is solved there one at a time, so errors read as they do for
-        single solves."""
+        When the Hamiltonian declares a stacked solver and, as _solve requires
+        for the custom path, a custom solver, the problems not yet cached are
+        first solved in one stacked call and stored under solve_resolvent's
+        keys, with the diagnostics of a custom solve.  Every problem then goes
+        through solve_resolvent, which finds those cached.  Otherwise, or when
+        the stacked call raises, each problem is solved there one at a time,
+        so errors read as they do for single solves."""
         stacked = self.hamiltonian.stacked_solver
-        if stacked is not None:
+        if stacked is not None and self.hamiltonian.custom_solver is not None:
             keys = [_cache_key(self, lam, h) for lam, h in problems]
             with self._lock:
                 misses = {

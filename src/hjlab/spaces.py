@@ -19,8 +19,7 @@ the limit itself and the projection is the identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -30,10 +29,8 @@ __all__ = [
     "CompactFamily",
     "SpaceSequence",
     "EnlargedSpaceSequence",
-    "SpaceAudit",
     "make_grid_sequence",
     "make_product_sequence",
-    "kuratowski_limits",
 ]
 
 
@@ -70,14 +67,6 @@ class FiniteSpace:
     @property
     def dim(self) -> int:
         return self.coords.shape[1]
-
-    @cached_property
-    def _index(self) -> dict:
-        # label -> position, built on the first index() call
-        return {p: i for i, p in enumerate(self.points)}
-
-    def index(self, point: Hashable) -> int:
-        return self._index[point]
 
     def nearest(self, targets: np.ndarray, within: np.ndarray | None = None) -> np.ndarray:
         """Indices of the nearest points to each target row, optionally restricted
@@ -169,29 +158,6 @@ class CompactFamily:
 
 
 @dataclass(frozen=True)
-class SpaceAudit:
-    monotone: bool
-    hausdorff: dict
-    passed: bool
-    reasons: tuple
-
-
-def _check_burn_in(n0: int, count: int) -> None:
-    # a burn-in index names one of count members: a negative one would count
-    # from the end, and one past the last leaves nothing to check
-    if not 0 <= n0 < count:
-        raise ValueError("n0 out of range")
-
-
-def _hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    # two-sided Hausdorff distance between finite point clouds
-    ta, tb = cKDTree(a), cKDTree(b)
-    d_ab = ta.query(b)[0].max()
-    d_ba = tb.query(a)[0].max()
-    return float(max(d_ab, d_ba))
-
-
-@dataclass(frozen=True)
 class SpaceSequence:
     """Members X_1..X_N embedded alongside a limit space X, with a compact family.
 
@@ -212,7 +178,10 @@ class SpaceSequence:
         for per_q in self.compacts.member_sets:
             if len(per_q) != len(self.members):
                 raise ValueError("compact family must cover every member")
-        _check_burn_in(self.n0, len(self.members))
+        # the burn-in index names a member: a negative one would count from
+        # the end, and one past the last leaves nothing to check
+        if not 0 <= self.n0 < len(self.members):
+            raise ValueError("n0 out of range")
 
     @property
     def n_members(self) -> int:
@@ -246,46 +215,6 @@ class SpaceSequence:
                 idx.setflags(write=False)
             self._cache[key] = lifting
         return self._cache[key]
-
-    def audit(self, tol: float, n0: int | None = None) -> SpaceAudit:
-        """Check the compact family: levels grow along the chain, and embedded
-        member sets approach the embedded limit set (Hausdorff) past n0,
-        which must name a member."""
-        n0 = self.n0 if n0 is None else n0
-        _check_burn_in(n0, self.n_members)
-        reasons: list[str] = []
-        monotone = True
-        for qi in range(self.compacts.n_levels - 1):
-            lo = set(self.compacts.limit_sets[qi].tolist())
-            hi = set(self.compacts.limit_sets[qi + 1].tolist())
-            if not lo <= hi:
-                monotone = False
-                reasons.append(f"limit sets not nested at level {self.compacts.labels[qi]}")
-            for n in range(self.n_members):
-                lo_n = set(self.compacts.member_sets[qi][n].tolist())
-                hi_n = set(self.compacts.member_sets[qi + 1][n].tolist())
-                if not lo_n <= hi_n:
-                    monotone = False
-                    reasons.append(
-                        f"member sets not nested at level {self.compacts.labels[qi]}, n={n}"
-                    )
-                    break
-        hausdorff: dict = {}
-        ok = monotone
-        for qi, q in enumerate(self.compacts.labels):
-            lim_cloud = self.limit.coords[self.compacts.limit_sets[qi]]
-            dists = np.array(
-                [
-                    _hausdorff(self.members[n].coords[self.compacts.member_sets[qi][n]], lim_cloud)
-                    for n in range(self.n_members)
-                ]
-            )
-            hausdorff[q] = dists
-            worst = dists[n0:].max()
-            if worst > tol:
-                ok = False
-                reasons.append(f"Hausdorff distance {worst:.3g} > {tol:.3g} at level {q}")
-        return SpaceAudit(monotone=monotone, hausdorff=hausdorff, passed=ok, reasons=tuple(reasons))
 
     def as_enlarged(self) -> "EnlargedSpaceSequence":
         """Trivial enlargement: Y = X, gamma = identity, same embeddings."""
@@ -458,32 +387,3 @@ def make_product_sequence(
         base_columns=tuple(range(slow.dim)),
     )
 
-
-def kuratowski_limits(
-    sets: Sequence[np.ndarray],
-    candidates: np.ndarray,
-    eps: float,
-    n0: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Set limits of a finite sequence of point clouds, on a candidate grid.
-
-    A candidate belongs to the upper limit when its eps-ball meets O_n for
-    some n >= n0 (the finite surrogate of "infinitely many n"), and to the
-    lower limit when its eps-ball meets every O_n with n >= n0 ("all but
-    finitely many").  The lower limit is contained in the upper one by
-    construction.  n0 must name one of the sets.
-    """
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    if candidates.shape[0] == 0:
-        raise ValueError("empty candidate grid")
-    clouds = [np.atleast_2d(np.asarray(s, dtype=float)) for s in sets]
-    if n0 is None:
-        n0 = len(clouds) // 2
-    _check_burn_in(n0, len(clouds))
-    tail = clouds[n0:]
-    hit = np.stack(
-        [cKDTree(c).query(candidates)[0] <= eps for c in tail], axis=1
-    )  # (n_candidates, n_tail)
-    upper = candidates[hit.any(axis=1)]
-    lower = candidates[hit.all(axis=1)]
-    return upper, lower

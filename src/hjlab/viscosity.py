@@ -31,22 +31,24 @@ import numpy as np
 
 from .errors import PreconditionError
 from .limits import ExtFn, Fn
-from .operators import EnlargedOperatorGraph, OperatorGraph, _ext_scale
+from .operators import OperatorGraph, _ext_scale
 
 __all__ = [
     "ViscosityReport",
     "OptimizingSequenceReport",
     "ComparisonReport",
     "IdentificationReport",
-    "DensityExtensionReport",
     "check_subsolution",
     "check_supersolution",
     "find_optimizing_sequence",
     "check_comparison",
     "perturb_subsolution",
     "identification_bound",
-    "extend_solutions_by_density",
 ]
+
+# the tail of an optimizing sequence: the last third of the eps grid, where
+# eps is smallest
+TAIL_FRACTION = 1.0 / 3.0
 
 
 def _ext_values(u) -> np.ndarray:
@@ -179,8 +181,7 @@ class OptimizingSequenceReport:
 
 
 def find_optimizing_sequence(
-    f, g, eps_grid: Sequence[float], tol_f: float = 1e-3, tol_g: float = 1e-3,
-    tail_fraction: float = 1.0 / 3.0,
+    f, g, eps_grid: Sequence[float], tol_f: float = 1e-3, tol_g: float = 1e-3
 ) -> OptimizingSequenceReport:
     """Construct x_eps maximizing f - eps * g along a decreasing eps grid.
 
@@ -214,7 +215,7 @@ def find_optimizing_sequence(
         margins.append(float(fvals[-1] - eps * gvals[-1] + eps * eps - s_eps))
     fvals = np.array(fvals)
     gvals = np.array(gvals)
-    tail_start = int(len(eps_grid) * (1.0 - tail_fraction))
+    tail_start = int(len(eps_grid) * (1.0 - TAIL_FRACTION))
     g_tail_max = float(gvals[tail_start:].max())
     f_gap_final = float(abs(sup_f - fvals[-1]))
     return OptimizingSequenceReport(
@@ -290,70 +291,4 @@ def identification_bound(
         )
     return IdentificationReport(
         precondition_ok=True, bound_holds=excess <= tol, max_excess=excess, viscosity=rep
-    )
-
-
-@dataclass(frozen=True)
-class DensityExtensionReport:
-    passed: bool
-    errors_on_level_set: tuple
-    maximizer_trace: tuple
-    per_step: tuple
-    final: ViscosityReport
-
-
-def extend_solutions_by_density(
-    family,
-    D: Sequence[Fn],
-    G,
-    lam: float,
-    h_target: Fn,
-    tol: float,
-    level_const: float = 2.0,
-    step_tol: float = 1e-8,
-) -> DensityExtensionReport:
-    """Extend the subsolution property along a density sequence.
-
-    D lists approximants of h_target, best last.  For each graph pair the
-    approximation errors are measured on the level set {f <= level_const *
-    ||h_target||} and must improve along D (precondition).  Each solved
-    u_k = R(lam)h_k must be a subsolution for its own right-hand side; the
-    candidate extension is the final u and is checked against h_target at
-    the caller's tolerance.  Maximizer locations along the sequence are
-    reported so drift toward the limit argmax is visible.
-    """
-    if not D:
-        raise PreconditionError("empty density list")
-    exact = [k for k, hk in enumerate(D)
-             if hk.values.shape == h_target.values.shape
-             and float(np.abs(hk.values - h_target.values).max()) <= 1e-15]
-    norm_h = h_target.norm
-    errs_per_pair = []
-    for f, g in G.pairs:
-        level = np.flatnonzero(f.values <= level_const * norm_h + 1e-12)
-        if level.size == 0:
-            raise PreconditionError("empty level set for a graph pair")
-        errs = [float(np.abs(h_target.values[level] - hk.values[level]).max()) for hk in D]
-        errs_per_pair.append(tuple(errs))
-        if not exact:
-            if any(b > a + 1e-12 for a, b in zip(errs[:-1], errs[1:])) or not errs[-1] < errs[0]:
-                raise PreconditionError(
-                    "density probes do not improve on the level set (approximation floor)"
-                )
-    solved = [family.solve(lam, hk) for hk in D]
-    per_step = []
-    trace = []
-    for k, (hk, uk) in enumerate(zip(D, solved)):
-        rep_k = check_subsolution(uk, G, hk, lam, tol=step_tol)
-        per_step.append({"k": k, "passed": rep_k.passed})
-        trace.append(tuple(p["witness_x"] for p in rep_k.per_pair))
-    u_ext = solved[-1]
-    final = check_subsolution(u_ext, G, h_target, lam, tol=tol)
-    passed = final.passed and all(s["passed"] for s in per_step)
-    return DensityExtensionReport(
-        passed=passed,
-        errors_on_level_set=tuple(errs_per_pair),
-        maximizer_trace=tuple(trace),
-        per_step=tuple(per_step),
-        final=final,
     )

@@ -194,6 +194,13 @@ def test_jobs_do_not_change_the_outputs(tmp_path):
     assert main(["check", "--config", cfg, "--out", out1, "--jobs", "1"]) == 0
     assert main(["check", "--config", cfg, "--out", out2, "--jobs", "3"]) == 0
     assert_identical_outputs(out1, out2)
+    # the two cells of the shipped semigroup suite share one family too: the
+    # density cell fills its cache while the other runs Crandall-Liggett steps
+    cfg = str(CONFIGS / "semigroup.yaml")
+    out1, out2 = str(tmp_path / "semigroup1"), str(tmp_path / "semigroup2")
+    assert main(["semigroup", "--config", cfg, "--out", out1, "--jobs", "1"]) == 0
+    assert main(["semigroup", "--config", cfg, "--out", out2, "--jobs", "2"]) == 0
+    assert_identical_outputs(out1, out2)
 
 
 def test_check_suite_cells_and_spike_witness(tmp_path):

@@ -181,9 +181,9 @@ def test_build_operator_variants():
         {"kind": "upwind_quadratic", "drift": {"kind": "trig", "sin": [0.4]}},
         g, RNG(),
     )
-    assert up.monotone
+    assert up.custom_solver is not None  # Howard, the upwind scheme's solver
     cen = build_operator({"kind": "centered_quadratic"}, g, RNG())
-    assert not cen.monotone
+    assert cen.custom_solver is None
     with pytest.raises(ConfigError, match="needs a rate_matrix"):
         build_operator({"kind": "linear"}, s, RNG())
     with pytest.raises(ConfigError, match="does not match"):

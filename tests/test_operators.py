@@ -104,7 +104,6 @@ def test_linear_generator_is_matrix_action():
     assert np.allclose(H.apply_values(v), A @ v)
     assert np.array_equal(H.jacobian(v), A)
     assert H.jacobian_pattern is None  # dense
-    assert H.monotone
     with pytest.raises(PreconditionError):
         H(Fn(chain(5), np.zeros(5)))  # same shape, different space
 
@@ -189,7 +188,6 @@ def test_upwind_vanishes_on_constants():
     s = unit_grid(32)
     H = upwind_quadratic(s, drift_sin(s, 0.5))
     assert np.abs(H.apply_values(np.full(32, 1.3))).max() == 0.0
-    assert H.monotone
 
 
 def test_upwind_consistency_is_first_order_on_smooth_data():
@@ -429,7 +427,6 @@ def test_centered_jacobian_matches_finite_differences():
     s = unit_grid(24)
     H = centered_quadratic(s, drift_sin(s, 0.3))
     v = 0.1 * np.sin(2.0 * np.pi * s.coords[:, 0] + 0.37)
-    assert not H.monotone
     J = H.jacobian(v).toarray()
     assert np.abs(J - fd_jacobian(H.apply_values, v)).max() < 1e-6
 

@@ -19,7 +19,6 @@ from hjlab import (
     check_contractive,
     check_pseudo_resolvent_identity,
     estimate_equicontinuity,
-    graph_contains,
     lift_to_members,
     linear_generator,
     make_grid_sequence,
@@ -380,7 +379,6 @@ def test_build_Hhat_pairs_satisfy_the_generating_equation():
     for (f, g), m in zip(G.pairs, meta):
         residual = f.values - m["lam"] * g.values - m["h"].values
         assert np.abs(residual).max() < 1e-12
-        assert graph_contains(G, f, g)
     with pytest.raises(PreconditionError):
         build_Hhat(family, [-1.0], hs)
 
@@ -435,6 +433,25 @@ def test_solve_all_falls_back_to_single_solves_when_the_stack_raises():
         tilted.solve_all([(0.5, h), (0.0, h)])
     with pytest.raises(PreconditionError, match="space"):
         ResolventFamily(hamiltonian=H).solve_all([(0.5, h)])
+
+
+def test_a_copy_without_custom_solver_builds_Hhat_by_newton():
+    # the stacked solver follows the custom path: a copy that drops
+    # custom_solver solves by Newton in a stack as it does one at a time
+    s = unit_grid(32)
+    H = replace(upwind_quadratic(s, 0.5 * np.sin(2.0 * np.pi * s.coords[:, 0])),
+                custom_solver=None)
+    rng = np.random.default_rng(9)
+    hs = [Fn(s, rng.uniform(-0.5, 0.5, 32)) for _ in range(2)]
+    family = ResolventFamily(hamiltonian=H)
+    G, meta = build_Hhat(family, [0.5, 1.0], hs)
+    assert len(family._cache) == len(G.pairs) == 4
+    assert all(diag.method == "newton" for _, diag in family._cache.values())
+    single = ResolventFamily(hamiltonian=H)
+    for (f, _), m in zip(G.pairs, meta):
+        f_ref, diag = solve_resolvent(single, m["lam"], m["h"])
+        assert diag.method == "newton"
+        assert f.values.tobytes() == f_ref.values.tobytes()
 
 
 def test_equicontinuity_fit_finds_a_level_for_upwind_resolvents():

@@ -1,4 +1,4 @@
-"""Space containers, grid and product sequence constructions, set limits."""
+"""Space containers and grid and product sequence constructions."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from hjlab import (
     FiniteSpace,
     Fn,
     SpaceSequence,
-    kuratowski_limits,
     lift_to_members,
     make_grid_sequence,
     make_product_sequence,
@@ -20,19 +19,11 @@ from hjlab import (
 from hjlab import spaces
 
 
-def test_finite_space_normalizes_coords_and_indexes_points():
+def test_finite_space_normalizes_coords():
     s = FiniteSpace(points=("a", "b", "c"), coords=np.array([0.0, 0.5, 1.0]))
     assert s.size == 3
     assert s.dim == 1
     assert s.coords.shape == (3, 1)
-    assert s.index("b") == 1
-
-
-def test_finite_space_builds_its_label_map_on_first_use():
-    s = FiniteSpace(points=(("a", 0), ("b", 1)), coords=np.array([0.0, 1.0]))
-    assert "_index" not in vars(s)
-    assert s.index(("b", 1)) == 1
-    assert "_index" in vars(s)
     with pytest.raises(ValueError, match="distinct"):
         FiniteSpace(points=("a", "b", "a"), coords=np.arange(3.0))
 
@@ -178,33 +169,14 @@ def test_grid_sequence_shapes_and_burn_in_default():
     assert seq.compacts.labels == (0.5, 1.0)
 
 
-def test_grid_sequence_audit_passes_at_spacing_tolerance():
-    seq = make_grid_sequence((0.0, 1.0), [8, 16, 32])
-    audit = seq.audit(tol=1.0 / 8)
-    assert audit.monotone
-    assert audit.passed
-    assert audit.reasons == ()
-    # full-domain periodic grids are 1/n-dense in the fine grid
-    assert audit.hausdorff[1.0].max() <= 1.0 / 8
-
-
-def test_grid_sequence_audit_fails_at_impossible_tolerance():
-    seq = make_grid_sequence((0.0, 1.0), [8, 16, 32])
-    audit = seq.audit(tol=1e-6)
-    assert not audit.passed
-    assert any("Hausdorff" in r for r in audit.reasons)
-
-
-def test_audit_burn_in_must_name_a_member():
-    # only the finest member is within 0.05 of the limit grid, so a burn-in
-    # index counted from the end would pass, and one past the last member
-    # leaves nothing to check
-    seq = make_grid_sequence((0.0, 1.0), [4, 16, 64], n0=0)
-    assert not seq.audit(0.05, n0=0).passed
-    assert seq.audit(0.05, n0=2).passed
+def test_space_sequence_burn_in_must_name_a_member():
+    # a negative burn-in index would count from the end, and one past the
+    # last member leaves nothing to check
+    seq = make_grid_sequence((0.0, 1.0), [4, 16, 64], n0=2)
+    assert seq.n0 == 2
     for n0 in (-1, seq.n_members):
         with pytest.raises(ValueError, match="n0 out of range"):
-            seq.audit(0.05, n0=n0)
+            make_grid_sequence((0.0, 1.0), [4, 16, 64], n0=n0)
 
 
 def test_grid_sequence_rejects_bad_arguments():
@@ -277,44 +249,3 @@ def test_product_sequence_needs_three_members():
     with pytest.raises(ValueError):
         make_product_sequence(slow, fast, n_members=2)
 
-
-def test_kuratowski_alternating_sets_split_upper_from_lower():
-    # O_n alternates between {0} and {1}: both points recur, neither persists
-    sets = [np.array([[0.0]]), np.array([[1.0]])] * 3
-    cands = np.array([[0.0], [1.0]])
-    upper, lower = kuratowski_limits(sets, cands, eps=0.1, n0=0)
-    assert sorted(upper[:, 0].tolist()) == [0.0, 1.0]
-    assert lower.shape[0] == 0
-
-
-def test_kuratowski_constant_sets_have_equal_limits():
-    sets = [np.array([[0.0], [1.0]])] * 5
-    cands = np.array([[0.0], [0.5], [1.0]])
-    upper, lower = kuratowski_limits(sets, cands, eps=0.1)
-    assert np.array_equal(upper, lower)
-    assert upper[:, 0].tolist() == [0.0, 1.0]
-
-
-def test_kuratowski_lower_always_inside_upper():
-    rng = np.random.default_rng(7)
-    sets = [rng.uniform(size=(4, 1)) for _ in range(6)]
-    cands = np.linspace(0, 1, 21)[:, None]
-    upper, lower = kuratowski_limits(sets, cands, eps=0.15)
-    upper_set = {tuple(r) for r in upper.tolist()}
-    assert all(tuple(r) in upper_set for r in lower.tolist())
-
-
-def test_kuratowski_burn_in_must_name_a_set():
-    # a burn-in index counted from the end would keep only the last set
-    sets = [np.array([[0.0]]), np.array([[1.0]])] * 3
-    cands = np.array([[0.0], [1.0]])
-    upper, lower = kuratowski_limits(sets, cands, eps=0.1, n0=len(sets) - 1)
-    assert upper[:, 0].tolist() == lower[:, 0].tolist() == [1.0]
-    for n0 in (-1, len(sets)):
-        with pytest.raises(ValueError, match="n0 out of range"):
-            kuratowski_limits(sets, cands, eps=0.1, n0=n0)
-
-
-def test_kuratowski_rejects_empty_candidates():
-    with pytest.raises(ValueError):
-        kuratowski_limits([np.array([[0.0]])] * 3, np.empty((0, 1)), eps=0.1)

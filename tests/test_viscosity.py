@@ -1,5 +1,5 @@
 """Sub/supersolution checks on hand-computed fixtures, optimizing sequences,
-and the comparison / perturbation / density lemmas around them."""
+and the comparison / perturbation / identification lemmas around them."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from hjlab import (
     check_comparison,
     check_subsolution,
     check_supersolution,
-    extend_solutions_by_density,
     find_optimizing_sequence,
     identification_bound,
     perturb_subsolution,
@@ -301,44 +300,6 @@ def test_identification_bound_both_directions():
     assert not rep.viscosity.passed
     with pytest.raises(PreconditionError, match="direction"):
         identification_bound(f0, g0, below, eps=0.5, direction="sideways")
-
-
-def density_fixture(seed=9, n=6, lam=1.0):
-    s = chain(n)
-    rng = np.random.default_rng(seed)
-    family = ResolventFamily(hamiltonian=tilt_linear(random_rate_matrix(rng, n), s))
-    h = Fn(s, rng.uniform(0.1, 0.6, n))
-    G, _ = build_Hhat(family, [lam], [h])
-    return family, h, G, lam
-
-
-def test_density_extension_accepts_an_improving_sequence():
-    family, h, G, lam = density_fixture()
-    D = [Fn(h.space, h.values + d) for d in (0.1, 0.01, 0.001)]
-    rep = extend_solutions_by_density(family, D, G, lam, h, tol=2e-3)
-    assert rep.passed
-    assert rep.errors_on_level_set[0] == pytest.approx((0.1, 0.01, 0.001))
-    assert all(step["passed"] for step in rep.per_step)
-    assert len(rep.maximizer_trace) == len(D)
-    assert rep.final.passed
-
-
-def test_density_extension_preconditions():
-    family, h, G, lam = density_fixture()
-    with pytest.raises(PreconditionError, match="empty density list"):
-        extend_solutions_by_density(family, [], G, lam, h, tol=1e-3)
-    worsening = [Fn(h.space, h.values + d) for d in (0.01, 0.1)]
-    with pytest.raises(PreconditionError, match="approximation floor"):
-        extend_solutions_by_density(family, worsening, G, lam, h, tol=1e-3)
-    with pytest.raises(PreconditionError, match="empty level set"):
-        extend_solutions_by_density(
-            family, worsening[:1], G, lam, h, tol=1e-3, level_const=-10.0
-        )
-    # an exact member waives the improvement precondition but the final
-    # candidate is still judged against the target
-    mixed = [Fn(h.space, h.values), Fn(h.space, h.values + 0.5)]
-    rep = extend_solutions_by_density(family, mixed, G, lam, h, tol=1e-3)
-    assert not rep.passed
 
 
 # values drawn from a small set so that exact ties, ties within tie_tol and
