@@ -40,7 +40,6 @@ from .probes import (
     trig_polynomial,
 )
 from .operators import (
-    EnlargedOperatorGraph,
     Hamiltonian,
     OperatorGraph,
     SlowFastCoupling,
@@ -51,7 +50,6 @@ from .operators import (
     graph_from_hamiltonian,
     linear_generator,
     random_rate_matrix,
-    scale_graph,
     slowfast_hamiltonian,
     stationary_distribution,
     tilt_linear,

@@ -53,21 +53,6 @@ class Fn:
     def norm(self) -> float:
         return float(np.abs(self.values).max())
 
-    def __add__(self, other):
-        if isinstance(other, Fn):
-            self._check_same_space(other)
-            return Fn(self.space, self.values + other.values)
-        return Fn(self.space, self.values + float(other))
-
-    def __sub__(self, other):
-        if isinstance(other, Fn):
-            self._check_same_space(other)
-            return Fn(self.space, self.values - other.values)
-        return Fn(self.space, self.values - float(other))
-
-    def __rmul__(self, c: float) -> "Fn":
-        return Fn(self.space, float(c) * self.values)
-
     def truncate_above(self, c: float) -> "Fn":
         return Fn(self.space, np.minimum(self.values, float(c)))
 
@@ -76,10 +61,6 @@ class Fn:
 
     def as_ext(self) -> "ExtFn":
         return ExtFn(self.space, self.values)
-
-    def _check_same_space(self, other: "Fn") -> None:
-        if other.space is not self.space and other.space != self.space:
-            raise ValueError("operands live on different spaces")
 
 
 @dataclass(frozen=True)

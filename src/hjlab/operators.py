@@ -1,18 +1,20 @@
-"""Shipped Hamiltonians, multivalued operator graphs, scaling, dissipativity.
+"""Shipped Hamiltonians, multivalued operator graphs, dissipativity.
 
 Operators come in two shapes.  A Hamiltonian is single valued: a map on
 value vectors with an optional Jacobian (used by the Newton path of the
 resolvent solver) and an optional global Lipschitz bound (used by the
 damped fixed-point path).  An OperatorGraph is a finite list of pairs
-(f, g); graphs tagged "dagger" test subsolutions and require first
-components bounded below and second components bounded above, graphs
-tagged "ddagger" mirror this for supersolutions.
+(f, g), the one graph type: f lives on the base space, g on an enlarged
+space that the index map gamma sends into the base space; without an
+enlargement g lives on the base space and gamma is the identity.  Graphs
+tagged "dagger" test subsolutions and require first components bounded
+below and second components bounded above; graphs tagged "ddagger" mirror
+this for supersolutions.
 
-Scaling a graph by c >= 0 multiplies second components only, with the
-extended convention that c * (+inf) = +inf and c * (-inf) = -inf even at
-c = 0.  The zero scaling therefore keeps the graph's shape while flattening
-every finite value, which is what makes constant-coefficient equations
-degenerate gracefully.
+Scaling a second component by c >= 0 (_ext_scale, as the viscosity checks
+form lambda * g) follows the extended convention c * (+inf) = +inf and
+c * (-inf) = -inf even at c = 0, so an infinite g keeps its sign at
+lambda = 0.
 
 The shipped constructions:
 
@@ -50,10 +52,8 @@ from .spaces import EnlargedSpaceSequence, FiniteSpace
 __all__ = [
     "Hamiltonian",
     "OperatorGraph",
-    "EnlargedOperatorGraph",
     "SlowFastCoupling",
     "DissipativityReport",
-    "scale_graph",
     "check_dissipative",
     "check_degenerate_elliptic",
     "graph_from_hamiltonian",
@@ -140,82 +140,54 @@ def scale_hamiltonian(c: float, H: Hamiltonian) -> Hamiltonian:
     )
 
 
-def _validate_graph_pairs(pairs, kind: str) -> None:
-    if kind not in ("dagger", "ddagger"):
-        raise ValueError("kind must be 'dagger' or 'ddagger'")
-    for f, g in pairs:
-        if kind == "dagger":
-            if not f.bounded_below:
-                raise ValueError("dagger first components must be bounded below")
-            if not g.bounded_above:
-                raise ValueError("dagger second components must be bounded above")
-        else:
-            if not f.bounded_above:
-                raise ValueError("ddagger first components must be bounded above")
-            if not g.bounded_below:
-                raise ValueError("ddagger second components must be bounded below")
-
-
 @dataclass(frozen=True)
 class OperatorGraph:
-    """A finite multivalued operator: pairs (f, g) over one space."""
+    """A finite multivalued operator: pairs (f, g), f on the base space and g
+    on the enlarged space, which gamma maps down to the base.
+
+    Without an enlargement (enlarged_space and gamma omitted) g lives on the
+    base space too and gamma is the identity.  Viscosity checks compose
+    candidate solutions with gamma before comparing against f.
+    """
 
     space: FiniteSpace
     pairs: tuple
     kind: str = "dagger"
+    enlarged_space: FiniteSpace | None = None
+    gamma: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        pairs = tuple(
-            (f.as_ext() if isinstance(f, Fn) else f, g.as_ext() if isinstance(g, Fn) else g)
-            for f, g in self.pairs
-        )
-        for f, g in pairs:
-            if f.space != self.space or g.space != self.space:
-                raise ValueError("graph pair on the wrong space")
-        _validate_graph_pairs(pairs, self.kind)
-        object.__setattr__(self, "pairs", pairs)
-
-    @property
-    def gamma(self) -> np.ndarray:
-        # plain graphs: the enlargement is trivial
-        return np.arange(self.space.size)
-
-    @property
-    def base_space(self) -> FiniteSpace:
-        return self.space
-
-    @property
-    def enlarged_space(self) -> FiniteSpace:
-        return self.space
-
-
-@dataclass(frozen=True)
-class EnlargedOperatorGraph:
-    """Pairs (f, g) with f on the base limit space and g on the enlarged one.
-
-    gamma maps enlarged points down to base points; viscosity checks compose
-    candidate solutions with gamma before comparing against f.
-    """
-
-    base_space: FiniteSpace
-    enlarged_space: FiniteSpace
-    gamma: np.ndarray
-    pairs: tuple
-    kind: str = "dagger"
-
-    def __post_init__(self) -> None:
-        gamma = np.asarray(self.gamma, dtype=int)
-        if gamma.shape != (self.enlarged_space.size,):
+        if self.kind not in ("dagger", "ddagger"):
+            raise ValueError("kind must be 'dagger' or 'ddagger'")
+        enlarged = self.space if self.enlarged_space is None else self.enlarged_space
+        if self.gamma is None:
+            gamma = np.arange(enlarged.size)
+        else:
+            gamma = np.array(self.gamma, dtype=int)
+        if gamma.shape != (enlarged.size,):
             raise ValueError("gamma must map every enlarged point")
-        object.__setattr__(self, "gamma", gamma)
+        if np.any((gamma < 0) | (gamma >= self.space.size)):
+            raise ValueError("gamma must map into the base space")
+        gamma.flags.writeable = False
         pairs = tuple(
             (f.as_ext() if isinstance(f, Fn) else f, g.as_ext() if isinstance(g, Fn) else g)
             for f, g in self.pairs
         )
         for f, g in pairs:
-            if f.space != self.base_space or g.space != self.enlarged_space:
+            if f.space != self.space or g.space != enlarged:
                 raise ValueError("graph pair on the wrong spaces")
-        _validate_graph_pairs(pairs, self.kind)
+            if self.kind == "dagger":
+                if not f.bounded_below:
+                    raise ValueError("dagger first components must be bounded below")
+                if not g.bounded_above:
+                    raise ValueError("dagger second components must be bounded above")
+            else:
+                if not f.bounded_above:
+                    raise ValueError("ddagger first components must be bounded above")
+                if not g.bounded_below:
+                    raise ValueError("ddagger second components must be bounded below")
+        object.__setattr__(self, "enlarged_space", enlarged)
+        object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "pairs", pairs)
 
 
@@ -226,24 +198,6 @@ def _ext_scale(c: float, values: np.ndarray) -> np.ndarray:
     inf_mask = np.isinf(values)
     out[inf_mask] = values[inf_mask]
     return out
-
-
-def scale_graph(c: float, G):
-    """Scale the second components of a graph by c >= 0, infinities preserved."""
-    if c < 0:
-        raise PreconditionError("scaling constant must be nonnegative")
-    new_pairs = tuple(
-        (f, ExtFn(g.space, _ext_scale(float(c), g.values.copy()))) for f, g in G.pairs
-    )
-    if isinstance(G, EnlargedOperatorGraph):
-        return EnlargedOperatorGraph(
-            base_space=G.base_space,
-            enlarged_space=G.enlarged_space,
-            gamma=G.gamma,
-            pairs=new_pairs,
-            kind=G.kind,
-        )
-    return OperatorGraph(space=G.space, pairs=new_pairs, kind=G.kind)
 
 
 def graph_from_hamiltonian(H: Hamiltonian, probes: Sequence[Fn], kind: str = "dagger"):
@@ -421,6 +375,20 @@ def _grid_spacing(space: FiniteSpace) -> float:
     return float(dx[0])
 
 
+def _compressed_pattern(
+    major: np.ndarray, minor: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The compressed pattern of an n x n matrix with entries at (major[k],
+    minor[k]): (indptr, indices, slot), where indptr (int32) delimits each
+    major line, indices (int32) lists its minor indices sorted and unique,
+    and entry k sits at position slot[k] of indices (duplicates share one).
+    With rows as major this is the CSR pattern; with columns as major the
+    CSC pattern, which is the CSR pattern of the transpose."""
+    keys, slot = np.unique(major.astype(np.int64) * n + minor, return_inverse=True)
+    indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(np.int32)
+    return indptr, (keys % n).astype(np.int32), slot
+
+
 def _csr_assembler(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[tuple, Callable]:
     """One-pass assembly of n x n matrices with entries at (rows[k], cols[k]).
 
@@ -429,13 +397,11 @@ def _csr_assembler(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[tuple, C
     of rows and cols, and returns the CSR matrix on that pattern, duplicates
     summed.  The pattern and the scatter into it are computed here, once.
     """
-    keys, slot = np.unique(rows.astype(np.int64) * n + cols, return_inverse=True)
-    indices = (keys % n).astype(np.int32)
-    indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(np.int32)
+    indptr, indices, slot = _compressed_pattern(rows, cols, n)
     indices.flags.writeable = indptr.flags.writeable = False
 
     def assemble(data: np.ndarray) -> sp.csr_matrix:
-        values = np.bincount(slot, weights=data, minlength=keys.size)
+        values = np.bincount(slot, weights=data, minlength=indices.shape[0])
         # fresh index arrays: a caller may prune the returned matrix in place
         return sp.csr_matrix((values, indices.copy(), indptr.copy()), shape=(n, n))
 

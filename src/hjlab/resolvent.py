@@ -59,7 +59,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import PreconditionError, SolverError
 from .limits import Fn
-from .operators import Hamiltonian, OperatorGraph
+from .operators import Hamiltonian, OperatorGraph, _compressed_pattern
 from .spaces import SpaceSequence
 
 __all__ = [
@@ -195,14 +195,13 @@ class _NewtonPattern:
         n = jac_indptr.shape[0] - 1
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(jac_indptr))
         diag = np.arange(n, dtype=np.int64)
-        # column-major keys, so sorting them gives CSC order
-        keys, slot = np.unique(
-            np.concatenate((jac_indices.astype(np.int64) * n + rows, diag * (n + 1))),
-            return_inverse=True,
+        # columns as the major index: the CSC pattern
+        indptr, indices, slot = _compressed_pattern(
+            np.concatenate((jac_indices, diag)), np.concatenate((rows, diag)), n
         )
         return cls(
-            indptr=np.searchsorted(keys // n, np.arange(n + 1)).astype(np.intc),
-            indices=(keys % n).astype(np.intc),
+            indptr=indptr,
+            indices=indices,
             jac_slot=slot[: rows.shape[0]],
             diag_slot=slot[rows.shape[0]:],
         )

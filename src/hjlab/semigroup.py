@@ -26,10 +26,9 @@ from scipy.linalg import expm
 
 from .errors import PreconditionError
 from .limits import ConvergenceVerdict, Fn, FnSequence, check_LIM, lift_to_members
-from .operators import scale_graph, validate_rate_matrix
+from .operators import validate_rate_matrix
 from .resolvent import ResolventFamily, _fixed_point_step, _solve, _takes_fixed_point
 from .spaces import SpaceSequence
-from .viscosity import check_subsolution, check_supersolution
 
 __all__ = [
     "SemigroupApprox",
@@ -188,15 +187,11 @@ def density_check_zero_operator(
     h: Fn,
     lambda_seq: Sequence[float],
     tol: float,
-    graph=None,
 ) -> ConvergenceVerdict:
     """Deviations ||R(lambda)h - h|| along a decreasing lambda sequence.
 
     Passes when the deviations are non-increasing (up to solver-level slack)
-    and the final one is below tol.  When a graph is supplied, additionally
-    verifies the constant-equation triviality: h itself passes the
-    subsolution and supersolution checks for f - 0 * Hf = h, realized by
-    scaling the graph's second components to zero.
+    and the final one is below tol.
     """
     lam_seq = [float(l) for l in lambda_seq]
     if any(l <= 0 for l in lam_seq) or any(b >= a for a, b in zip(lam_seq[:-1], lam_seq[1:])):
@@ -211,13 +206,6 @@ def density_check_zero_operator(
     if not non_increasing:
         notes.append("deviations increased along lambda_seq")
     passed = non_increasing and final_ok
-    if graph is not None:
-        zeroed = scale_graph(0.0, graph)
-        sub = check_subsolution(h, zeroed, h, 1.0, tol=1e-12)
-        sup = check_supersolution(h, zeroed, h, 1.0, tol=1e-12)
-        if not (sub.passed and sup.passed):
-            passed = False
-            notes.append("constant-equation triviality failed for h")
     per_level = {
         "all": {
             "worst_dev": devs[-1],

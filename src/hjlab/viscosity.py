@@ -91,7 +91,7 @@ def _check_solution(u, G, h: Fn, lam: float, tol: float, tie_tol: float, sub: bo
     gamma = G.gamma
     n_pairs = len(G.pairs)
     F = np.array([f.values for f, _ in G.pairs], dtype=float).reshape(
-        n_pairs, G.base_space.size)
+        n_pairs, G.space.size)
     Gv = np.array([g.values for _, g in G.pairs], dtype=float).reshape(n_pairs, gamma.size)
     sign = 1.0 if sub else -1.0
     # maximize sign * (u - f), one row per pair: covers sub (maximizers) and

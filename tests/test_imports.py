@@ -1,9 +1,14 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and every
+name a module exports is bound in it.
 
-There is no lint step, so this test is the check: a name bound by an import
-at module level in src/hjlab/*.py (other than __init__.py, which re-exports,
-and `from __future__`) must be named again somewhere in the module, in code
-or in its __all__.
+There is no lint step, so these tests are the check:
+  * a name bound by an import at module level in src/hjlab/*.py (other than
+    __init__.py, which re-exports, and `from __future__`) must be named again
+    somewhere in the module, in code or in its __all__;
+  * every entry of a module's __all__ must be bound at module level (by a
+    def, a class, an assignment or an import).  A stale entry breaks
+    `from module import *`, and since __all__ counts as a use it could
+    otherwise hide an unused import.
 """
 
 import ast
@@ -12,7 +17,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hjlab"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
+MODULES = [p for p in ALL_MODULES if p.name != "__init__.py"]
 
 
 def imported_names(tree: ast.Module) -> dict:
@@ -28,14 +34,33 @@ def imported_names(tree: ast.Module) -> dict:
     return names
 
 
-def used_names(tree: ast.Module) -> set:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def exported_names(tree: ast.Module) -> list:
+    """The entries of the module's __all__, empty when it has none."""
+    names = []
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            used |= set(ast.literal_eval(node.value))
-    return used
+            names += ast.literal_eval(node.value)
+    return names
+
+
+def used_names(tree: ast.Module) -> set:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return used | set(exported_names(tree))
+
+
+def bound_names(tree: ast.Module) -> set:
+    """Every name a module-level statement binds."""
+    bound = set(imported_names(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                bound |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return bound
 
 
 def unused_imports(source: str) -> list:
@@ -45,6 +70,12 @@ def unused_imports(source: str) -> list:
         f"{name} (line {line})" for name, line in imported_names(tree).items()
         if name not in used
     )
+
+
+def unbound_exports(source: str) -> list:
+    tree = ast.parse(source)
+    bound = bound_names(tree)
+    return sorted(name for name in exported_names(tree) if name not in bound)
 
 
 def test_the_check_sees_unused_and_used_imports():
@@ -62,6 +93,25 @@ def test_the_check_sees_unused_and_used_imports():
     assert unused_imports(source) == ["field (line 4)", "scipy (line 3)"]
 
 
+def test_the_check_sees_stale_exports():
+    source = (
+        "from .limits import Fn\n"
+        "__all__ = ['Fn', 'A', 'f', 'X', 'Y', 'scale_graph', 'gone']\n"
+        "class A:\n"
+        "    def gone(self):\n"
+        "        scale_graph = 1\n"
+        "def f():\n"
+        "    pass\n"
+        "X, Y = 1, 2\n"
+    )
+    assert unbound_exports(source) == ["gone", "scale_graph"]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_exported_names_are_bound(path):
+    assert unbound_exports(path.read_text()) == []

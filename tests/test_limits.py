@@ -43,26 +43,8 @@ def test_fn_values_are_frozen():
 def test_fn_algebra_and_truncation():
     s = unit_grid(4)
     f = Fn(s, np.array([1.0, -2.0, 3.0, 0.0]))
-    g = Fn(s, np.ones(4))
-    assert (f + g).values.tolist() == [2.0, -1.0, 4.0, 1.0]
-    assert (f - 1.0).values.tolist() == [0.0, -3.0, 2.0, -1.0]
-    assert (2.0 * f).norm == 6.0
     assert f.truncate_above(0.5).values.max() == 0.5
     assert f.truncate_below(0.0).values.min() == 0.0
-
-
-def test_fn_operations_reject_other_spaces():
-    f = Fn(unit_grid(4), np.zeros(4))
-    g = Fn(unit_grid(4), np.zeros(4))
-    with pytest.raises(ValueError):
-        f + g
-
-
-@given(st.lists(st.floats(-10, 10), min_size=5, max_size=5), st.floats(0, 4))
-@settings(max_examples=50, deadline=None)
-def test_fn_scaling_scales_the_norm(vals, c):
-    f = Fn(unit_grid(5), np.array(vals))
-    assert np.isclose((c * f).norm, c * f.norm)
 
 
 def test_ext_fn_boundedness_flags_and_round_trip():
@@ -93,7 +75,7 @@ def test_check_lim_rejects_a_constant_offset():
     seq = make_grid_sequence((0.0, 1.0), [16, 32, 64])
     f = trig_polynomial(seq.limit, [0.0, 1.0])
     fs = lift_to_members(f, seq)
-    verdict = check_LIM(fs, f + 0.5, tol=0.1)
+    verdict = check_LIM(fs, Fn(f.space, f.values + 0.5), tol=0.1)
     assert not verdict.passed
     assert all(rec["worst_dev"] >= 0.4 for rec in verdict.per_level.values())
 

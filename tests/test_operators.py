@@ -28,7 +28,6 @@ from hjlab import (
     linear_generator,
     make_product_sequence,
     random_rate_matrix,
-    scale_graph,
     slowfast_hamiltonian,
     solve_resolvent,
     stationary_distribution,
@@ -571,17 +570,28 @@ def test_dagger_graphs_enforce_one_sided_boundedness():
         OperatorGraph(space=s, pairs=(), kind="diamond")
 
 
-def test_scale_graph_preserves_infinities_at_zero():
-    s = unit_grid(4)
-    f = Fn(s, np.zeros(4))
-    g = ExtFn(s, np.array([1.0, np.inf, 2.0, 0.0]))
-    G = OperatorGraph(space=s, pairs=((f, g),), kind="ddagger")
-    G0 = scale_graph(0.0, G)
-    scaled = G0.pairs[0][1].values
-    assert scaled[1] == np.inf
-    assert np.all(scaled[[0, 2, 3]] == 0.0)
-    with pytest.raises(PreconditionError):
-        scale_graph(-0.5, G)
+def test_graph_enlargement_defaults_to_the_identity_and_gamma_maps_into_the_base():
+    base = chain(3)
+    G = OperatorGraph(space=base, pairs=())
+    assert G.enlarged_space is base
+    assert np.array_equal(G.gamma, np.arange(3))
+    assert not G.gamma.flags.writeable
+    enlarged = chain(4, name="enlarged4")
+    G = OperatorGraph(space=base, pairs=(), enlarged_space=enlarged, gamma=[0, 0, 1, 2])
+    assert G.gamma.tolist() == [0, 0, 1, 2]
+    # a negative entry would index the base from its end, and an entry of 3
+    # lies past it
+    for gamma in ([0, 1, 2, -1], [0, 1, 2, 3]):
+        with pytest.raises(ValueError, match="into the base space"):
+            OperatorGraph(space=base, pairs=(), enlarged_space=enlarged, gamma=gamma)
+    with pytest.raises(ValueError, match="every enlarged point"):
+        OperatorGraph(space=base, pairs=(), enlarged_space=enlarged, gamma=[0, 1, 2])
+    # an enlargement without gamma gets the identity, which needs equal sizes
+    with pytest.raises(ValueError, match="into the base space"):
+        OperatorGraph(space=base, pairs=(), enlarged_space=enlarged)
+    g = Fn(enlarged, np.zeros(4))
+    with pytest.raises(ValueError, match="wrong spaces"):
+        OperatorGraph(space=base, pairs=((Fn(base, np.zeros(3)), g),))
 
 
 # --- dissipativity -----------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import chain
 from oracles import viscosity_reference
 from hjlab import (
-    EnlargedOperatorGraph,
     ExtFn,
     Fn,
     OperatorGraph,
@@ -165,8 +164,8 @@ def test_enlarged_graphs_route_witnesses_through_gamma():
     f = Fn(base, [0.0, 1.0])
 
     def enlarged_graph(gvals, gm=gamma):
-        return EnlargedOperatorGraph(
-            base_space=base, enlarged_space=enlarged, gamma=gm,
+        return OperatorGraph(
+            space=base, enlarged_space=enlarged, gamma=gm,
             pairs=((f, Fn(enlarged, gvals)),), kind="dagger",
         )
 
@@ -326,8 +325,8 @@ def viscosity_case(draw):
         gamma = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
         pairs = tuple((_ext(base, draw, n, f_inf), _ext(enlarged, draw, m, g_inf))
                       for _ in range(draw(st.integers(0, 4))))
-        G = EnlargedOperatorGraph(base_space=base, enlarged_space=enlarged,
-                                  gamma=np.array(gamma), pairs=pairs, kind=kind)
+        G = OperatorGraph(space=base, enlarged_space=enlarged,
+                          gamma=np.array(gamma), pairs=pairs, kind=kind)
     else:
         pairs = tuple((_ext(base, draw, n, f_inf), _ext(base, draw, n, g_inf))
                       for _ in range(draw(st.integers(0, 4))))
@@ -371,3 +370,10 @@ def test_vectorised_check_matches_the_per_pair_reference(case):
     ref = _outcome(viscosity_reference.check_solution, case)
     got = _outcome(_check_solution, case)
     assert got == ref
+    u, G, *rest = case
+    if G.enlarged_space is G.space:
+        # a plain graph checks as the same graph with its identity
+        # enlargement spelled out
+        G_id = OperatorGraph(space=G.space, pairs=G.pairs, kind=G.kind,
+                             enlarged_space=G.space, gamma=np.arange(G.space.size))
+        assert _outcome(_check_solution, (u, G_id, *rest)) == got
