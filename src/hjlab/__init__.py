@@ -17,7 +17,6 @@ from .errors import (
 )
 from .spaces import (
     CompactFamily,
-    EnlargedSpaceSequence,
     FiniteSpace,
     SpaceSequence,
     make_grid_sequence,

@@ -207,7 +207,6 @@ def _cells_converge(section: dict, seed: int):
 
 def _cells_converge_grid(section: dict, seed: int):
     seq = cfg.build_sequence(section["sequence"])
-    ens = seq.as_enlarged()
     scheme = section["scheme"]
     limit_scheme = section.get("limit_scheme", "upwind_quadratic")
     drift = section["drift"]
@@ -222,7 +221,7 @@ def _cells_converge_grid(section: dict, seed: int):
     dagger = graph_from_hamiltonian(H_lim, D, kind="dagger")
     ddagger = graph_from_hamiltonian(H_lim, D, kind="ddagger")
     op_seq = OperatorSequence(
-        spaces=ens, members=members, limit_hamiltonian=H_lim,
+        spaces=seq, members=members, limit_hamiltonian=H_lim,
         limit_dagger=dagger, limit_ddagger=ddagger,
     )
     env = section["envelope_tolerance"]
@@ -280,9 +279,7 @@ def _cells_converge_slowfast(section: dict, seed: int):
     )
     A_fast = cfg.build_rate_matrix(section["fast_rate_matrix"], _rng(seed, SEED_TAG_FIXTURES))
     n_fast = A_fast.shape[0]
-    fast_space = FiniteSpace(
-        points=tuple(range(n_fast)), coords=np.arange(n_fast, dtype=float), name=f"fast{n_fast}"
-    )
+    fast_space = FiniteSpace(coords=np.arange(n_fast, dtype=float), name=f"fast{n_fast}")
     couplings = [float(c) for c in section["couplings"]]
     product = make_product_sequence(slow_space, fast_space, n_members=len(couplings))
     coupling = SlowFastCoupling(
@@ -400,7 +397,7 @@ def _cells_check(section: dict, seed: int):
         def run_optseq():
             points = int(opt["points"])
             xs = (1.0 + np.arange(points)) / points
-            space_ox = FiniteSpace(points=tuple(range(points)), coords=xs, name="unit(0,1]")
+            space_ox = FiniteSpace(coords=xs, name="unit(0,1]")
             logx = Fn(space_ox, np.log(xs))
             eps_grid = [2.0 ** (-k) for k in range(int(opt["eps_halvings"]) + 1)]
             rep = find_optimizing_sequence(

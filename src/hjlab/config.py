@@ -31,7 +31,7 @@ from .operators import (
     validate_rate_matrix,
 )
 from .probes import bump, random_bounded, trig_basis, trig_polynomial
-from .spaces import FiniteSpace, SpaceSequence, make_grid_sequence
+from .spaces import FiniteSpace, SpaceSequence, _interval_grid, make_grid_sequence
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -437,18 +437,14 @@ def build_space(spec: dict) -> FiniteSpace:
     if kind == "chain":
         size = int(spec.get("size", 2))
         xs = np.arange(size, dtype=float)
-        return FiniteSpace(points=tuple(range(size)), coords=xs, name=f"chain{size}")
+        return FiniteSpace(coords=xs, name=f"chain{size}")
     if kind == "grid":
         a, b = (float(v) for v in spec.get("domain", [0.0, 1.0]))
         if b <= a:
             raise ConfigError("grid domain must be an increasing interval")
         res = int(spec.get("resolution", 64))
-        periodic = bool(spec.get("periodic", True))
-        if periodic:
-            xs = a + (b - a) * np.arange(res) / res
-        else:
-            xs = np.linspace(a, b, res)
-        return FiniteSpace(points=tuple(range(res)), coords=xs, name=f"grid{res}")
+        xs = _interval_grid(a, b, res, bool(spec.get("periodic", True)))
+        return FiniteSpace(coords=xs, name=f"grid{res}")
     raise ConfigError(f"unknown space kind: {kind}")
 
 

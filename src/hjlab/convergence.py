@@ -12,6 +12,11 @@ sequences:
                     whose f-values converge to f(gamma(y));
   check_ex_superlim the mirror image for ddagger pairs.
 
+First components are tracked toward limit points; second components are
+tracked through the sequence's enlarged embeddings toward points y of its
+enlarged limit, and gamma(y) names the limit point they sit over.  On a
+sequence built without an enlargement the two pictures coincide.
+
 The Barles-Perthame route to resolvent convergence composes these with the
 upper/lower envelopes of the solved member resolvents: when the envelopes
 coincide (comparison holds in the limit) the member solutions converge to
@@ -57,7 +62,7 @@ from .resolvent import (
     estimate_equicontinuity,
 )
 from .semigroup import fit_loglog_slope
-from .spaces import EnlargedSpaceSequence
+from .spaces import SpaceSequence
 from .viscosity import check_subsolution, check_supersolution
 
 __all__ = [
@@ -85,21 +90,21 @@ IDENTITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class OperatorSequence:
-    """Member operators over an enlarged space sequence, with limit graphs.
+    """Member operators over a space sequence, with limit graphs.
 
-    members align with spaces.base.members; the limit Hamiltonian (when one
+    members align with spaces.members; the limit Hamiltonian (when one
     exists) drives direct limit solves, and the dagger/ddagger graphs are the
     test pairs for the limit equation.
     """
 
-    spaces: EnlargedSpaceSequence
+    spaces: SpaceSequence
     members: tuple
     limit_hamiltonian: Hamiltonian | None = None
     limit_dagger: object | None = None
     limit_ddagger: object | None = None
 
     def __post_init__(self) -> None:
-        if len(self.members) != self.spaces.base.n_members:
+        if len(self.members) != self.spaces.n_members:
             raise ValueError("need one member operator per member space")
 
 
@@ -141,13 +146,12 @@ def check_ex_lim(
     (f_n, g_n) in H_n (membership violations are structural errors).  The
     second components are tracked through the enlarged embeddings toward
     points of the enlarged limit."""
-    ens = op_seq.spaces
+    seq = op_seq.spaces
     f_lim, g_lim = limit_pair
     g_seq = _member_images(op_seq, f_seq, g_seq)
     f_verdict = check_LIM(f_seq, f_lim, tol, n0=n0)
     g_verdict = _lim_verdict(
-        g_seq, g_lim, tol, ens.base.n0 if n0 is None else n0,
-        ens.tracked_enlarged, ens.enlarged_limit_sets,
+        g_seq, g_lim, tol, n0, seq.tracked_enlarged, seq.enlarged_limit_sets
     )
     return ExLimReport(
         passed=f_verdict.passed and g_verdict.passed, f_verdict=f_verdict, g_verdict=g_verdict
@@ -167,7 +171,7 @@ class WitnessBundle:
 
 
 def _sequence_records(
-    ens: EnlargedSpaceSequence,
+    seq: SpaceSequence,
     f_seq: FnSequence,
     g_seq: FnSequence,
     f_lim: Fn,
@@ -182,12 +186,12 @@ def _sequence_records(
     (super) above g(y) - tol, from n0 on."""
     records = []
     seq_ok = True
-    for qi, q in enumerate(ens.base.compacts.labels):
-        idx = ens.tracked_enlarged(q)
-        y = ens.enlarged_limit_sets[qi]
+    for qi, q in enumerate(seq.compacts.labels):
+        idx = seq.tracked_enlarged(q)
+        y = seq.enlarged_limit_sets[qi]
         fv = _gather(f_seq, idx)[n0:]
         gv = _gather(g_seq, idx)[n0:]
-        gated = np.abs(fv - f_lim.values[ens.gamma[y]]).max(axis=0) <= tol
+        gated = np.abs(fv - f_lim.values[seq.gamma[y]]).max(axis=0) <= tol
         if sub:
             margin = g_lim.values[y] + tol - gv.max(axis=0)
         else:
@@ -208,8 +212,8 @@ def _check_ex_one_sided(
     n0: int | None,
     sub: bool,
 ) -> WitnessBundle:
-    ens = op_seq.spaces
-    n0 = _burn_in(ens.base, n0)
+    seq = op_seq.spaces
+    n0 = _burn_in(seq, n0)
     f_lim, g_lim = limit_pair
     g_seq = _member_images(op_seq, f_seq, g_seq)
     bound = float(max(f_lim.norm, 1e-12))
@@ -228,7 +232,7 @@ def _check_ex_one_sided(
         g_bound = float(max(g.values.max() for g in g_seq.members))
     else:
         g_bound = float(min(g.values.min() for g in g_seq.members))
-    records, seq_ok = _sequence_records(ens, f_seq, g_seq, f_lim, g_lim, tol, n0, sub)
+    records, seq_ok = _sequence_records(seq, f_seq, g_seq, f_lim, g_lim, tol, n0, sub)
     notes = []
     if not trunc_ok:
         notes.append("truncated limits failed")
@@ -287,18 +291,18 @@ def barles_perthame_envelopes(
     lam: float,
     h_limit: Fn,
     pre_tol: float,
-    n0: int | None = None,
 ) -> EnvelopeReport:
     """Upper and lower envelopes of the member resolvents R_n(lam) h_n.
 
     Precondition (raised on violation): LIMSUP h_n <= h and LIMINF h_n >= h
     within pre_tol on the tracked compact levels.  The returned separation is
     the worst gap upper - lower per level, the quantity that must vanish for
-    the limit resolvent to exist along this route.
+    the limit resolvent to exist along this route.  Every envelope starts
+    at the sequence's own burn-in index.
     """
     seq = h_seq.spaces
-    up_h = compute_LIMSUP(h_seq, n0=n0)
-    lo_h = compute_LIMINF(h_seq, n0=n0)
+    up_h = compute_LIMSUP(h_seq)
+    lo_h = compute_LIMINF(h_seq)
     for q, over, under in _envelope_excess(up_h, lo_h, h_limit, seq):
         if over > pre_tol:
             raise PreconditionError(
@@ -312,8 +316,8 @@ def barles_perthame_envelopes(
     for n, fam in enumerate(families):
         sols.append(fam.solve(lam, h_seq.members[n]))
     u_seq = FnSequence(seq, tuple(sols))
-    upper = compute_LIMSUP(u_seq, n0=n0)
-    lower = compute_LIMINF(u_seq, n0=n0)
+    upper = compute_LIMSUP(u_seq)
+    lower = compute_LIMINF(u_seq)
     separation = {}
     worst = 0.0
     for qi, q in enumerate(seq.compacts.labels):
@@ -365,8 +369,7 @@ def resolvent_convergence_experiment(
     expectation="separate" the report passes when the envelopes detectably
     split on at least one probe instead.
     """
-    ens = op_seq.spaces
-    base = ens.base
+    seq = op_seq.spaces
     families = [ResolventFamily(hamiltonian=H) for H in op_seq.members]
     limit_family = (
         ResolventFamily(hamiltonian=op_seq.limit_hamiltonian)
@@ -378,7 +381,7 @@ def resolvent_convergence_experiment(
     lifting = []
     lifted: dict = {}
     for k, h in enumerate(D):
-        h_seq = lift_to_members(h, base)
+        h_seq = lift_to_members(h, seq)
         lifted[k] = h_seq
         norm_ok = all(m.norm <= h.norm + 1e-12 for m in h_seq.members)
         verdict = check_LIM(h_seq, h, tol_lim)
@@ -391,8 +394,8 @@ def resolvent_convergence_experiment(
     witness_fns: list[FnSequence] = []
     if op_seq.limit_dagger is not None:
         for j, (phi, psi) in enumerate(op_seq.limit_dagger.pairs):
-            phi_fn = Fn(base.limit, phi.values)
-            f_seq = lift_to_members(phi_fn, base)
+            phi_fn = Fn(seq.limit, phi.values)
+            f_seq = lift_to_members(phi_fn, seq)
             witness_fns.append(f_seq)
             if tol_witness is None:
                 continue
@@ -403,8 +406,8 @@ def resolvent_convergence_experiment(
                                     "bundle": bundle})
     if op_seq.limit_ddagger is not None and tol_witness is not None:
         for j, (phi, psi) in enumerate(op_seq.limit_ddagger.pairs):
-            phi_fn = Fn(base.limit, phi.values)
-            f_seq = lift_to_members(phi_fn, base)
+            phi_fn = Fn(seq.limit, phi.values)
+            f_seq = lift_to_members(phi_fn, seq)
             bundle = check_ex_superlim(
                 op_seq, (phi_fn, psi), f_seq, None, tol=tol_witness
             )
@@ -413,7 +416,7 @@ def resolvent_convergence_experiment(
 
     member_viscosity = []
     probe_seqs = witness_fns if witness_fns else [lifted[k] for k in lifted]
-    for n in range(base.n_members):
+    for n in range(seq.n_members):
         probes_n = [fs.members[n] for fs in probe_seqs]
         member_dagger = graph_from_hamiltonian(op_seq.members[n], probes_n, kind="dagger")
         member_ddagger = graph_from_hamiltonian(op_seq.members[n], probes_n, kind="ddagger")
@@ -436,7 +439,7 @@ def resolvent_convergence_experiment(
     equi = None
     if pairs:
         equi = estimate_equicontinuity(
-            families, base, base.compacts.labels[0], equicontinuity_delta,
+            families, seq, seq.compacts.labels[0], equicontinuity_delta,
             lambdas, pairs[:4],
         )
 
@@ -506,7 +509,7 @@ class SlowFastReport:
 
 
 def slowfast_resolvent_experiment(
-    product: EnlargedSpaceSequence,
+    product: SpaceSequence,
     coupling: SlowFastCoupling,
     couplings: Sequence[float],
     lam: float,
@@ -517,12 +520,11 @@ def slowfast_resolvent_experiment(
     """Averaging across coupling strengths: fast-variable oscillation of
     R_n(lam)h decays like 1/n, and the strongest-coupling solution matches
     the resolvent of the stationary-averaged slow operator."""
-    base = product.base
-    if len(couplings) != base.n_members:
+    if len(couplings) != product.n_members:
         raise PreconditionError("need one coupling strength per member")
-    n_slow = base.limit.size
+    n_slow = product.limit.size
     n_fast = coupling.n_fast
-    h_seq = lift_to_members(h_slow, base)
+    h_seq = lift_to_members(h_slow, product)
     oscs = []
     for k, n in enumerate(couplings):
         H_n = slowfast_hamiltonian(product, n, coupling)

@@ -31,8 +31,9 @@ The shipped constructions:
   slowfast_hamiltonian
                      H_n f(x,z) = m_z * H_slow(f(., z))(x)
                                   + n * (A_fast f(x, .))(z)
-                     on a product space; growing n drives averaging of the
-                     slow part by the fast chain's stationary law.
+                     on the member space of a product sequence
+                     (make_product_sequence); growing n drives averaging of
+                     the slow part by the fast chain's stationary law.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .errors import PreconditionError, SolverError, StructuralError
 from .limits import ExtFn, Fn
-from .spaces import EnlargedSpaceSequence, FiniteSpace
+from .spaces import FiniteSpace, SpaceSequence
 
 __all__ = [
     "Hamiltonian",
@@ -730,7 +731,7 @@ class SlowFastCoupling:
 
 
 def slowfast_hamiltonian(
-    product: EnlargedSpaceSequence, n: float, coupling: SlowFastCoupling
+    product: SpaceSequence, n: float, coupling: SlowFastCoupling
 ) -> Hamiltonian:
     """Two-scale operator on the product space at coupling strength n:
     H_n f(x,z) = m_z * H_slow(f(., z))(x) + n * (A_fast f(x, .))(z)."""
@@ -740,7 +741,7 @@ def slowfast_hamiltonian(
     n_slow = slow.space.size
     n_fast = coupling.n_fast
     # bind the member space: that is where lifted right-hand sides live
-    prod_space = product.base.members[0]
+    prod_space = product.members[0]
     if prod_space.size != n_slow * n_fast:
         raise PreconditionError("product space does not match the coupling sizes")
     A_fast = coupling.fast_rate_matrix

@@ -77,6 +77,9 @@ __all__ = [
 
 MAX_ITER_FIXED_POINT = 20000
 MAX_ITER_NEWTON = 200
+# additive slack of the equi-continuity bound, so that a bound met up to
+# rounding still fits
+EQUICONTINUITY_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -477,16 +480,15 @@ def estimate_equicontinuity(
     delta: float,
     lambdas: Sequence[float],
     probe_pairs: Sequence[tuple],
-    slack: float = 1e-9,
 ) -> EquiContinuityReport:
     """Fit the smallest level q_hat such that, uniformly over members, probe
     pairs, and the lambda grid,
 
         sup_{K_n^q}(R_n(l)h1 - R_n(l)h2)
-            <= delta * sup_{X_n}(h1 - h2) + sup_{K_n^q_hat}(h1 - h2) + slack.
+            <= delta * sup_{X_n}(h1 - h2) + sup_{K_n^q_hat}(h1 - h2) + slack,
 
-    probe_pairs are pairs of FnSequence over seq.  Fit failure is reported
-    (ok=False, q_hat=None), not raised.
+    slack = EQUICONTINUITY_SLACK.  probe_pairs are pairs of FnSequence over
+    seq.  Fit failure is reported (ok=False, q_hat=None), not raised.
     """
     qi = seq.compacts.level(q)
     n_mem = seq.n_members
@@ -520,7 +522,7 @@ def estimate_equicontinuity(
         margins = []
         for c in range(len(sup_on_K)):
             for n in range(n_mem):
-                bound = delta * sup_global[c][n] + sup_on_level[lab][c][n] + slack
+                bound = delta * sup_global[c][n] + sup_on_level[lab][c][n] + EQUICONTINUITY_SLACK
                 margins.append(bound - sup_on_K[c][n])
         m = float(min(margins))
         details.append({"q_hat": lab, "worst_margin": m, "ok": m >= 0.0})

@@ -9,11 +9,12 @@ organizes where quantitative convergence statements are required to hold:
 the levels form a finite chain, member sets grow with q, and the embedded
 member sets approach the embedded limit set in Hausdorff distance.
 
-Two-scale problems additionally carry an enlarged picture: a second, larger
-limit space with its own embedding, a projection down to the base limit, and
-a commuting square tying the two embeddings together (EnlargedSpaceSequence).
-For single-space problems the enlargement is trivial: the enlarged limit is
-the limit itself and the projection is the identity.
+Two-scale problems additionally carry an enlarged picture on the same
+SpaceSequence: a second, larger limit space with its own embedding, a
+projection gamma down to the limit, and a commuting square tying the two
+embeddings together.  A sequence built without one has the trivial
+enlargement: the enlarged limit is the limit itself and gamma is the
+identity.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "FiniteSpace",
     "CompactFamily",
     "SpaceSequence",
-    "EnlargedSpaceSequence",
     "make_grid_sequence",
     "make_product_sequence",
 ]
@@ -36,16 +36,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class FiniteSpace:
-    """A finite set of labelled points with an embedding into R^d.
+    """A finite set of points, one row of coords each, embedded into R^d.
 
-    Point labels are hashable and pairwise distinct; the embedding need not
-    be injective (product spaces project onto their slow factor, collapsing
-    the fast coordinate).  Identity semantics: two spaces compare equal only
-    when they are the same object, so functions and operators agree on a
-    space by sharing it, not by rebuilding it.
+    The embedding need not be injective (product spaces project onto their
+    slow factor, collapsing the fast coordinate).  Identity semantics: two
+    spaces compare equal only when they are the same object, so functions
+    and operators agree on a space by sharing it, not by rebuilding it.
     """
 
-    points: tuple
     coords: np.ndarray
     name: str = ""
 
@@ -53,16 +51,12 @@ class FiniteSpace:
         coords = np.asarray(self.coords, dtype=float)
         if coords.ndim == 1:
             coords = coords[:, None]
-        if coords.shape[0] != len(self.points):
-            raise ValueError("coords rows must match number of points")
-        if len(set(self.points)) != len(self.points):
-            raise ValueError("point labels must be distinct")
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return self.coords.shape[0]
 
     @property
     def dim(self) -> int:
@@ -164,13 +158,25 @@ class SpaceSequence:
     n0 is the burn-in index: quantitative convergence checks apply to members
     n >= n0 only.  Tracked sequences (nearest-point liftings of limit points,
     level by level) are the probes for all limit computations.
+
+    The enlarged picture of two-scale problems: an enlarged limit Y with its
+    own embedding eta_hat into R^{d_hat}, member coordinates in that ambient
+    space, enlarged compact sets K_hat^q (one per level), and gamma mapping
+    every Y point onto a limit point.  The square commutes exactly: the
+    first limit.dim coordinates of eta_hat(y) are eta(gamma(y)).  Omitted,
+    these fields take the trivial enlargement: Y = X, gamma = identity and
+    the member and limit embeddings and compact sets of the base picture.
     """
 
     members: tuple
     limit: FiniteSpace
     compacts: CompactFamily
     n0: int = 0
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    enlarged_limit: FiniteSpace | None = None
+    gamma: np.ndarray | None = None
+    member_enlarged_coords: tuple | None = None
+    enlarged_limit_sets: tuple | None = None
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.members) < 3:
@@ -182,6 +188,33 @@ class SpaceSequence:
         # the end, and one past the last leaves nothing to check
         if not 0 <= self.n0 < len(self.members):
             raise ValueError("n0 out of range")
+        enlarged = self.limit if self.enlarged_limit is None else self.enlarged_limit
+        if self.gamma is None:
+            gamma = np.arange(enlarged.size)
+        else:
+            gamma = np.array(self.gamma, dtype=int)
+        if gamma.shape != (enlarged.size,):
+            raise ValueError("gamma must assign a limit point to every enlarged point")
+        if np.any((gamma < 0) | (gamma >= self.limit.size)):
+            raise ValueError("gamma must map into the limit space")
+        gamma.flags.writeable = False
+        if not np.array_equal(self.limit.coords[gamma], enlarged.coords[:, :self.limit.dim]):
+            raise ValueError(
+                "embedding square does not commute: eta(gamma(y)) != gamma_hat(eta_hat(y))"
+            )
+        coords = self.member_enlarged_coords
+        if coords is None:
+            coords = tuple(m.coords for m in self.members)
+        if len(coords) != len(self.members):
+            raise ValueError("need enlarged coordinates for every member")
+        sets = self.enlarged_limit_sets
+        if sets is None:
+            sets = self.compacts.limit_sets
+        sets = tuple(np.asarray(s, dtype=int) for s in sets)
+        object.__setattr__(self, "enlarged_limit", enlarged)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "member_enlarged_coords", tuple(coords))
+        object.__setattr__(self, "enlarged_limit_sets", sets)
 
     @property
     def n_members(self) -> int:
@@ -194,13 +227,29 @@ class SpaceSequence:
         point of K_n^q in the ambient embedding.  Each column is stored
         contiguously, so gathering one member's values along all tracked
         sequences reads one contiguous index array."""
-        key = ("tracked", q)
+        return self._tracked(q, enlarged=False)
+
+    def tracked_enlarged(self, q) -> np.ndarray:
+        """Nearest-point lifting of every enlarged-limit point of K_hat^q, with
+        distances measured in the enlarged ambient space; rows align with
+        enlarged_limit_sets[qi], as tracked() rows align with the base sets."""
+        return self._tracked(q, enlarged=True)
+
+    def _tracked(self, q, enlarged: bool) -> np.ndarray:
+        # one body for both pictures, so that neither public method calls the
+        # other (perfbench's tracer times each of them as its own span)
+        key = ("tracked_hat" if enlarged else "tracked", q)
         if key not in self._cache:
             qi = self.compacts.level(q)
-            targets = self.limit.coords[self.compacts.limit_sets[qi]]
+            if enlarged:
+                targets = self.enlarged_limit.coords[self.enlarged_limit_sets[qi]]
+                member_coords = self.member_enlarged_coords
+            else:
+                targets = self.limit.coords[self.compacts.limit_sets[qi]]
+                member_coords = [m.coords for m in self.members]
             self._cache[key] = _index_matrix([
-                m.nearest(targets, within=self.compacts.member_sets[qi][n])
-                for n, m in enumerate(self.members)
+                _nearest(coords, pool, targets)
+                for coords, pool in zip(member_coords, self.compacts.member_sets[qi])
             ])
         return self._cache[key]
 
@@ -216,64 +265,9 @@ class SpaceSequence:
             self._cache[key] = lifting
         return self._cache[key]
 
-    def as_enlarged(self) -> "EnlargedSpaceSequence":
-        """Trivial enlargement: Y = X, gamma = identity, same embeddings."""
-        return EnlargedSpaceSequence(
-            base=self,
-            enlarged_limit=self.limit,
-            gamma=np.arange(self.limit.size),
-            member_enlarged_coords=tuple(m.coords for m in self.members),
-            enlarged_limit_sets=self.compacts.limit_sets,
-            base_columns=tuple(range(self.limit.dim)),
-        )
 
-
-@dataclass(frozen=True)
-class EnlargedSpaceSequence:
-    """Base sequence plus the enlarged picture used by two-scale problems.
-
-    The enlarged limit Y carries its own embedding eta_hat into R^{d_hat};
-    gamma maps Y points onto limit points of the base, and gamma_hat is the
-    coordinate projection (base_columns) making the square commute exactly:
-    eta(gamma(y)) == eta_hat(y)[base_columns].
-    """
-
-    base: SpaceSequence
-    enlarged_limit: FiniteSpace
-    gamma: np.ndarray
-    member_enlarged_coords: tuple
-    enlarged_limit_sets: tuple
-    base_columns: tuple
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        gamma = np.asarray(self.gamma, dtype=int)
-        object.__setattr__(self, "gamma", gamma)
-        sets = tuple(np.asarray(s, dtype=int) for s in self.enlarged_limit_sets)
-        object.__setattr__(self, "enlarged_limit_sets", sets)
-        if gamma.shape != (self.enlarged_limit.size,):
-            raise ValueError("gamma must assign a base limit point to every enlarged point")
-        cols = list(self.base_columns)
-        lhs = self.base.limit.coords[gamma]
-        rhs = self.enlarged_limit.coords[:, cols]
-        if not np.array_equal(lhs, rhs):
-            raise ValueError("embedding square does not commute: eta(gamma(y)) != gamma_hat(eta_hat(y))")
-        if len(self.member_enlarged_coords) != self.base.n_members:
-            raise ValueError("need enlarged coordinates for every member")
-
-    def tracked_enlarged(self, q) -> np.ndarray:
-        """Nearest-point lifting of every enlarged-limit point of K_hat^q, with
-        distances measured in the enlarged ambient space; rows align with
-        enlarged_limit_sets[qi], as tracked() rows align with the base sets."""
-        key = ("tracked_hat", q)
-        if key not in self._cache:
-            qi = self.base.compacts.level(q)
-            targets = self.enlarged_limit.coords[self.enlarged_limit_sets[qi]]
-            self._cache[key] = _index_matrix([
-                _nearest(self.member_enlarged_coords[n], pool, targets)
-                for n, pool in enumerate(self.base.compacts.member_sets[qi])
-            ])
-        return self._cache[key]
+# perfbench/tracer.py patches tracked_enlarged through this name
+EnlargedSpaceSequence = SpaceSequence
 
 
 def _interval_grid(a: float, b: float, res: int, periodic: bool) -> np.ndarray:
@@ -317,10 +311,10 @@ def make_grid_sequence(
     members = []
     for res in resolutions:
         xs = _interval_grid(a, b, res, periodic)
-        members.append(FiniteSpace(points=tuple(range(res)), coords=xs, name=f"grid{res}"))
+        members.append(FiniteSpace(coords=xs, name=f"grid{res}"))
     res_lim = limit_resolution_factor * resolutions[-1]
     xs_lim = _interval_grid(a, b, res_lim, periodic)
-    limit = FiniteSpace(points=tuple(range(res_lim)), coords=xs_lim, name=f"grid{res_lim}")
+    limit = FiniteSpace(coords=xs_lim, name=f"grid{res_lim}")
 
     member_sets, limit_sets = [], []
     for w in widths:
@@ -341,7 +335,7 @@ def make_product_sequence(
     fast: FiniteSpace,
     n_members: int = 7,
     q_fractions: Sequence[float] = (0.5, 1.0),
-) -> EnlargedSpaceSequence:
+) -> SpaceSequence:
     """Constant sequence of slow x fast product spaces.
 
     The base picture collapses the fast coordinate: members embed through the
@@ -351,16 +345,15 @@ def make_product_sequence(
     """
     if n_members < 3:
         raise ValueError("need at least 3 members")
-    pts = tuple((p, z) for p in slow.points for z in fast.points)
     n_fast = fast.size
     slow_of = np.repeat(np.arange(slow.size), n_fast)
     fast_of = np.tile(np.arange(n_fast), slow.size)
     base_coords = slow.coords[slow_of]
     full_coords = np.hstack([slow.coords[slow_of], fast.coords[fast_of]])
 
-    member = FiniteSpace(points=pts, coords=base_coords, name=f"{slow.name}x{fast.name}")
+    member = FiniteSpace(coords=base_coords, name=f"{slow.name}x{fast.name}")
     members = tuple(member for _ in range(n_members))
-    enlarged = FiniteSpace(points=pts, coords=full_coords, name=f"{slow.name}x{fast.name}^")
+    enlarged = FiniteSpace(coords=full_coords, name=f"{slow.name}x{fast.name}^")
 
     lo, hi = slow.coords[:, 0].min(), slow.coords[:, 0].max()
     member_sets, limit_sets, hat_sets = [], [], []
@@ -377,13 +370,14 @@ def make_product_sequence(
     compacts = CompactFamily(
         labels=tuple(fractions), member_sets=tuple(member_sets), limit_sets=tuple(limit_sets)
     )
-    base = SpaceSequence(members=members, limit=slow, compacts=compacts, n0=0)
-    return EnlargedSpaceSequence(
-        base=base,
+    return SpaceSequence(
+        members=members,
+        limit=slow,
+        compacts=compacts,
+        n0=0,
         enlarged_limit=enlarged,
         gamma=slow_of,
         member_enlarged_coords=tuple(full_coords for _ in range(n_members)),
         enlarged_limit_sets=tuple(hat_sets),
-        base_columns=tuple(range(slow.dim)),
     )
 

@@ -17,12 +17,8 @@ def src_env() -> dict:
 
 def unit_grid(n: int, name: str = "") -> FiniteSpace:
     """Periodic grid on [0, 1): n equispaced points, the last gap wraps."""
-    return FiniteSpace(
-        points=tuple(range(n)), coords=np.arange(n) / n, name=name or f"grid{n}"
-    )
+    return FiniteSpace(coords=np.arange(n) / n, name=name or f"grid{n}")
 
 
 def chain(n: int, name: str = "") -> FiniteSpace:
-    return FiniteSpace(
-        points=tuple(range(n)), coords=np.arange(float(n)), name=name or f"chain{n}"
-    )
+    return FiniteSpace(coords=np.arange(float(n)), name=name or f"chain{n}")

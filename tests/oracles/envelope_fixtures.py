@@ -41,7 +41,7 @@ def positive():
         trig_polynomial(seq.limit, [0.0], [0.2]),
     ]
     op_seq = OperatorSequence(
-        spaces=seq.as_enlarged(),
+        spaces=seq,
         members=members,
         limit_hamiltonian=limit,
         limit_dagger=graph_from_hamiltonian(limit, graph_probes, kind="dagger"),
@@ -67,7 +67,7 @@ def negative():
     D = [trig_polynomial(seq.limit, [0.0, 0.0, 0.2])]
     graph_probes = [trig_polynomial(seq.limit, [0.0, 0.3])]
     op_seq = OperatorSequence(
-        spaces=seq.as_enlarged(),
+        spaces=seq,
         members=members,
         limit_hamiltonian=limit,
         limit_dagger=graph_from_hamiltonian(limit, graph_probes, kind="dagger"),

@@ -78,7 +78,7 @@ def sequence_records(ens, f_seq, g_seq, f_lim, g_lim, tol, n0, sub):
     """The tracked-sequence records and verdict of _check_ex_one_sided."""
     records = []
     seq_ok = True
-    for qi, q in enumerate(ens.base.compacts.labels):
+    for qi, q in enumerate(ens.compacts.labels):
         idx = ens.tracked_enlarged(q)
         y = ens.enlarged_limit_sets[qi]
         fv = _gather(f_seq, idx)[:, n0:]

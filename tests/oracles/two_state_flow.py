@@ -21,7 +21,7 @@ def exact(t: float, f: np.ndarray) -> np.ndarray:
 
 
 def main() -> None:
-    space = FiniteSpace(points=(0, 1), coords=np.arange(2.0), name="two")
+    space = FiniteSpace(coords=np.arange(2.0), name="two")
     family = ResolventFamily(hamiltonian=tilt_linear(A, space))
     f0 = Fn(space, F0)
     u_star = exact(T, F0)

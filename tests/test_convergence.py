@@ -45,13 +45,13 @@ def grid_fixture(scheme, resolutions, amp):
 def test_operator_sequence_needs_one_member_per_space():
     seq, members, limit = grid_fixture(upwind_quadratic, [16, 32, 64], 0.3)
     with pytest.raises(ValueError, match="one member operator per member space"):
-        OperatorSequence(spaces=seq.as_enlarged(), members=members[:2])
+        OperatorSequence(spaces=seq, members=members[:2])
 
 
 def test_ex_lim_accepts_consistent_witnesses():
     seq, members, limit = grid_fixture(upwind_quadratic, [16, 32, 64], 0.3)
     op_seq = OperatorSequence(
-        spaces=seq.as_enlarged(), members=members, limit_hamiltonian=limit
+        spaces=seq, members=members, limit_hamiltonian=limit
     )
     f_lim = trig_polynomial(seq.limit, [0.0, 0.2])
     g_lim = limit(f_lim)
@@ -68,7 +68,7 @@ def test_ex_lim_accepts_consistent_witnesses():
 def test_ex_lim_rejects_pairs_outside_the_member_operator():
     seq, members, limit = grid_fixture(upwind_quadratic, [16, 32, 64], 0.3)
     op_seq = OperatorSequence(
-        spaces=seq.as_enlarged(), members=members, limit_hamiltonian=limit
+        spaces=seq, members=members, limit_hamiltonian=limit
     )
     f_lim = trig_polynomial(seq.limit, [0.0, 0.2])
     f_seq = lift_to_members(f_lim, seq)
@@ -85,7 +85,7 @@ def test_ex_lim_rejects_pairs_outside_the_member_operator():
 def test_one_sided_extended_limits_hold_for_the_upwind_refinement():
     seq, members, limit = grid_fixture(upwind_quadratic, [32, 64, 128], 0.5)
     op_seq = OperatorSequence(
-        spaces=seq.as_enlarged(), members=members, limit_hamiltonian=limit
+        spaces=seq, members=members, limit_hamiltonian=limit
     )
     phi = trig_polynomial(seq.limit, [0.0, 0.3])
     psi = limit(phi)
@@ -111,7 +111,7 @@ def test_one_sided_records_match_the_per_sequence_reference():
     )
     members = tuple(upwind_quadratic(m, drift(m, 0.5)) for m in seq.members)
     limit = upwind_quadratic(seq.limit, drift(seq.limit, 0.5))
-    op_seq = OperatorSequence(spaces=seq.as_enlarged(), members=members)
+    op_seq = OperatorSequence(spaces=seq, members=members)
     phi = trig_polynomial(seq.limit, [0.0, 0.3], [0.2])
     psi = limit(phi)
     f_seq = lift_to_members(phi, seq)
@@ -162,7 +162,7 @@ def positive_op_seq():
         trig_polynomial(seq.limit, [0.0], [0.2]),
     ]
     return seq, OperatorSequence(
-        spaces=seq.as_enlarged(),
+        spaces=seq,
         members=members,
         limit_hamiltonian=limit,
         limit_dagger=graph_from_hamiltonian(limit, graph_probes, kind="dagger"),
@@ -205,7 +205,7 @@ def test_centered_scheme_separates_the_envelopes():
     seq, members, limit = grid_fixture(centered_quadratic, [64, 128, 256], 0.75)
     graph_probes = [trig_polynomial(seq.limit, [0.0, 0.3])]
     op_seq = OperatorSequence(
-        spaces=seq.as_enlarged(),
+        spaces=seq,
         members=members,
         limit_hamiltonian=limit,
         limit_dagger=graph_from_hamiltonian(limit, graph_probes, kind="dagger"),
@@ -230,7 +230,7 @@ def test_centered_scheme_separates_the_envelopes():
 
 def test_experiment_rejects_unknown_expectations():
     seq, members, _ = grid_fixture(upwind_quadratic, [4, 8, 16], 0.0)
-    op_seq = OperatorSequence(spaces=seq.as_enlarged(), members=members)
+    op_seq = OperatorSequence(spaces=seq, members=members)
     with pytest.raises(PreconditionError, match="expectation"):
         resolvent_convergence_experiment(
             op_seq, [], lambdas=[], tol_lim=0.1, tol_envelope=0.1,
@@ -240,7 +240,7 @@ def test_experiment_rejects_unknown_expectations():
 
 def slowfast_fixture(n_members):
     slow_space = unit_grid(16, "slow")
-    fast = FiniteSpace(points=(0, 1, 2), coords=np.arange(3.0), name="fast")
+    fast = FiniteSpace(coords=np.arange(3.0), name="fast")
     slow = upwind_quadratic(slow_space, drift(slow_space, 0.4))
     A_fast = np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [1.0, 0.0, -1.0]])
     coupling = SlowFastCoupling(

@@ -8,7 +8,10 @@ There is no lint step, so these tests are the check:
   * every entry of a module's __all__ must be bound at module level (by a
     def, a class, an assignment or an import).  A stale entry breaks
     `from module import *`, and since __all__ counts as a use it could
-    otherwise hide an unused import.
+    otherwise hide an unused import;
+  * every name __init__.py re-exports from a submodule must be in that
+    submodule's __all__ (errors, which has none, is skipped), so a name a
+    module keeps bound for internal use cannot leak into the public API.
 """
 
 import ast
@@ -78,6 +81,24 @@ def unbound_exports(source: str) -> list:
     return sorted(name for name in exported_names(tree) if name not in bound)
 
 
+def unlisted_reexports(init_source: str, module_all) -> list:
+    """module.name for every name the package __init__ imports from a
+    submodule that the submodule's __all__ (module_all(module)) does not
+    list; submodules without an __all__ are skipped."""
+    unlisted = []
+    for node in ast.parse(init_source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            listed = module_all(node.module)
+            if listed:
+                unlisted += [f"{node.module}.{a.name}" for a in node.names
+                             if a.name not in listed]
+    return sorted(unlisted)
+
+
+def submodule_all(module: str) -> list:
+    return exported_names(ast.parse((SRC / f"{module}.py").read_text()))
+
+
 def test_the_check_sees_unused_and_used_imports():
     source = (
         "from __future__ import annotations\n"
@@ -115,3 +136,19 @@ def test_module_level_imports_are_used(path):
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_exported_names_are_bound(path):
     assert unbound_exports(path.read_text()) == []
+
+
+def test_the_check_sees_reexports_missing_from_all():
+    source = (
+        "from .errors import HJLabError\n"
+        "from .spaces import FiniteSpace, EnlargedSpaceSequence\n"
+        "from .limits import Fn, _gather\n"
+    )
+    module_all = {"errors": [], "spaces": ["FiniteSpace"], "limits": ["Fn"]}.get
+    assert unlisted_reexports(source, module_all) == [
+        "limits._gather", "spaces.EnlargedSpaceSequence",
+    ]
+
+
+def test_package_reexports_are_in_their_modules_all():
+    assert unlisted_reexports((SRC / "__init__.py").read_text(), submodule_all) == []

@@ -202,14 +202,12 @@ def test_member_major_core_matches_the_target_major_reference_bytewise(
     product, res, n0, seed, tol, sub
 ):
     if product:
-        ens = make_product_sequence(
+        seq = make_product_sequence(
             unit_grid(res[0], "slow"), unit_grid(3, "fast"), n_members=len(res),
             q_fractions=(0.5,),
         )
-        seq = ens.base
     else:
         seq = make_grid_sequence((0.0, 1.0), sorted(res), q_widths=(0.4, 0.7), n0=0)
-        ens = seq.as_enlarged()
     n0 = min(n0, seq.n_members - 1)
     rng = np.random.default_rng(seed)
     levels = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
@@ -220,13 +218,13 @@ def test_member_major_core_matches_the_target_major_reference_bytewise(
     fs = FnSequence(seq, tuple(Fn(m, values(m)) for m in seq.members))
     gs = FnSequence(seq, tuple(Fn(m, values(m)) for m in seq.members))
     f = Fn(seq.limit, values(seq.limit))
-    g = Fn(ens.enlarged_limit, values(ens.enlarged_limit))
+    g = Fn(seq.enlarged_limit, values(seq.enlarged_limit))
 
     assert _verdict_bytes(check_LIM(fs, f, tol, n0=n0)) == _verdict_bytes(
         limit_core_reference._lim_verdict(fs, f, tol, n0, seq.tracked, seq.compacts.limit_sets)
     )
     # the enlarged second-component verdict of check_ex_lim
-    args = (gs, g, tol, n0, ens.tracked_enlarged, ens.enlarged_limit_sets)
+    args = (gs, g, tol, n0, seq.tracked_enlarged, seq.enlarged_limit_sets)
     assert _verdict_bytes(_lim_verdict(*args)) == _verdict_bytes(
         limit_core_reference._lim_verdict(*args)
     )
@@ -235,9 +233,9 @@ def test_member_major_core_matches_the_target_major_reference_bytewise(
         assert compute(fs, n0=n0).values.tobytes() == want.values.tobytes()
 
     f_lim = Fn(seq.limit, values(seq.limit))
-    got_records, got_ok = _sequence_records(ens, fs, gs, f_lim, g, tol, n0, sub)
+    got_records, got_ok = _sequence_records(seq, fs, gs, f_lim, g, tol, n0, sub)
     want_records, want_ok = limit_core_reference.sequence_records(
-        ens, fs, gs, f_lim, g, tol, n0, sub
+        seq, fs, gs, f_lim, g, tol, n0, sub
     )
     # repr spells every float exactly, the sign of a zero included
     assert repr(got_records) == repr(want_records)

@@ -486,7 +486,7 @@ def test_grid_schemes_require_uniform_grids_and_matching_drift():
     s = unit_grid(8)
     from hjlab import FiniteSpace
 
-    nonuniform = FiniteSpace(points=(0, 1, 2), coords=bad)
+    nonuniform = FiniteSpace(coords=bad)
     with pytest.raises(PreconditionError, match="uniform"):
         upwind_quadratic(nonuniform, np.zeros(3))
     with pytest.raises(PreconditionError, match="drift"):
@@ -655,7 +655,7 @@ def slowfast_fixture():
     slow_space = unit_grid(8, "slow")
     from hjlab import FiniteSpace
 
-    fast = FiniteSpace(points=(0, 1, 2), coords=np.arange(3.0), name="fast")
+    fast = FiniteSpace(coords=np.arange(3.0), name="fast")
     slow = upwind_quadratic(slow_space, drift_sin(slow_space, 0.4))
     A_fast = np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [1.0, 0.0, -1.0]])
     coupling = SlowFastCoupling(
@@ -747,7 +747,7 @@ def test_slowfast_jacobian_gives_the_reference_newton_matrix(
     coupling = SlowFastCoupling(
         slow=upwind_quadratic(s, b), fast_rate_matrix=A_fast, multipliers=tuple(m)
     )
-    fast = FiniteSpace(points=tuple(range(n_fast)), coords=np.arange(float(n_fast)), name="fast")
+    fast = FiniteSpace(coords=np.arange(float(n_fast)), name="fast")
     H = slowfast_hamiltonian(make_product_sequence(s, fast, n_members=3), n, coupling)
     v = np.repeat(v_slow, n_fast) + rng.uniform(-0.1, 0.1, n_slow * n_fast)
     J = H.jacobian(v)
@@ -761,7 +761,7 @@ def test_slowfast_jacobian_gives_the_reference_newton_matrix(
 
 def product_hamiltonian(slow, n_fast, n, seed):
     rng = np.random.default_rng(seed)
-    fast = FiniteSpace(points=tuple(range(n_fast)), coords=np.arange(float(n_fast)), name="fast")
+    fast = FiniteSpace(coords=np.arange(float(n_fast)), name="fast")
     coupling = SlowFastCoupling(
         slow=slow, fast_rate_matrix=random_rate_matrix(rng, n_fast),
         multipliers=tuple(rng.uniform(0.1, 2.0, n_fast)),
@@ -827,7 +827,7 @@ def test_newton_matrix_drops_an_exact_zero_diagonal():
 def test_slowfast_newton_solve_matches_the_reference_jacobian_bit_for_bit():
     slow_space = unit_grid(64, "slow")
     b = drift_sin(slow_space, 0.4)
-    fast = FiniteSpace(points=(0, 1, 2), coords=np.arange(3.0), name="fast")
+    fast = FiniteSpace(coords=np.arange(3.0), name="fast")
     A_fast = np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [1.0, 0.0, -1.0]])
     coupling = SlowFastCoupling(
         slow=upwind_quadratic(slow_space, b), fast_rate_matrix=A_fast,

@@ -1,5 +1,7 @@
 """Space containers and grid and product sequence constructions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,12 +22,10 @@ from hjlab import spaces
 
 
 def test_finite_space_normalizes_coords():
-    s = FiniteSpace(points=("a", "b", "c"), coords=np.array([0.0, 0.5, 1.0]))
+    s = FiniteSpace(coords=np.array([0.0, 0.5, 1.0]))
     assert s.size == 3
     assert s.dim == 1
     assert s.coords.shape == (3, 1)
-    with pytest.raises(ValueError, match="distinct"):
-        FiniteSpace(points=("a", "b", "a"), coords=np.arange(3.0))
 
 
 def test_finite_space_equality_is_identity():
@@ -36,13 +36,13 @@ def test_finite_space_equality_is_identity():
 
 
 def test_nearest_breaks_ties_toward_the_lowest_index():
-    s = FiniteSpace(points=(0, 1, 2), coords=np.array([0.0, 1.0, 2.0]))
+    s = FiniteSpace(coords=np.array([0.0, 1.0, 2.0]))
     picked = s.nearest(np.array([[0.5], [1.5]]))
     assert picked.tolist() == [0, 1]
 
 
 def test_nearest_respects_the_within_restriction():
-    s = FiniteSpace(points=(0, 1, 2, 3), coords=np.arange(4.0))
+    s = FiniteSpace(coords=np.arange(4.0))
     picked = s.nearest(np.array([[0.0]]), within=np.array([2, 3]))
     assert picked.tolist() == [2]
 
@@ -82,7 +82,7 @@ def nearest_case(kind, n, seed):
 @settings(max_examples=200, deadline=None)
 def test_nearest_matches_the_kdtree_reference(kind, n, factor, subset, seed):
     coords = nearest_case(kind, n, seed)
-    s = FiniteSpace(points=tuple(range(len(coords))), coords=coords)
+    s = FiniteSpace(coords=coords)
     rng = np.random.default_rng(seed + 1)
     pool = np.arange(s.size)
     within = None
@@ -205,15 +205,15 @@ def test_tracked_matrices_are_read_only_with_contiguous_member_columns():
     seq = make_grid_sequence((0.0, 1.0), [8, 16, 32], q_widths=(0.5,))
     product = make_product_sequence(unit_grid(4, "slow"), unit_grid(3, "fast"), n_members=4)
     cases = [(seq.tracked, seq.compacts.limit_sets, seq)]
-    for ens in (seq.as_enlarged(), product):
-        cases.append((ens.tracked_enlarged, ens.enlarged_limit_sets, ens.base))
-    for tracked, limit_sets, base in cases:
-        for qi, q in enumerate(base.compacts.labels):
+    for s in (seq, product):
+        cases.append((s.tracked_enlarged, s.enlarged_limit_sets, s))
+    for tracked, limit_sets, s in cases:
+        for qi, q in enumerate(s.compacts.labels):
             idx = tracked(q)
-            assert idx.shape == (limit_sets[qi].size, base.n_members)
+            assert idx.shape == (limit_sets[qi].size, s.n_members)
             assert len(idx) == limit_sets[qi].size
             assert not idx.flags.writeable
-            assert all(idx[:, n].flags.c_contiguous for n in range(base.n_members))
+            assert all(idx[:, n].flags.c_contiguous for n in range(s.n_members))
             with pytest.raises(ValueError):
                 idx[0, 0] = 0
             assert tracked(q) is idx
@@ -221,31 +221,53 @@ def test_tracked_matrices_are_read_only_with_contiguous_member_columns():
 
 def test_trivial_enlargement_has_identity_gamma():
     seq = make_grid_sequence((0.0, 1.0), [8, 16, 32])
-    ens = seq.as_enlarged()
-    assert ens.enlarged_limit is seq.limit
-    assert np.array_equal(ens.gamma, np.arange(seq.limit.size))
+    assert seq.enlarged_limit is seq.limit
+    assert np.array_equal(seq.gamma, np.arange(seq.limit.size))
+    assert not seq.gamma.flags.writeable
+    assert all(c is m.coords for c, m in zip(seq.member_enlarged_coords, seq.members))
+    assert all(a is b for a, b in zip(seq.enlarged_limit_sets, seq.compacts.limit_sets))
+
+
+def test_trivial_enlargement_tracks_as_the_base_picture():
+    seq = make_grid_sequence((0.0, 1.0), [8, 16, 32], q_widths=(0.25, 0.5))
+    for q in seq.compacts.labels:
+        assert np.array_equal(seq.tracked_enlarged(q), seq.tracked(q))
+
+
+def test_gamma_must_map_into_the_limit_space():
+    product = make_product_sequence(unit_grid(4, "slow"), unit_grid(3, "fast"), n_members=3)
+    # -1 would name the last slow point by negative indexing, and the last
+    # enlarged point does sit over it, so only the range check rejects it
+    for bad in (-1, product.limit.size):
+        gamma = product.gamma.copy()
+        gamma[-1] = bad
+        with pytest.raises(ValueError, match="gamma must map into the limit space"):
+            replace(product, gamma=gamma)
+    with pytest.raises(ValueError, match="every enlarged point"):
+        replace(product, gamma=product.gamma[:-1])
+    with pytest.raises(ValueError, match="does not commute"):
+        replace(product, gamma=np.roll(product.gamma, 3))
 
 
 def test_product_sequence_collapses_the_fast_coordinate():
     slow = unit_grid(4, "slow")
-    fast = FiniteSpace(points=(0, 1, 2), coords=np.arange(3.0), name="fast")
-    ens = make_product_sequence(slow, fast, n_members=3)
-    base = ens.base
-    assert base.limit is slow
-    assert base.members[0].size == 12
+    fast = FiniteSpace(coords=np.arange(3.0), name="fast")
+    product = make_product_sequence(slow, fast, n_members=3)
+    assert product.limit is slow
+    assert product.members[0].size == 12
     # constant sequence: every member is the same product space
-    assert all(m is base.members[0] for m in base.members)
-    assert ens.gamma.shape == (12,)
-    assert ens.enlarged_limit.dim == 2
+    assert all(m is product.members[0] for m in product.members)
+    assert product.gamma.shape == (12,)
+    assert product.enlarged_limit.dim == 2
     # gamma forgets the fast coordinate
     expected = np.repeat(np.arange(4), 3)
-    assert np.array_equal(ens.gamma, expected)
-    assert len(ens.tracked_enlarged(1.0)) == 12
+    assert np.array_equal(product.gamma, expected)
+    assert len(product.tracked_enlarged(1.0)) == 12
 
 
 def test_product_sequence_needs_three_members():
     slow = unit_grid(4)
-    fast = FiniteSpace(points=(0, 1), coords=np.arange(2.0))
+    fast = FiniteSpace(coords=np.arange(2.0))
     with pytest.raises(ValueError):
         make_product_sequence(slow, fast, n_members=2)
 
