@@ -39,11 +39,10 @@ The shipped constructions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dgtsv
 
 from .errors import PreconditionError, SolverError, StructuralError
@@ -75,13 +74,15 @@ class Hamiltonian:
     """Single-valued operator on value vectors over a fixed finite space.
 
     jacobian, when set, maps values v to the Jacobian of apply_values at v:
-    a dense ndarray when jacobian_pattern is None, and otherwise a CSR matrix
-    on the declared pattern jacobian_pattern = (indptr, indices), which
+    a dense ndarray when jacobian_pattern is None, and otherwise the 1-D
+    array of its values on the declared pattern jacobian_pattern (a
+    JacobianPattern), one value per stored entry in CSR order.  The pattern
     stores each entry once (sorted, unique column indices per row, explicit
     zeros allowed) and is the same at every v; only the values change with v.
-    The damped Newton step relies on this: it computes the CSC pattern of
-    I - lam * J once per solve and then only writes J.data into it.  Only the
-    constructors in this module declare a pattern.
+    The damped Newton step relies on this: it builds the CSC layout of
+    I - lam * J once per pattern object, on the pattern's first solve, and
+    each step only writes the values into it.  Only the constructors in this
+    module declare a pattern.
 
     custom_solver, when set, inverts f - lam * Hf = h better than generic
     Newton can (signature: (lam, h, f0, tol) -> (f, iters, res) with iters an
@@ -108,7 +109,7 @@ class Hamiltonian:
     lipschitz_bound: float | None = None
     name: str = ""
     custom_solver: Callable | None = None
-    jacobian_pattern: tuple | None = field(default=None, repr=False, compare=False)
+    jacobian_pattern: JacobianPattern | None = field(default=None, repr=False, compare=False)
     stacked_solver: Callable | None = field(default=None, repr=False, compare=False)
 
     def __call__(self, f: Fn) -> Fn:
@@ -390,26 +391,43 @@ def _compressed_pattern(
     return indptr, (keys % n).astype(np.int32), slot
 
 
-def _csr_assembler(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[tuple, Callable]:
+@dataclass(frozen=True, eq=False)
+class JacobianPattern:
+    """The declared CSR pattern of an n x n sparse Jacobian: indptr (int32)
+    delimits each row and indices (int32) lists its columns, sorted and
+    unique.  A Hamiltonian that declares it returns from jacobian(v) the
+    values on it, one per stored entry in that order.
+
+    A pattern is compared by identity: Hamiltonians that share the object (a
+    scaled copy, the members of a slow-fast sweep) share the Newton layout
+    the resolvent builds for it once (resolvent._NewtonPattern).
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+
+def _csr_assembler(
+    rows: np.ndarray, cols: np.ndarray, n: int
+) -> tuple[JacobianPattern, Callable]:
     """One-pass assembly of n x n matrices with entries at (rows[k], cols[k]).
 
-    Returns the pattern (indptr, indices) of the canonical CSR matrix, each
-    entry once, and the function that takes one value per entry, in the order
-    of rows and cols, and returns the CSR matrix on that pattern, duplicates
-    summed.  The pattern and the scatter into it are computed here, once.
+    Returns the pattern of the canonical CSR matrix, each entry once (its
+    index arrays read-only), and the function that takes one value per entry,
+    in the order of rows and cols, and returns the values on that pattern,
+    duplicates summed.  The pattern and the scatter into it are computed
+    here, once.
     """
     indptr, indices, slot = _compressed_pattern(rows, cols, n)
     indices.flags.writeable = indptr.flags.writeable = False
 
-    def assemble(data: np.ndarray) -> sp.csr_matrix:
-        values = np.bincount(slot, weights=data, minlength=indices.shape[0])
-        # fresh index arrays: a caller may prune the returned matrix in place
-        return sp.csr_matrix((values, indices.copy(), indptr.copy()), shape=(n, n))
+    def assemble(data: np.ndarray) -> np.ndarray:
+        return np.bincount(slot, weights=data, minlength=indices.shape[0])
 
-    return (indptr, indices), assemble
+    return JacobianPattern(indptr, indices), assemble
 
 
-def _periodic_stencil(n: int, offsets: tuple[int, ...]) -> tuple[tuple, Callable]:
+def _periodic_stencil(n: int, offsets: tuple[int, ...]) -> tuple[JacobianPattern, Callable]:
     """Pattern and assembly (as _csr_assembler) of the n x n periodic stencil
     matrix whose row i has entries at columns (i + k) mod n for k in offsets,
     from the values stencil by stencil (n per offset, in the order of
@@ -472,7 +490,7 @@ def upwind_quadratic(
     pattern, assemble = _periodic_stencil(b.shape[0], (0, -1, 1))
     howard = partial(_howard, b, dx)
 
-    def jac(v: np.ndarray) -> sp.csr_matrix:
+    def jac(v: np.ndarray) -> np.ndarray:
         p_minus, p_plus = _upwind_diffs(dx, v)
         u = np.minimum(p_minus, theta)
         w = np.maximum(p_plus, theta)
@@ -689,7 +707,7 @@ def centered_quadratic(
 
     pattern, assemble = _periodic_stencil(b.shape[0], (1, -1))
 
-    def jac(v: np.ndarray) -> sp.csr_matrix:
+    def jac(v: np.ndarray) -> np.ndarray:
         pc = (_next(v) - _prev(v)) / (2.0 * dx)
         slope = (2.0 * pc - b) / (2.0 * dx)
         return assemble(np.concatenate([slope, -slope]))
@@ -729,12 +747,52 @@ class SlowFastCoupling:
     def n_fast(self) -> int:
         return self.fast_rate_matrix.shape[0]
 
+    @cached_property
+    def _product_jacobian(self) -> tuple | None:
+        """The Jacobian layout that slowfast_hamiltonian shares across
+        coupling strengths n, or None when the slow part has no Jacobian:
+        (pattern, assemble, coupled, fast_rates), with pattern and assemble
+        as _csr_assembler gives them for the product, the fast states coupled
+        to the slow part (m_z != 0), and the nonzero entries of the fast rate
+        matrix in the order the assembly takes them, before the factor n."""
+        slow = self.slow
+        if slow.jacobian is None:
+            return None
+        n_slow = slow.space.size
+        n_fast = self.n_fast
+        A_fast = self.fast_rate_matrix
+        # state (x, z) sits at x * n_fast + z: the fast chain n * kron(I, A_fast)
+        # is fixed, and fast state z's slow Jacobian J_z lands on the rows and
+        # columns x * n_fast + z, scaled by m_z
+        zi, zj = np.nonzero(A_fast)
+        block_start = np.arange(n_slow)[:, None] * n_fast
+        rows, cols = [(block_start + zi).ravel()], [(block_start + zj).ravel()]
+        coupled = tuple(z for z, m_z in enumerate(self.multipliers) if m_z != 0.0)
+        if slow.jacobian_pattern is None:  # dense: every entry, row-major
+            r, c = np.divmod(np.arange(n_slow * n_slow), n_slow)
+        else:
+            indptr, c = slow.jacobian_pattern.indptr, slow.jacobian_pattern.indices
+            r = np.repeat(np.arange(n_slow), np.diff(indptr))
+        for z in coupled:
+            rows.append(r * n_fast + z)
+            cols.append(c * n_fast + z)
+        # a slow pattern that stores each entry once gives no product entry
+        # more than two contributions (a fast and a slow diagonal), so the
+        # scatter sums exactly what a COO -> CSR sum would
+        pattern, assemble = _csr_assembler(
+            np.concatenate(rows), np.concatenate(cols), n_slow * n_fast
+        )
+        return pattern, assemble, coupled, A_fast[zi, zj]
+
 
 def slowfast_hamiltonian(
     product: SpaceSequence, n: float, coupling: SlowFastCoupling
 ) -> Hamiltonian:
     """Two-scale operator on the product space at coupling strength n:
-    H_n f(x,z) = m_z * H_slow(f(., z))(x) + n * (A_fast f(x, .))(z)."""
+    H_n f(x,z) = m_z * H_slow(f(., z))(x) + n * (A_fast f(x, .))(z).
+
+    Its Jacobian pattern, and with it the pattern's Newton layout, is built
+    once per coupling and shared by every coupling strength."""
     if n <= 0:
         raise PreconditionError("coupling strength must be positive")
     slow = coupling.slow
@@ -755,37 +813,16 @@ def slowfast_hamiltonian(
         out += n * (V @ A_fast.T)
         return out.reshape(-1)
 
-    jac_slow = slow.jacobian
     pattern = jac = None
-    if jac_slow is not None:
-        # state (x, z) sits at x * n_fast + z: the fast chain n * kron(I, A_fast)
-        # is fixed, and fast state z's slow Jacobian J_z lands on the rows and
-        # columns x * n_fast + z, scaled by m_z
-        zi, zj = np.nonzero(A_fast)
-        block_start = np.arange(n_slow)[:, None] * n_fast
-        rows, cols = [(block_start + zi).ravel()], [(block_start + zj).ravel()]
-        fast_data = np.tile(n * A_fast[zi, zj], n_slow)
-        coupled = [z for z in range(n_fast) if m[z] != 0.0]  # m_z = 0: no slow block
-        if slow.jacobian_pattern is None:  # dense: every entry, row-major
-            r, c = np.divmod(np.arange(n_slow * n_slow), n_slow)
-            slow_values = lambda J: np.asarray(J).ravel()
-        else:
-            indptr, c = slow.jacobian_pattern
-            r = np.repeat(np.arange(n_slow), np.diff(indptr))
-            slow_values = lambda J: J.data
-        for z in coupled:
-            rows.append(r * n_fast + z)
-            cols.append(c * n_fast + z)
-        # a slow pattern that stores each entry once gives no product entry
-        # more than two contributions (a fast and a slow diagonal), so the
-        # scatter sums exactly what a COO -> CSR sum would
-        pattern, assemble = _csr_assembler(
-            np.concatenate(rows), np.concatenate(cols), n_slow * n_fast
-        )
+    if coupling._product_jacobian is not None:
+        pattern, assemble, coupled, fast_rates = coupling._product_jacobian
+        fast_data = np.tile(n * fast_rates, n_slow)
+        jac_slow = slow.jacobian
 
-        def jac(v: np.ndarray) -> sp.csr_matrix:
+        def jac(v: np.ndarray) -> np.ndarray:
             V = v.reshape(n_slow, n_fast)
-            data = [fast_data] + [m[z] * slow_values(jac_slow(V[:, z])) for z in coupled]
+            # ravel: a dense slow Jacobian row-major, sparse values as they are
+            data = [fast_data] + [m[z] * jac_slow(V[:, z]).ravel() for z in coupled]
             return assemble(np.concatenate(data))
 
     L = None

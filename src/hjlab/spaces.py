@@ -48,7 +48,9 @@ class FiniteSpace:
     name: str = ""
 
     def __post_init__(self) -> None:
-        coords = np.asarray(self.coords, dtype=float)
+        # a copy of its own: a later write to the caller's array cannot reach
+        # the frozen space or what is cached from it
+        coords = np.array(self.coords, dtype=float)
         if coords.ndim == 1:
             coords = coords[:, None]
         coords.setflags(write=False)
@@ -377,7 +379,7 @@ def make_product_sequence(
         n0=0,
         enlarged_limit=enlarged,
         gamma=slow_of,
-        member_enlarged_coords=tuple(full_coords for _ in range(n_members)),
+        member_enlarged_coords=tuple(enlarged.coords for _ in range(n_members)),
         enlarged_limit_sets=tuple(hat_sets),
     )
 

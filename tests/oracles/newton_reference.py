@@ -1,10 +1,11 @@
 """The package's earlier damped Newton step and fixed-point iteration.
 
 damped_newton assembled each sparse Newton matrix as
-sp.eye(n, format="csc") - lam * J.tocsc(); the package writes I - lam * J
-straight into a CSC pattern computed once per solve.  fixed_point scaled
-H f_k by lam twice per iterate; the package scales it once.  Both must give
-the same iterates, bit for bit.
+sp.eye(n, format="csc") - lam * J.tocsc(), J the CSR matrix of the values a
+patterned Jacobian returns on its declared pattern; the package writes
+I - lam * J straight into the CSC layout its pattern keeps.  fixed_point
+scaled H f_k by lam twice per iterate; the package scales it once.  Both
+must give the same iterates, bit for bit.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hjlab.errors import SolverError
+from oracles.jacobian_reference import on_pattern
 
 MAX_ITER_FIXED_POINT = 20000
 MAX_ITER_NEWTON = 200
@@ -32,6 +34,8 @@ def damped_newton(H, lam, h, f0, tol):
         if res <= tol:
             return f, it - 1, res
         J_H = H.jacobian(f)
+        if H.jacobian_pattern is not None:
+            J_H = on_pattern(H.jacobian_pattern, J_H)
         if sp.issparse(J_H):
             A = sp.eye(f.shape[0], format="csc") - lam * J_H.tocsc()
             step = spla.spsolve(A, -g)

@@ -37,13 +37,14 @@ from hjlab import (
 )
 from hjlab import operators
 from hjlab.operators import (
+    JacobianPattern,
     _next,
     _policy_step,
     _prev,
     scale_hamiltonian,
     validate_rate_matrix,
 )
-from hjlab.resolvent import _NewtonPattern, _solve
+from hjlab.resolvent import _NewtonPattern, _damped_newton, _newton_pattern, _solve
 
 
 def fd_jacobian(apply_values, v, eps=1e-7):
@@ -418,7 +419,7 @@ def test_upwind_jacobian_matches_finite_differences_off_ties():
     s = unit_grid(24)
     H = upwind_quadratic(s, drift_sin(s, 0.3))
     v = 0.1 * np.sin(2.0 * np.pi * s.coords[:, 0] + 0.37)
-    J = H.jacobian(v).toarray()
+    J = as_csr(H, H.jacobian(v)).toarray()
     assert np.abs(J - fd_jacobian(H.apply_values, v)).max() < 1e-6
 
 
@@ -426,23 +427,25 @@ def test_centered_jacobian_matches_finite_differences():
     s = unit_grid(24)
     H = centered_quadratic(s, drift_sin(s, 0.3))
     v = 0.1 * np.sin(2.0 * np.pi * s.coords[:, 0] + 0.37)
-    J = H.jacobian(v).toarray()
+    J = as_csr(H, H.jacobian(v)).toarray()
     assert np.abs(J - fd_jacobian(H.apply_values, v)).max() < 1e-6
 
 
-def assert_on_declared_pattern(J, H):
-    assert sp.issparse(J) and J.format == "csr"
-    indptr, indices = H.jacobian_pattern
-    assert np.array_equal(J.indptr, indptr) and np.array_equal(J.indices, indices)
+def as_csr(H, values):
+    """A patterned Jacobian's values as the CSR matrix on H's declared
+    pattern, checking that there is one float value per stored entry."""
+    assert isinstance(values, np.ndarray) and values.dtype == float
+    assert values.shape == H.jacobian_pattern.indices.shape
+    return jacobian_reference.on_pattern(H.jacobian_pattern, values)
 
 
-def assert_same_newton_matrix(J, J_ref, lam):
+def assert_same_newton_matrix(H, values, J_ref, lam):
     # the damped Newton step factors I - lam * J, written into its CSC
-    # pattern; the same canonical CSC as the reference's sparse subtraction
+    # layout; the same canonical CSC as the reference's sparse subtraction
     # means the same SuperLU ordering and the same step, bit for bit
     want = jacobian_reference.newton_matrix(J_ref, lam)
-    for got in (jacobian_reference.newton_matrix(J, lam),
-                _NewtonPattern.of((J.indptr, J.indices)).newton_matrix(J, lam)):
+    for got in (jacobian_reference.newton_matrix(as_csr(H, values), lam),
+                _newton_pattern(H.jacobian_pattern).newton_matrix(values, lam)):
         assert got.format == "csc" and got.has_canonical_format
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
@@ -475,10 +478,9 @@ def test_grid_jacobians_give_the_reference_newton_matrix(scheme, n, tie_share, l
     build = upwind_quadratic if scheme == "upwind" else centered_quadratic
     H = build(s, b)
     J = H.jacobian(v)
-    assert_on_declared_pattern(J, H)
     J_ref = getattr(jacobian_reference, scheme)(b, dx, v)
-    assert np.array_equal(J.toarray(), J_ref.toarray())
-    assert_same_newton_matrix(J, J_ref, lam)
+    assert np.array_equal(as_csr(H, J).toarray(), J_ref.toarray())
+    assert_same_newton_matrix(H, J, J_ref, lam)
 
 
 def test_grid_schemes_require_uniform_grids_and_matching_drift():
@@ -676,7 +678,8 @@ def test_slowfast_apply_has_the_two_scale_block_structure():
         expected[:, z] = coupling.multipliers[z] * coupling.slow.apply_values(V[:, z])
     expected += 4.0 * V @ coupling.fast_rate_matrix.T
     assert np.allclose(H.apply_values(v), expected.reshape(-1))
-    assert np.abs(H.jacobian(v) - fd_jacobian(H.apply_values, v)).max() < 1e-5
+    J = as_csr(H, H.jacobian(v)).toarray()
+    assert np.abs(J - fd_jacobian(H.apply_values, v)).max() < 1e-5
 
 
 def test_slowfast_jacobian_is_sparse_and_matches_the_dense_block_assembly():
@@ -684,15 +687,15 @@ def test_slowfast_jacobian_is_sparse_and_matches_the_dense_block_assembly():
     n = 4.0
     H = slowfast_hamiltonian(product, n, coupling)
     v = np.random.default_rng(13).uniform(-1, 1, 24)
-    J = H.jacobian(v)
-    assert sp.issparse(J) and J.format == "csr"
+    J = as_csr(H, H.jacobian(v))
     # dense reference: the fast chain on 3x3 diagonal blocks, plus each fast
     # state's slow Jacobian scattered onto the states (x, z), x = 0..7
     want = n * np.kron(np.eye(8), coupling.fast_rate_matrix)
     V = v.reshape(8, 3)
     for z, m_z in enumerate(coupling.multipliers):
         idx = np.arange(8) * 3 + z
-        want[np.ix_(idx, idx)] += m_z * coupling.slow.jacobian(V[:, z]).toarray()
+        J_z = as_csr(coupling.slow, coupling.slow.jacobian(V[:, z]))
+        want[np.ix_(idx, idx)] += m_z * J_z.toarray()
     assert np.array_equal(J.toarray(), want)
 
 
@@ -707,8 +710,7 @@ def test_slowfast_jacobian_over_a_dense_slow_jacobian_is_csr(dense_slow):
     n = 4.0
     H = slowfast_hamiltonian(product, n, coupling)
     v = np.random.default_rng(13).uniform(-1, 1, 24)
-    J = H.jacobian(v)
-    assert_on_declared_pattern(J, H)
+    J = as_csr(H, H.jacobian(v))
     want = n * np.kron(np.eye(8), coupling.fast_rate_matrix)
     V = v.reshape(8, 3)
     for z, m_z in enumerate(coupling.multipliers):
@@ -721,7 +723,7 @@ def test_slowfast_jacobian_over_a_dense_slow_jacobian_is_csr(dense_slow):
     # (exp underflow in the tilt) keep the pattern fixed
     with np.errstate(over="ignore", invalid="ignore"):
         J_far = H.jacobian(np.linspace(0.0, 2000.0, 24))
-    assert_on_declared_pattern(J_far, H)
+    as_csr(H, J_far)
 
 
 @given(
@@ -751,12 +753,11 @@ def test_slowfast_jacobian_gives_the_reference_newton_matrix(
     H = slowfast_hamiltonian(make_product_sequence(s, fast, n_members=3), n, coupling)
     v = np.repeat(v_slow, n_fast) + rng.uniform(-0.1, 0.1, n_slow * n_fast)
     J = H.jacobian(v)
-    assert_on_declared_pattern(J, H)
     J_ref = jacobian_reference.slowfast(
         partial(jacobian_reference.upwind, b, dx), A_fast, coupling.multipliers, n, v
     )
-    assert np.array_equal(J.toarray(), J_ref.toarray())
-    assert_same_newton_matrix(J, J_ref, lam)
+    assert np.array_equal(as_csr(H, J).toarray(), J_ref.toarray())
+    assert_same_newton_matrix(H, J, J_ref, lam)
 
 
 def product_hamiltonian(slow, n_fast, n, seed):
@@ -770,18 +771,21 @@ def product_hamiltonian(slow, n_fast, n, seed):
 
 
 def jacobian_case(kind, n_slow, seed):
-    """A Jacobian of the given kind at random values: a grid scheme's, or a
-    slow-fast product's over an upwind (sparse) or tilted (dense) slow part."""
+    """A Jacobian of the given kind at random values, as the CSR matrix on
+    its declared pattern, with that pattern: a grid scheme's, or a slow-fast
+    product's over an upwind (sparse) or tilted (dense) slow part."""
     s, dx, v, b = tie_case(n_slow, seed, 0.3)
     if kind in ("upwind", "centered"):
         build = upwind_quadratic if kind == "upwind" else centered_quadratic
-        return build(s, b).jacobian(v)
-    if kind == "product":
-        slow = upwind_quadratic(s, b)
+        H = build(s, b)
     else:
-        slow = tilt_linear(random_rate_matrix(np.random.default_rng(seed), n_slow), s)
-    H = product_hamiltonian(slow, 3, 4.0, seed)
-    return H.jacobian(np.repeat(v, 3) + np.random.default_rng(seed).uniform(-0.1, 0.1, 3 * n_slow))
+        if kind == "product":
+            slow = upwind_quadratic(s, b)
+        else:
+            slow = tilt_linear(random_rate_matrix(np.random.default_rng(seed), n_slow), s)
+        H = product_hamiltonian(slow, 3, 4.0, seed)
+        v = np.repeat(v, 3) + np.random.default_rng(seed).uniform(-0.1, 0.1, 3 * n_slow)
+    return as_csr(H, H.jacobian(v)), H.jacobian_pattern
 
 
 @pytest.mark.parametrize("kind", ["upwind", "centered", "product", "dense_product"])
@@ -795,8 +799,7 @@ def jacobian_case(kind, n_slow, seed):
 @settings(max_examples=40, deadline=None)
 def test_newton_matrix_is_the_reference_subtraction(kind, n_slow, lam, zero_share, seed):
     rng = np.random.default_rng(seed)
-    J = jacobian_case(kind, n_slow, seed)
-    pattern = _NewtonPattern.of((J.indptr, J.indices))
+    J, pattern = jacobian_case(kind, n_slow, seed)
     # explicit zeros, and a stored diagonal J_ii = 1 / lam, so 1 - lam * J_ii
     # is 0 exactly when lam is a power of two: the reference's sparse
     # subtraction drops both kinds of zero from I - lam * J
@@ -807,7 +810,7 @@ def test_newton_matrix_is_the_reference_subtraction(kind, n_slow, lam, zero_shar
     if diag.size:
         J2.data[rng.choice(diag)] = 1.0 / lam
     for M in (J, J2):
-        got = pattern.newton_matrix(M, lam)
+        got = _newton_pattern(pattern).newton_matrix(M.data, lam)
         want = jacobian_reference.newton_matrix(M, lam)
         assert got.format == "csc" and got.has_canonical_format
         for attr in ("data", "indices", "indptr"):
@@ -817,11 +820,90 @@ def test_newton_matrix_is_the_reference_subtraction(kind, n_slow, lam, zero_shar
 def test_newton_matrix_drops_an_exact_zero_diagonal():
     J = sp.csr_matrix(np.array([[4.0, 0.0, 1.0], [0.0, 0.5, 0.0], [2.0, 0.0, 0.0]]))
     J.data[J.data == 1.0] = 0.0  # an explicit zero off the diagonal
-    A = _NewtonPattern.of((J.indptr, J.indices)).newton_matrix(J, 0.25)
+    A = _NewtonPattern.of(JacobianPattern(J.indptr, J.indices)).newton_matrix(J.data, 0.25)
     # 1 - 0.25 * 4 == 0 at (0, 0) and the explicit zero at (0, 2) are dropped;
     # (2, 2), where J stores nothing, gets the bare diagonal 1
     assert A.nnz == 3
     assert np.array_equal(A.toarray(), [[0.0, 0.0, 0.0], [0.0, 0.875, 0.0], [-0.5, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("scheme", ["upwind", "centered"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("lam", [0.01, 0.25, 1.0, 7.5])
+def test_grid_jacobians_where_stencil_offsets_meet_give_the_reference_newton_matrix(
+    scheme, n, lam
+):
+    # on 2 points the offsets -1 and +1 name the same column, and their
+    # values are summed; on 3 points the offsets are distinct, and the
+    # upwind stencil stores every entry of the matrix
+    s, dx, v, b = tie_case(n, 5, 0.5)
+    H = (upwind_quadratic if scheme == "upwind" else centered_quadratic)(s, b)
+    J = H.jacobian(v)
+    J_ref = getattr(jacobian_reference, scheme)(b, dx, v)
+    assert np.array_equal(as_csr(H, J).toarray(), J_ref.toarray())
+    assert_same_newton_matrix(H, J, J_ref, lam)
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.25, 1.0, 7.5])
+def test_slowfast_with_a_zero_multiplier_gives_the_reference_newton_matrix(lam):
+    s, dx, v_slow, b = tie_case(3, 6, 0.5)
+    A_fast = np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [1.0, 0.0, -1.0]])
+    multipliers = (0.0, 1.0, 1.5)
+    coupling = SlowFastCoupling(
+        slow=upwind_quadratic(s, b), fast_rate_matrix=A_fast, multipliers=multipliers
+    )
+    fast = FiniteSpace(coords=np.arange(3.0), name="fast")
+    H = slowfast_hamiltonian(make_product_sequence(s, fast, n_members=3), 2.0, coupling)
+    v = np.repeat(v_slow, 3) + np.random.default_rng(6).uniform(-0.1, 0.1, 9)
+    J = H.jacobian(v)
+    J_ref = jacobian_reference.slowfast(
+        partial(jacobian_reference.upwind, b, dx), A_fast, multipliers, 2.0, v
+    )
+    assert np.array_equal(as_csr(H, J).toarray(), J_ref.toarray())
+    assert_same_newton_matrix(H, J, J_ref, lam)
+
+
+def test_slowfast_sweep_members_share_one_pattern():
+    product, coupling = slowfast_fixture()
+    sweep = [slowfast_hamiltonian(product, n, coupling) for n in (1.0, 2.0, 4.0, 8.0)]
+    assert all(H.jacobian_pattern is sweep[0].jacobian_pattern for H in sweep)
+    # each member still scales its own fast chain
+    v = np.random.default_rng(15).uniform(-1, 1, 24)
+    assert not np.array_equal(sweep[0].jacobian(v), sweep[1].jacobian(v))
+    # a coupling built anew builds its own pattern
+    again = replace(coupling, multipliers=coupling.multipliers)
+    assert slowfast_hamiltonian(product, 1.0, again).jacobian_pattern is not sweep[0].jacobian_pattern
+
+
+def test_damped_newton_builds_the_newton_layout_once_per_pattern(monkeypatch):
+    builds = []
+    build = _NewtonPattern.of
+    monkeypatch.setattr(
+        _NewtonPattern, "of", lambda pattern: builds.append(pattern) or build(pattern)
+    )
+    product, coupling = slowfast_fixture()
+    h = np.repeat(0.3 * np.cos(2.0 * np.pi * coupling.slow.space.coords[:, 0]), 3)
+    for n in (1.0, 2.0, 4.0):
+        H = slowfast_hamiltonian(product, n, coupling)
+        for lam in (0.5, 1.0):
+            f, its, _ = _damped_newton(H, lam, h, h, 1e-10)
+            assert its > 0
+    assert builds == [H.jacobian_pattern]
+    # a scaled copy shares the pattern, and with it the layout
+    upwind = coupling.slow
+    _damped_newton(upwind, 0.5, h[::3], h[::3], 1e-10)
+    _damped_newton(scale_hamiltonian(2.0, upwind), 0.5, h[::3], h[::3], 1e-10)
+    assert builds == [H.jacobian_pattern, upwind.jacobian_pattern]
+
+
+def test_scale_hamiltonian_keeps_the_pattern_and_scales_the_values():
+    s = unit_grid(16)
+    H = upwind_quadratic(s, drift_sin(s, 0.3))
+    v = np.random.default_rng(16).uniform(-1, 1, 16)
+    for c in (0.0, 0.7, 3.0):
+        cH = scale_hamiltonian(c, H)
+        assert cH.jacobian_pattern is H.jacobian_pattern
+        assert np.array_equal(cH.jacobian(v), c * H.jacobian(v))
 
 
 def test_slowfast_newton_solve_matches_the_reference_jacobian_bit_for_bit():
@@ -840,15 +922,14 @@ def test_slowfast_newton_solve_matches_the_reference_jacobian_bit_for_bit():
         jacobian_reference.slowfast, partial(jacobian_reference.upwind, b, dx),
         A_fast, coupling.multipliers, n,
     )
-    # the reference Jacobian's values, written onto the declared pattern
-    indptr, indices = H.jacobian_pattern
+    # the reference Jacobian's values on the declared pattern
+    indptr, indices = H.jacobian_pattern.indptr, H.jacobian_pattern.indices
     rows = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
 
-    def on_pattern(v):
-        data = np.asarray(jac_ref(v)[rows, indices]).ravel()
-        return sp.csr_matrix((data, indices, indptr), shape=(v.shape[0], v.shape[0]))
+    def values_on_pattern(v):
+        return np.asarray(jac_ref(v)[rows, indices]).ravel()
 
-    H_ref = replace(H, jacobian=on_pattern)
+    H_ref = replace(H, jacobian=values_on_pattern)
     h = np.repeat(0.3 * np.cos(2.0 * np.pi * slow_space.coords[:, 0]), 3)
     f, diag = _solve(H, 1.0, h, 1e-10)
     f_ref, diag_ref = _solve(H_ref, 1.0, h, 1e-10)

@@ -28,6 +28,17 @@ def test_finite_space_normalizes_coords():
     assert s.coords.shape == (3, 1)
 
 
+def test_finite_space_freezes_its_own_coords_not_the_callers():
+    for xs in (np.zeros((3, 2)), np.zeros(3)):
+        s = FiniteSpace(coords=xs)
+        assert not s.coords.flags.writeable
+        assert xs.flags.writeable
+        xs[0] = 1.0  # still the caller's to write, and the space keeps its own
+        assert not s.coords.any()
+        with pytest.raises(ValueError):
+            s.coords[0] = 2.0
+
+
 def test_finite_space_equality_is_identity():
     a, b = unit_grid(4), unit_grid(4)
     assert a == a
@@ -263,6 +274,10 @@ def test_product_sequence_collapses_the_fast_coordinate():
     expected = np.repeat(np.arange(4), 3)
     assert np.array_equal(product.gamma, expected)
     assert len(product.tracked_enlarged(1.0)) == 12
+    # every member's enlarged coordinates are the enlarged space's own
+    # read-only array
+    assert all(c is product.enlarged_limit.coords for c in product.member_enlarged_coords)
+    assert not product.enlarged_limit.coords.flags.writeable
 
 
 def test_product_sequence_needs_three_members():
