@@ -85,22 +85,17 @@ class Hamiltonian:
     module declare a pattern.
 
     custom_solver, when set, inverts f - lam * Hf = h better than generic
-    Newton can (signature: (lam, h, f0, tol) -> (f, iters, res) with iters an
-    int and res a float, raising SolverError when it does not reach tol from
-    f0); schemes with max-type kinks supply policy iteration through it.
-
-    stacked_solver, when set, is custom_solver for a stack of k problems at
-    once: (lam, h, f0, tol) with lam of shape (k,) and h, f0 of shape (k, n)
-    -> (f, iters, res) of shapes (k, n), (k,), (k,), where row i equals
-    custom_solver(lam[i], h[i], f0[i], tol) bit for bit, and raising
-    SolverError when a row does not reach tol.  It pays the per-solve overhead
-    once per stack (ResolventFamily.solve_all).  Like jacobian_pattern it is
-    declared by the constructor.  It is used only while custom_solver is set,
-    the same rule by which a single solve takes the custom path: a copy with
-    custom_solver=None takes the fixed point or Newton for every solve, and a
-    copy that swaps in another custom_solver must replace stacked_solver
-    too.  The upwind scheme declares its Howard iteration (_howard) here and
-    its one-row case as custom_solver.
+    Newton can, for a stack of k problems at once: (lam, h, f0, tol) with lam
+    of shape (k,) and h, f0 of shape (k, n) -> (f, iterations, residuals,
+    row_iterations), where f (k, n), residuals (k,) and row_iterations (k,)
+    hold each row's solution, residual and iteration count, and iterations is
+    their total as a Python int.  Row i is the problem (lam[i], h[i]) from
+    f0[i] and equals its one-row solve bit for bit; a row that does not reach
+    tol raises SolverError.  Schemes with max-type kinks supply policy
+    iteration through it (the upwind scheme declares _howard).  A single
+    solve calls it on one row, and ResolventFamily.solve_all on every problem
+    not yet cached, so a copy with another custom_solver, or with None (the
+    fixed point or Newton), solves every problem its own way.
     """
 
     space: FiniteSpace
@@ -110,7 +105,6 @@ class Hamiltonian:
     name: str = ""
     custom_solver: Callable | None = None
     jacobian_pattern: JacobianPattern | None = field(default=None, repr=False, compare=False)
-    stacked_solver: Callable | None = field(default=None, repr=False, compare=False)
 
     def __call__(self, f: Fn) -> Fn:
         if f.space != self.space:
@@ -124,12 +118,10 @@ def scale_hamiltonian(c: float, H: Hamiltonian) -> Hamiltonian:
     jac = None
     if H.jacobian is not None:
         jac = lambda v: c * H.jacobian(v)
-    solver = stacked = None
+    solver = None
     if H.custom_solver is not None and c > 0:
         # f - lam * (cH) f = h is f - (lam c) H f = h
         solver = lambda lam, h, f0, tol: H.custom_solver(c * lam, h, f0, tol)
-    if H.stacked_solver is not None and c > 0:
-        stacked = lambda lam, h, f0, tol: H.stacked_solver(c * lam, h, f0, tol)
     return Hamiltonian(
         space=H.space,
         apply_values=lambda v: c * H.apply_values(v),
@@ -138,7 +130,6 @@ def scale_hamiltonian(c: float, H: Hamiltonian) -> Hamiltonian:
         name=f"{c}*{H.name}" if H.name else "",
         custom_solver=solver,
         jacobian_pattern=H.jacobian_pattern,
-        stacked_solver=stacked,
     )
 
 
@@ -480,7 +471,7 @@ def upwind_quadratic(
     forward one, which is the orientation that makes the implicit equation
     f - lambda * Hf = h comparison-compatible (check_degenerate_elliptic).
     Its resolvent is solved by Howard iteration (_howard), declared as the
-    stacked solver; the custom solver is its one-row case.
+    custom solver.
     """
     dx = _grid_spacing(space)
     b = np.asarray(drift, dtype=float).reshape(-1)
@@ -488,7 +479,6 @@ def upwind_quadratic(
         raise PreconditionError("drift must have one value per grid point")
     theta = 0.5 * b
     pattern, assemble = _periodic_stencil(b.shape[0], (0, -1, 1))
-    howard = partial(_howard, b, dx)
 
     def jac(v: np.ndarray) -> np.ndarray:
         p_minus, p_plus = _upwind_diffs(dx, v)
@@ -505,8 +495,7 @@ def upwind_quadratic(
     return Hamiltonian(
         space=space, apply_values=partial(_upwind_value, b, dx), jacobian=jac,
         lipschitz_bound=None, name=name,
-        custom_solver=partial(_one_row, howard), jacobian_pattern=pattern,
-        stacked_solver=howard,
+        custom_solver=partial(_howard, b, dx), jacobian_pattern=pattern,
     )
 
 
@@ -608,14 +597,15 @@ def _policy_step(
 
 def _howard(
     b: np.ndarray, dx: float, lam: np.ndarray, h: np.ndarray, f0: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """Solve f - lam * Hf = h for the upwind scheme with drift b on a periodic
     grid of spacing dx, for a stack of k problems: lam has shape (k,), h and the
     starts f0 have shape (k, n), and row i is the problem (lam[i], h[i]) from
-    f0[i].  Returns the solutions (k, n), the iteration counts (k,) and the
-    residuals (k,).  Howard iteration on the control form improves the
-    control per cell and then solves the resulting linear transport system
-    exactly; convergence is judged on the true scheme residual, row by row.
+    f0[i].  Returns the custom-solver protocol of Hamiltonian: the solutions
+    (k, n), the total iteration count over all rows as a Python int, the
+    residuals (k,) and the iteration counts (k,).  Howard iteration on the
+    control form improves the control per cell and then solves the resulting
+    linear transport system exactly; convergence is judged on the true scheme residual, row by row.
     A row that has converged drops out: later steps evaluate the scheme,
     improve the control and solve the frozen systems (one gtsv call, see
     _policy_step) only for the rows still iterating.  Every row gets the bits,
@@ -637,7 +627,7 @@ def _howard(
     f = f0.copy()
     iterations = np.zeros(k, dtype=int)
     if n % 2 == 0 and n >= CASCADE_MIN_POINTS:
-        fc, iterations, _ = _howard(b[::2], 2.0 * dx, lam, h[:, ::2], f0[:, ::2], tol)
+        fc, _, _, iterations = _howard(b[::2], 2.0 * dx, lam, h[:, ::2], f0[:, ::2], tol)
         f[:, ::2] = fc
         f[:, 1::2] = 0.5 * (fc + _next(fc))
     sweeps = max(500, n // 8)  # per level, enough for a cold start
@@ -663,7 +653,7 @@ def _howard(
         converged = ok.count(True)
         if converged == k:  # every row at once: f_it holds them all
             iterations += it
-            return f_it.reshape(k, n), iterations, res
+            return f_it.reshape(k, n), int(iterations.sum()), res, iterations
         if converged:
             ok = np.array(ok)
             done = rows[ok]
@@ -671,7 +661,7 @@ def _howard(
             iterations[done] += it
             residuals[done] = res[ok]
             if converged == rows.shape[0]:
-                return f, iterations, residuals
+                return f, int(iterations.sum()), residuals, iterations
             left = ~ok
             rows, f_it, h_it, lam_it = rows[left], f_it[left], h_it[left], lam_it[left]
             a, res = a[left], res[left]
@@ -682,13 +672,6 @@ def _howard(
         f"policy iteration did not converge: residual {res[0]:.3g}",
         iterations=int(iterations[rows[0]]) + sweeps,
     )
-
-
-def _one_row(stacked: Callable, lam: float, h: np.ndarray, f0: np.ndarray, tol: float):
-    """The custom-solver protocol (lam, h, f0, tol) -> (f, iterations,
-    residual) as the one-row case of a stacked solver."""
-    f, iterations, residuals = stacked(np.array([lam], dtype=float), h[None], f0[None], tol)
-    return f[0], int(iterations[0]), float(residuals[0])
 
 
 def centered_quadratic(

@@ -3,7 +3,8 @@
 For a Hamiltonian H and lambda > 0 the resolvent R(lambda)h is the solution
 f of f - lambda * H f = h.  The solve path follows from H and lambda alone:
 
-  * a custom solver, when H carries one (Howard iteration for kinked schemes);
+  * a custom solver, when H carries one (Howard iteration for kinked schemes),
+    called on a stack of one problem (_one_row);
   * otherwise the plain fixed point f <- h + lambda * H f whenever a Lipschitz
     bound L is known and lambda * L < 0.9 (the Crandall-Liggett regime of many
     small steps), handing over to Newton from its last iterate if it stalls
@@ -24,11 +25,11 @@ default.  solve_resolvent caches solutions per (lambda, h) so repeated sweeps
 are cheap; a hit returns the stored entry, diagnostics included.
 ResolventFamily.solve_all solves a list of (lambda, h) pairs through the same
 cache, and first solves the pairs not yet cached in one call of the
-Hamiltonian's stacked solver when it declares one and the path rule takes the
-custom solver.  The steps of an iteration (crandall_liggett) never repeat a
-right-hand side, so they bypass the cache: on the fixed-point path they run
-_fixed_point_step directly (the path follows from H and lambda, which a run
-does not change), otherwise the uncached _solve.  The algebraic checks:
+Hamiltonian's custom solver when it carries one.  The steps of an iteration
+(crandall_liggett) never repeat a right-hand side, so they bypass the cache:
+on the fixed-point path they run _fixed_point_step directly (the path follows
+from H and lambda, which a run does not change), otherwise the uncached
+_solve.  The algebraic checks:
 
   * pseudo-resolvent identity
         R(beta) h = R(alpha)[ R(beta) h - (alpha/beta)(R(beta) h - h) ]
@@ -63,6 +64,7 @@ from .errors import PreconditionError, SolverError
 from .limits import Fn
 from .operators import Hamiltonian, JacobianPattern, OperatorGraph, _compressed_pattern
 from .spaces import SpaceSequence
+from .viscosity import perturb_subsolution
 
 __all__ = [
     "SolveDiagnostics",
@@ -113,29 +115,29 @@ class ResolventFamily:
     def solve_all(self, problems: Sequence[tuple[float, Fn]]) -> list[Fn]:
         """R(lam) h for every (lam, h) in problems, in order, through the cache.
 
-        When the Hamiltonian declares a stacked solver and, as _solve requires
-        for the custom path, a custom solver, the problems not yet cached are
-        first solved in one stacked call and stored under solve_resolvent's
-        keys, with the diagnostics of a custom solve.  Every problem then goes
-        through solve_resolvent, which finds those cached.  Otherwise, or when
-        the stacked call raises, each problem is solved there one at a time,
-        so errors read as they do for single solves."""
-        stacked = self.hamiltonian.stacked_solver
-        if stacked is not None and self.hamiltonian.custom_solver is not None:
+        When the Hamiltonian carries a custom solver, which solves a stack
+        of problems in one call, the problems not yet cached are first solved
+        in one such call and stored under solve_resolvent's keys, with the
+        diagnostics of a custom solve.  Every problem then goes through
+        solve_resolvent, which finds those cached.  Otherwise, or when that
+        call raises, each problem is solved there one at a time, so
+        errors read as they do for single solves."""
+        solver = self.hamiltonian.custom_solver
+        if solver is not None:
             keys = [_cache_key(self, lam, h) for lam, h in problems]
             with self._lock:
                 misses = {
                     key: h for key, (_, h) in zip(keys, problems) if key not in self._cache
                 }
             if misses:
-                self._store_stacked(stacked, misses)
+                self._store_stacked(solver, misses)
         return [solve_resolvent(self, lam, h)[0] for lam, h in problems]
 
-    def _store_stacked(self, stacked, misses: dict) -> None:
+    def _store_stacked(self, solver, misses: dict) -> None:
         lams = np.array([lam for lam, _ in misses])
         hs = np.array([h.values for h in misses.values()])
         try:
-            f, iterations, residuals = stacked(lams, hs, hs, self.tol_residual)
+            f, _, residuals, iterations = solver(lams, hs, hs, self.tol_residual)
         except (SolverError, ValueError):
             return  # solve_resolvent solves them one at a time
         with self._lock:
@@ -284,13 +286,20 @@ def _damped_newton(
     )
 
 
+def _one_row(solver, lam: float, h: np.ndarray, f0: np.ndarray, tol: float):
+    """The one-problem step (lam, h, f0, tol) -> (f, iterations, residual)
+    that _solve and _continuation take, as a custom solver's stack of one."""
+    f, iterations, residuals, _ = solver(np.array([lam], dtype=float), h[None], f0[None], tol)
+    return f[0], int(iterations), float(residuals[0])
+
+
 def _continuation(
     step, lam: float, h: np.ndarray, f0: np.ndarray, tol: float
 ) -> tuple[np.ndarray, int, float]:
     """Homotopy fallback for cold starts outside the solver's basin: walk lam
     up from a small value, warm-starting each stage with the previous solution.
-    Tracks one deterministic solution branch.  step has the custom-solver
-    signature (lam, h, f0, tol) -> (f, iterations, residual)."""
+    Tracks one deterministic solution branch.  step has the signature
+    (lam, h, f0, tol) -> (f, iterations, residual), as _one_row and _newton."""
     f = f0.copy()
     total = 0
     res = np.inf
@@ -379,7 +388,7 @@ def _solve(
     else:
         f0 = h.astype(float)
         if H.custom_solver is not None:
-            step, used = H.custom_solver, "custom"
+            step, used = partial(_one_row, H.custom_solver), "custom"
         else:
             step, used = partial(_newton, H), "newton"
         try:
@@ -441,7 +450,7 @@ def check_pseudo_resolvent_identity(
             raise PreconditionError("need 0 < alpha < beta")
         for k, h in enumerate(hs):
             rb = family.solve(beta, h)
-            inner = Fn(h.space, rb.values - (alpha / beta) * (rb.values - h.values))
+            inner = perturb_subsolution(rb, h, beta, alpha)
             lhs = family.solve(alpha, inner)
             res = float(np.abs(lhs.values - rb.values).max())
             worst = max(worst, res)
@@ -563,7 +572,7 @@ def build_Hhat(
     Second components are computed from the solved first components, so
     f - l * g = h holds to machine precision for the generating (l, h);
     the generating metadata is returned alongside the graph.  The solves go
-    through family.solve_all, so a Hamiltonian with a stacked solver solves
+    through family.solve_all, so a Hamiltonian with a custom solver solves
     every pair not yet cached in one call.
     """
     if any(lam <= 0 for lam in lambdas):

@@ -6,6 +6,8 @@ values for its last residual.  The package hands that lam * H f from one
 step to the next; both must give the same result, iteration counts,
 residuals and methods, bit for bit.  Newton runs the reference damped step
 (with the retry from the constant mean(h) that the package's _newton adds).
+A custom solver takes stacks, and runs on a stack of one through the
+package's _one_row adapter.
 """
 
 from functools import partial
@@ -13,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from hjlab.errors import SolverError
-from hjlab.resolvent import _continuation
+from hjlab.resolvent import _continuation, _one_row
 
 from oracles.newton_reference import damped_newton
 
@@ -65,7 +67,7 @@ def solve(H, lam, h, tol):
             used = "fixed_point+newton"
     else:
         if H.custom_solver is not None:
-            step, used = H.custom_solver, "custom"
+            step, used = partial(_one_row, H.custom_solver), "custom"
         else:
             step, used = partial(newton, H), "newton"
         try:

@@ -7,8 +7,8 @@ feeds are still fed: the tracked sequences and Howard iterations of a grid
 experiment, and the Crandall-Liggett steps of a semigroup suite, which no
 longer pass through the patched solve_resolvent, and the Jacobians of a
 slow-fast suite's Newton steps.  A traced check suite, whose graph solves go
-through the upwind scheme's stacked solver, must still report metrics that
-json.dumps accepts.
+through the upwind scheme's custom solver in one stack, must count their
+Howard iterations and report metrics that json.dumps accepts.
 """
 
 import json
@@ -109,6 +109,8 @@ def test_traced_check_run_reports_metrics_json_accepts(tmp_path):
     # json.dumps, which rejects numpy arrays and numpy integers
     metrics = _traced_run(tmp_path, "check", TINY_CHECK)
     assert isinstance(metrics["operators.policy_iterations"], int)
+    # the Hhat solves are stacked, and the tracer sees them as custom solves
+    assert metrics["operators.policy_iterations"] > 0
 
 
 def test_traced_semigroup_run_counts_every_crandall_liggett_step(tmp_path):

@@ -33,6 +33,18 @@ from oracles import newton_reference
 from hjlab.resolvent import _continuation
 
 
+def exact_stack_solver(A):
+    """A custom solver for H f = A f: every row of the stack solved exactly,
+    in one iteration."""
+    n = A.shape[0]
+
+    def solve(lam, h, f0, tol):
+        f = np.array([np.linalg.solve(np.eye(n) - lam_i * A, h_i) for lam_i, h_i in zip(lam, h)])
+        return f, len(lam), np.zeros(len(lam)), np.ones(len(lam), dtype=int)
+
+    return solve
+
+
 def tilted_family(n=10, seed=0):
     s = chain(n)
     A = random_rate_matrix(np.random.default_rng(seed), n)
@@ -205,9 +217,7 @@ def test_every_solve_path_has_a_label_the_benchmark_tracer_counts(monkeypatch):
     h = Fn(s, np.linspace(-0.5, 0.5, n))
     tilt = tilt_linear(A, s)
     calls = []
-
-    def exact(lam, hv, f0, tol):
-        return np.linalg.solve(np.eye(n) - lam * A, hv), 1, 0.0
+    exact = exact_stack_solver(A)
 
     def fussy(lam, hv, f0, tol):
         calls.append(lam)
@@ -272,11 +282,8 @@ def test_iterations_of_failed_attempts_are_counted(monkeypatch):
 
         return wrapped
 
-    def exact(lam, hv, f0, tol):
-        return np.linalg.solve(np.eye(n) - lam * A, hv), 1, 0.0
-
     H = Hamiltonian(space=s, apply_values=lambda v: A @ v, jacobian=lambda v: A,
-                    custom_solver=fail_once(exact))
+                    custom_solver=fail_once(exact_stack_solver(A)))
     _, diag = solve_resolvent(ResolventFamily(hamiltonian=H), 1.0, h)
     assert diag.method == "custom+continuation"
     assert diag.iterations == k + 5  # one per continuation stage
@@ -350,14 +357,14 @@ def test_custom_solver_falls_back_to_continuation():
     s = chain(4)
     A = random_rate_matrix(np.random.default_rng(5), 4)
     calls = []
+    exact = exact_stack_solver(A)
 
     def fussy(lam, h, f0, tol):
         # simulate a basin miss on the initial full-strength attempt only
-        calls.append(lam)
+        calls.extend(lam.tolist())
         if len(calls) == 1:
             raise SolverError("outside the basin")
-        f = np.linalg.solve(np.eye(4) - lam * A, h)
-        return f, 1, 0.0
+        return exact(lam, h, f0, tol)
 
     H = Hamiltonian(space=s, apply_values=lambda v: A @ v, custom_solver=fussy)
     family = ResolventFamily(hamiltonian=H)
@@ -397,13 +404,14 @@ def test_solve_all_caches_what_single_solves_would():
 
     def counted(lam, h, f0, tol):
         calls.append(lam.tolist())
-        return H.stacked_solver(lam, h, f0, tol)
+        return H.custom_solver(lam, h, f0, tol)
 
-    family = ResolventFamily(hamiltonian=replace(H, stacked_solver=counted))
+    family = ResolventFamily(hamiltonian=replace(H, custom_solver=counted))
     solve_resolvent(family, *problems[4])
-    # a repeated pair is solved once, and a cached one not again
+    # a single solve is a stack of one; in the stack, a repeated pair is
+    # solved once, and a cached one not again
     got = family.solve_all(problems + [problems[0]])
-    assert calls == [[lam for i, (lam, _) in enumerate(problems) if i != 4]]
+    assert calls == [[problems[4][0]], [lam for i, (lam, _) in enumerate(problems) if i != 4]]
     single = ResolventFamily(hamiltonian=H)
     want = [solve_resolvent(single, lam, h) for lam, h in problems]
     for f, (f_ref, _) in zip(got, want + want[:1]):
@@ -419,20 +427,45 @@ def test_solve_all_falls_back_to_single_solves_when_the_stack_raises():
     H, problems = upwind_problems()
 
     def unlucky(lam, h, f0, tol):
-        raise SolverError("simulated stack failure", iterations=3)
+        # a stack fails, a single solve does not
+        if len(lam) > 1:
+            raise SolverError("simulated stack failure", iterations=3)
+        return H.custom_solver(lam, h, f0, tol)
 
-    family = ResolventFamily(hamiltonian=replace(H, stacked_solver=unlucky))
+    family = ResolventFamily(hamiltonian=replace(H, custom_solver=unlucky))
     got = family.solve_all(problems)
     single = ResolventFamily(hamiltonian=H)
     for f, (lam, h) in zip(got, problems):
         assert f.values.tobytes() == single.solve(lam, h).values.tobytes()
-    # without a stacked solver, errors read as those of single solves
+    # without a custom solver, errors read as those of single solves
     tilted, s = tilted_family()
     h = Fn(s, np.zeros(10))
     with pytest.raises(PreconditionError, match="positive"):
         tilted.solve_all([(0.5, h), (0.0, h)])
     with pytest.raises(PreconditionError, match="space"):
         ResolventFamily(hamiltonian=H).solve_all([(0.5, h)])
+
+
+def test_a_copy_with_another_custom_solver_builds_Hhat_by_it():
+    # the custom solver is the one declared solver: a copy that swaps in
+    # another solves the stack by it, not by the scheme's own Howard iteration
+    s = unit_grid(32)
+    H = upwind_quadratic(s, 0.5 * np.sin(2.0 * np.pi * s.coords[:, 0]))
+    calls = []
+
+    def counted(lam, h, f0, tol):
+        calls.append(lam.tolist())
+        return H.custom_solver(lam, h, f0, tol)
+
+    rng = np.random.default_rng(9)
+    hs = [Fn(s, rng.uniform(-0.5, 0.5, 32)) for _ in range(2)]
+    family = ResolventFamily(hamiltonian=replace(H, custom_solver=counted))
+    G, meta = build_Hhat(family, [0.5, 1.0], hs)
+    assert calls == [[0.5, 0.5, 1.0, 1.0]]
+    assert all(diag.method == "custom" for _, diag in family._cache.values())
+    single = ResolventFamily(hamiltonian=H)
+    for (f, _), m in zip(G.pairs, meta):
+        assert f.values.tobytes() == single.solve(m["lam"], m["h"]).values.tobytes()
 
 
 def test_a_copy_without_custom_solver_builds_Hhat_by_newton():
