@@ -18,14 +18,15 @@ f of f - lambda * H f = h.  The solve path follows from H and lambda alone:
     and a constant start keeps every difference f_j - f_i at zero, where
     such an H is finite.
 
-A custom or Newton step that fails at the full lambda falls back to one
-lambda continuation (the same for both), which walks lambda up from
-lambda / 16 with warm starts.  Residual tolerance is 1e-10 in the sup norm by
-default.  solve_resolvent caches solutions per (lambda, h) so repeated sweeps
-are cheap; a hit returns the stored entry, diagnostics included.
-ResolventFamily.solve_all solves a list of (lambda, h) pairs through the same
-cache, and first solves the pairs not yet cached in one call of the
-Hamiltonian's custom solver when it carries one.  The steps of an iteration
+That is one recovery per path: the fixed point hands over to Newton, and
+Newton retries once; a custom solver that fails raises its own SolverError.
+Residual tolerance is 1e-10 in the sup norm by default.  solve_resolvent
+caches solutions per (lambda, h) so repeated sweeps are cheap; a hit returns
+the stored entry, diagnostics included.  ResolventFamily.solve_all solves a
+list of (lambda, h) pairs through the same cache, and first solves the pairs
+not yet cached in one call of the Hamiltonian's custom solver when it carries
+one; each row of that stack equals its one-row solve bit for bit, so a stack
+fails where a one-row solve of a failing row would.  The steps of an iteration
 (crandall_liggett) never repeat a right-hand side, so they bypass the cache:
 on the fixed-point path they run _fixed_point_step directly (the path follows
 from H and lambda, which a run does not change), otherwise the uncached
@@ -53,7 +54,6 @@ import hashlib
 import threading
 import weakref
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -119,9 +119,10 @@ class ResolventFamily:
         of problems in one call, the problems not yet cached are first solved
         in one such call and stored under solve_resolvent's keys, with the
         diagnostics of a custom solve.  Every problem then goes through
-        solve_resolvent, which finds those cached.  Otherwise, or when that
-        call raises, each problem is solved there one at a time, so
-        errors read as they do for single solves."""
+        solve_resolvent, which finds those cached and counts the first read
+        of each as its solve.  An error of that call propagates, and none
+        of its rows is cached.  Without a custom solver each problem is
+        solved there one at a time."""
         solver = self.hamiltonian.custom_solver
         if solver is not None:
             keys = [_cache_key(self, lam, h) for lam, h in problems]
@@ -136,17 +137,17 @@ class ResolventFamily:
     def _store_stacked(self, solver, misses: dict) -> None:
         lams = np.array([lam for lam, _ in misses])
         hs = np.array([h.values for h in misses.values()])
-        try:
-            f, _, residuals, iterations = solver(lams, hs, hs, self.tol_residual)
-        except (SolverError, ValueError):
-            return  # solve_resolvent solves them one at a time
+        f, _, residuals, iterations = solver(lams, hs, hs, self.tol_residual)
         with self._lock:
             for i, key in enumerate(misses):
+                # from_cache=False until solve_resolvent first reads it; a
+                # row another thread stored meanwhile keeps its entry, so
+                # that it counts as a solve once
                 diag = SolveDiagnostics(
                     lam=key[0], method="custom", iterations=int(iterations[i]),
-                    residual=float(residuals[i]), from_cache=True,
+                    residual=float(residuals[i]),
                 )
-                self._cache[key] = (Fn(self.space, f[i]), diag)
+                self._cache.setdefault(key, (Fn(self.space, f[i]), diag))
 
     @property
     def space(self):
@@ -287,32 +288,10 @@ def _damped_newton(
 
 
 def _one_row(solver, lam: float, h: np.ndarray, f0: np.ndarray, tol: float):
-    """The one-problem step (lam, h, f0, tol) -> (f, iterations, residual)
-    that _solve and _continuation take, as a custom solver's stack of one."""
+    """A custom solver's stack of one: (f, iterations, residual) of the
+    problem (lam, h) from f0."""
     f, iterations, residuals, _ = solver(np.array([lam], dtype=float), h[None], f0[None], tol)
     return f[0], int(iterations), float(residuals[0])
-
-
-def _continuation(
-    step, lam: float, h: np.ndarray, f0: np.ndarray, tol: float
-) -> tuple[np.ndarray, int, float]:
-    """Homotopy fallback for cold starts outside the solver's basin: walk lam
-    up from a small value, warm-starting each stage with the previous solution.
-    Tracks one deterministic solution branch.  step has the signature
-    (lam, h, f0, tol) -> (f, iterations, residual), as _one_row and _newton."""
-    f = f0.copy()
-    total = 0
-    res = np.inf
-    for frac in (1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2, 1.0):
-        try:
-            f, its, res = step(frac * lam, h, f, tol)
-        except SolverError as exc:
-            raise SolverError(
-                f"lambda continuation stalled at {frac} * lam: {exc}",
-                iterations=total + exc.iterations,
-            ) from exc
-        total += its
-    return f, total, res
 
 
 def _fixed_point(
@@ -388,15 +367,11 @@ def _solve(
     else:
         f0 = h.astype(float)
         if H.custom_solver is not None:
-            step, used = partial(_one_row, H.custom_solver), "custom"
+            f, iterations, res = _one_row(H.custom_solver, lam, h, f0, tol)
+            used = "custom"
         else:
-            step, used = partial(_newton, H), "newton"
-        try:
-            f, iterations, res = step(lam, h, f0, tol)
-        except SolverError as exc:
-            f, iterations, res = _continuation(step, lam, h, f0, tol)
-            iterations += exc.iterations
-            used += "+continuation"
+            f, iterations, res = _newton(H, lam, h, f0, tol)
+            used = "newton"
     return f, SolveDiagnostics(lam=float(lam), method=used, iterations=iterations, residual=res)
 
 
@@ -416,6 +391,9 @@ def solve_resolvent(
     key = _cache_key(family, lam, h)
     with family._lock:
         hit = family._cache.get(key)
+        if hit is not None and not hit[1].from_cache:
+            # a row solve_all stored: this first read reports its solve
+            family._cache[key] = (hit[0], replace(hit[1], from_cache=True))
     if hit is not None:
         return hit
 

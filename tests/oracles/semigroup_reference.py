@@ -10,12 +10,10 @@ A custom solver takes stacks, and runs on a stack of one through the
 package's _one_row adapter.
 """
 
-from functools import partial
-
 import numpy as np
 
 from hjlab.errors import SolverError
-from hjlab.resolvent import _continuation, _one_row
+from hjlab.resolvent import _one_row
 
 from oracles.newton_reference import damped_newton
 
@@ -67,15 +65,11 @@ def solve(H, lam, h, tol):
             used = "fixed_point+newton"
     else:
         if H.custom_solver is not None:
-            step, used = partial(_one_row, H.custom_solver), "custom"
+            f, iterations, res = _one_row(H.custom_solver, lam, h, f0, tol)
+            used = "custom"
         else:
-            step, used = partial(newton, H), "newton"
-        try:
-            f, iterations, res = step(lam, h, f0, tol)
-        except SolverError as exc:
-            f, iterations, res = _continuation(step, lam, h, f0, tol)
-            iterations += exc.iterations
-            used += "+continuation"
+            f, iterations, res = newton(H, lam, h, f0, tol)
+            used = "newton"
     return f, used, iterations, res
 
 

@@ -109,8 +109,11 @@ def test_traced_check_run_reports_metrics_json_accepts(tmp_path):
     # json.dumps, which rejects numpy arrays and numpy integers
     metrics = _traced_run(tmp_path, "check", TINY_CHECK)
     assert isinstance(metrics["operators.policy_iterations"], int)
-    # the Hhat solves are stacked, and the tracer sees them as custom solves
+    # the Hhat solves are stacked, and the tracer sees them as custom solves:
+    # one per distinct (lambda, h) pair of the cell, 2 lambdas x 3 probes
     assert metrics["operators.policy_iterations"] > 0
+    assert metrics["resolvent.method.custom"] == 6
+    assert metrics["resolvent.iterations"] == metrics["operators.policy_iterations"]
 
 
 def test_traced_semigroup_run_counts_every_crandall_liggett_step(tmp_path):

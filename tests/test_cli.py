@@ -341,9 +341,9 @@ def test_module_entrypoint_runs(tmp_path):
 def test_shipped_resolvent_suite_passes_with_large_data(tmp_path):
     # probes in +-400: the identity's inner right-hand sides start Newton at a
     # finite but astronomically large residual, so it must retry from a
-    # constant start instead of failing every continuation stage.  The
-    # overflow at those failed starts is expected and rejected by the solver,
-    # so it must not surface as a numpy RuntimeWarning either
+    # constant start, its one recovery, instead of failing.  The overflow at
+    # those failed starts is expected and rejected by the solver, so it must
+    # not surface as a numpy RuntimeWarning either
     config = yaml.safe_load((CONFIGS / "resolvent.yaml").read_text())
     config["resolvent"]["probes"]["bound"] = 400
     out = str(tmp_path / "out")

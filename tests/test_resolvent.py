@@ -2,6 +2,7 @@
 
 import importlib.util
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,7 +31,6 @@ from hjlab import (
 )
 from hjlab import centered_quadratic, resolvent
 from oracles import newton_reference
-from hjlab.resolvent import _continuation
 
 
 def exact_stack_solver(A):
@@ -210,27 +210,23 @@ def _tracer_methods() -> dict:
     return module.METHODS
 
 
-def test_every_solve_path_has_a_label_the_benchmark_tracer_counts(monkeypatch):
+# labels the benchmark's tracer counts that no solve path gives: their
+# counters can only read 0 until the benchmark drops them
+CONTINUATION_LABELS = {"custom+continuation", "newton+continuation"}
+
+
+def test_every_solve_path_has_a_label_the_benchmark_tracer_counts():
     n = 6
     s = chain(n)
     A = np.roll(np.eye(n), 1, axis=1) - np.eye(n)  # cycle generator
     h = Fn(s, np.linspace(-0.5, 0.5, n))
     tilt = tilt_linear(A, s)
-    calls = []
-    exact = exact_stack_solver(A)
-
-    def fussy(lam, hv, f0, tol):
-        calls.append(lam)
-        if len(calls) == 1:
-            raise SolverError("outside the basin")
-        return exact(lam, hv, f0, tol)
 
     def linear(**kw):
         return Hamiltonian(space=s, apply_values=lambda v: A @ v, jacobian=lambda v: A, **kw)
 
     cases = [
-        ("custom", linear(custom_solver=exact), 1.0),
-        ("custom+continuation", linear(custom_solver=fussy), 1.0),
+        ("custom", linear(custom_solver=exact_stack_solver(A)), 1.0),
         ("fixed_point", tilt, 0.5 / tilt.lipschitz_bound),
         ("newton", replace(tilt, lipschitz_bound=None), 1.0),
         # a bound far below the truth (||2A|| = 4) lets the fixed point
@@ -244,24 +240,9 @@ def test_every_solve_path_has_a_label_the_benchmark_tracer_counts(monkeypatch):
         assert np.abs(f.values - lam * H.apply_values(f.values) - h.values).max() <= 1e-10
         seen.append(diag.method)
 
-    real_newton = resolvent._newton
-    failed = []
-
-    def newton_failing_once_at_full_lam(H, lam, hv, f0, tol):
-        if lam == 1.0 and not failed:
-            failed.append(lam)
-            raise SolverError("simulated basin miss")
-        return real_newton(H, lam, hv, f0, tol)
-
-    monkeypatch.setattr(resolvent, "_newton", newton_failing_once_at_full_lam)
-    H = replace(tilt, lipschitz_bound=None)
-    f, diag = solve_resolvent(ResolventFamily(hamiltonian=H), 1.0, h)
-    assert diag.method == "newton+continuation"
-    assert np.abs(f.values - H.apply_values(f.values) - h.values).max() <= 1e-10
-    seen.append(diag.method)
-
-    assert sorted(seen) == sorted(_tracer_methods())
-
+    tracer_methods = set(_tracer_methods())
+    assert CONTINUATION_LABELS <= tracer_methods
+    assert sorted(seen) == sorted(tracer_methods - CONTINUATION_LABELS)
 
 
 def test_iterations_of_failed_attempts_are_counted(monkeypatch):
@@ -282,18 +263,13 @@ def test_iterations_of_failed_attempts_are_counted(monkeypatch):
 
         return wrapped
 
-    H = Hamiltonian(space=s, apply_values=lambda v: A @ v, jacobian=lambda v: A,
-                    custom_solver=fail_once(exact_stack_solver(A)))
-    _, diag = solve_resolvent(ResolventFamily(hamiltonian=H), 1.0, h)
-    assert diag.method == "custom+continuation"
-    assert diag.iterations == k + 5  # one per continuation stage
-
-    H = replace(H, custom_solver=None)
+    H = Hamiltonian(space=s, apply_values=lambda v: A @ v, jacobian=lambda v: A)
     _, clean = solve_resolvent(ResolventFamily(hamiltonian=H), 1.0, h)
     monkeypatch.setattr(resolvent, "_damped_newton", fail_once(resolvent._damped_newton))
     _, diag = solve_resolvent(ResolventFamily(hamiltonian=H), 1.0, h)
     assert diag.method == "newton"
     assert diag.iterations >= clean.iterations + k
+
 
 def test_pseudo_resolvent_identity_holds_for_the_tilted_chain():
     family, s = tilted_family()
@@ -329,51 +305,25 @@ def test_tilted_resolvent_is_contractive():
         )
 
 
-def test_continuation_walks_into_a_narrow_basin():
-    # a solver that only accepts warm starts forces the homotopy path; the
-    # largest warm-start gap along the schedule is lam / 2, so 0.6 admits
-    # every staged step while rejecting the cold start at distance 1
-    target = lambda lam: np.full(3, lam)
-
-    def step(lam, h, f0, tol):
-        if np.abs(f0 - target(lam)).max() > 0.6:
-            raise SolverError("cold start")
-        return target(lam), 1, 0.0
-
-    with pytest.raises(SolverError):
-        step(1.0, None, np.zeros(3), 1e-10)
-    f, its, res = _continuation(step, 1.0, None, np.zeros(3), 1e-10)
-    assert np.allclose(f, 1.0)
-    assert its == 5
-
-    def never(lam, h, f0, tol):
-        raise SolverError("no basin")
-
-    with pytest.raises(SolverError, match="continuation stalled"):
-        _continuation(never, 1.0, None, np.zeros(3), 1e-10)
-
-
-def test_custom_solver_falls_back_to_continuation():
+def test_a_failing_custom_solver_raises_its_own_error():
+    # the custom path has no fallback: the solver's SolverError surfaces,
+    # with its iteration count, after one call
     s = chain(4)
-    A = random_rate_matrix(np.random.default_rng(5), 4)
     calls = []
-    exact = exact_stack_solver(A)
 
-    def fussy(lam, h, f0, tol):
-        # simulate a basin miss on the initial full-strength attempt only
-        calls.extend(lam.tolist())
-        if len(calls) == 1:
-            raise SolverError("outside the basin")
-        return exact(lam, h, f0, tol)
+    def failing(lam, h, f0, tol):
+        calls.append(lam.tolist())
+        raise SolverError("outside the basin", iterations=23)
 
-    H = Hamiltonian(space=s, apply_values=lambda v: A @ v, custom_solver=fussy)
+    A = random_rate_matrix(np.random.default_rng(5), 4)
+    H = Hamiltonian(space=s, apply_values=lambda v: A @ v, custom_solver=failing)
     family = ResolventFamily(hamiltonian=H)
     h = Fn(s, np.array([0.4, -0.2, 0.1, 0.0]))
-    got, diag = solve_resolvent(family, 1.0, h)
-    assert diag.method == "custom+continuation"
-    assert np.allclose(got.values, np.linalg.solve(np.eye(4) - A, h.values))
-    # the failed direct call plus the five staged continuation calls
-    assert calls == [1.0] + [1.0 / 16, 1.0 / 8, 1.0 / 4, 1.0 / 2, 1.0]
+    with pytest.raises(SolverError, match="outside the basin") as err:
+        solve_resolvent(family, 1.0, h)
+    assert err.value.iterations == 23
+    assert calls == [[1.0]]
+    assert not family._cache
 
 
 def test_build_Hhat_pairs_satisfy_the_generating_equation():
@@ -423,7 +373,50 @@ def test_solve_all_caches_what_single_solves_would():
         assert diag.method == "custom" and diag.from_cache
 
 
-def test_solve_all_falls_back_to_single_solves_when_the_stack_raises():
+def test_a_stacked_row_counts_as_a_solve_on_its_first_read(monkeypatch):
+    # solve_all stores a stack's rows as solves, not as hits: the first read
+    # of each reports its custom solve and iterations, every later read is a
+    # hit, so the iterations reported sum to the stack's own count
+    H, problems = upwind_problems()
+    totals = []
+
+    def counted(lam, h, f0, tol):
+        out = H.custom_solver(lam, h, f0, tol)
+        totals.append(out[1])
+        return out
+
+    family = ResolventFamily(hamiltonian=replace(H, custom_solver=counted))
+    reads = []
+    real_solve = resolvent.solve_resolvent
+
+    def recorded(*args):
+        out = real_solve(*args)
+        reads.append(out[1])
+        return out
+
+    monkeypatch.setattr(resolvent, "solve_resolvent", recorded)
+    family.solve_all(problems + problems[:2])
+    assert [d.from_cache for d in reads] == [False] * len(problems) + [True, True]
+    assert all(d.method == "custom" for d in reads)
+    assert sum(d.iterations for d in reads if not d.from_cache) == totals[0] > 0
+    assert all(real_solve(family, lam, h)[1].from_cache for lam, h in problems)
+
+
+def test_threads_reading_a_stacked_row_count_one_solve():
+    H, problems = upwind_problems()
+    family = ResolventFamily(hamiltonian=H)
+    lam, h = problems[0]
+    misses = {resolvent._cache_key(family, lam, h): h}
+    family._store_stacked(H.custom_solver, misses)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        diags = list(pool.map(lambda _: solve_resolvent(family, lam, h)[1], range(16)))
+    assert sum(not d.from_cache for d in diags) == 1
+    # a stack another thread solved meanwhile does not store the row again
+    family._store_stacked(H.custom_solver, misses)
+    assert solve_resolvent(family, lam, h)[1].from_cache
+
+
+def test_a_stack_that_raises_surfaces_its_error_and_caches_no_row():
     H, problems = upwind_problems()
 
     def unlucky(lam, h, f0, tol):
@@ -433,10 +426,16 @@ def test_solve_all_falls_back_to_single_solves_when_the_stack_raises():
         return H.custom_solver(lam, h, f0, tol)
 
     family = ResolventFamily(hamiltonian=replace(H, custom_solver=unlucky))
-    got = family.solve_all(problems)
-    single = ResolventFamily(hamiltonian=H)
-    for f, (lam, h) in zip(got, problems):
-        assert f.values.tobytes() == single.solve(lam, h).values.tobytes()
+    solve_resolvent(family, *problems[0])
+    with pytest.raises(SolverError, match="simulated stack failure") as err:
+        family.solve_all(problems)
+    assert err.value.iterations == 3
+    lams = sorted({lam for lam, _ in problems})
+    hs = [h for lam, h in problems if lam == lams[0]]
+    with pytest.raises(SolverError, match="simulated stack failure"):
+        build_Hhat(family, lams, hs)
+    # only the single solve is cached
+    assert list(family._cache) == [resolvent._cache_key(family, *problems[0])]
     # without a custom solver, errors read as those of single solves
     tilted, s = tilted_family()
     h = Fn(s, np.zeros(10))
