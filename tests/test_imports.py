@@ -84,9 +84,10 @@ def unbound_exports(source: str) -> list:
 def unlisted_reexports(init_source: str, module_all) -> list:
     """module.name for every name the package __init__ imports from a
     submodule that the submodule's __all__ (module_all(module)) does not
-    list; submodules without an __all__ are skipped."""
+    list; submodules without an __all__ are skipped.  The whole module is
+    walked, since the re-exports sit inside a try block."""
     unlisted = []
-    for node in ast.parse(init_source).body:
+    for node in ast.walk(ast.parse(init_source)):
         if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
             listed = module_all(node.module)
             if listed:
@@ -143,10 +144,15 @@ def test_the_check_sees_reexports_missing_from_all():
         "from .errors import HJLabError\n"
         "from .spaces import FiniteSpace, EnlargedSpaceSequence\n"
         "from .limits import Fn, _gather\n"
+        "try:\n"
+        "    from .probes import bump, _grid\n"
+        "finally:\n"
+        "    pass\n"
     )
-    module_all = {"errors": [], "spaces": ["FiniteSpace"], "limits": ["Fn"]}.get
+    module_all = {"errors": [], "spaces": ["FiniteSpace"], "limits": ["Fn"],
+                  "probes": ["bump"]}.get
     assert unlisted_reexports(source, module_all) == [
-        "limits._gather", "spaces.EnlargedSpaceSequence",
+        "limits._gather", "probes._grid", "spaces.EnlargedSpaceSequence",
     ]
 
 
