@@ -31,6 +31,7 @@ from .errors import ConfigError, HJLabError
 from .limits import Fn
 from .operators import (
     SlowFastCoupling,
+    _grid_spacing,
     check_dissipative,
     graph_from_hamiltonian,
 )
@@ -228,11 +229,7 @@ def _cells_converge_grid(section: dict, seed: int):
     if "value" in env:
         tol_env = float(env["value"])
     else:
-        a, b = (float(v) for v in section["sequence"]["domain"])
-        res = max(int(r) for r in section["sequence"]["resolutions"])
-        spacing = (b - a) / res if section["sequence"].get("periodic", True) \
-            else (b - a) / (res - 1)
-        tol_env = float(env.get("factor", 4.0)) * spacing
+        tol_env = float(env.get("factor", 4.0)) * _grid_spacing(seq.members[-1])
 
     def run_experiment():
         rep = resolvent_convergence_experiment(

@@ -12,6 +12,9 @@ sequences:
                     whose f-values converge to f(gamma(y));
   check_ex_superlim the mirror image for ddagger pairs.
 
+The one-sided checks make one array pass per compact level and report the
+tail inequality as per-level aggregates, never one record per tracked point.
+
 First components are tracked toward limit points; second components are
 tracked through the sequence's enlarged embeddings toward points y of its
 enlarged limit, and gamma(y) names the limit point they sit over.  On a
@@ -160,47 +163,21 @@ def check_ex_lim(
 
 @dataclass(frozen=True)
 class WitnessBundle:
-    """Witness sequences for one limit pair, with the graded-limit artifacts."""
+    """Witness sequences for one limit pair, with the graded-limit artifacts.
+
+    per_level maps each compact level q to counts of its tracked enlarged
+    sequences ("sequences", "gated": f-tail within tol of f(gamma(y)),
+    "failed": gated and breaking the tail inequality), "passed", and over
+    the gated ones (None when none is): "worst_margin", the enlarged-limit
+    point attaining it ("witness_index"), and the smallest margin of each
+    member from n0 on ("per_member_margin")."""
 
     passed: bool
     kind: str
     truncation: tuple
     g_bound: float
-    sequence_records: tuple
+    per_level: dict
     notes: tuple = ()
-
-
-def _sequence_records(
-    seq: SpaceSequence,
-    f_seq: FnSequence,
-    g_seq: FnSequence,
-    f_lim: Fn,
-    g_lim: Fn,
-    tol: float,
-    n0: int,
-    sub: bool,
-) -> tuple[tuple, bool]:
-    """One record per tracked enlarged sequence, and whether all pass: a
-    sequence whose f-tail stays within tol of f(gamma(y)) is gated, and a
-    gated one passes when max g_n (sub) stays below g(y) + tol, or min g_n
-    (super) above g(y) - tol, from n0 on."""
-    records = []
-    seq_ok = True
-    for qi, q in enumerate(seq.compacts.labels):
-        idx = seq.tracked_enlarged(q)
-        y = seq.enlarged_limit_sets[qi]
-        fv = _gather(f_seq, idx)[n0:]
-        gv = _gather(g_seq, idx)[n0:]
-        gated = np.abs(fv - f_lim.values[seq.gamma[y]]).max(axis=0) <= tol
-        if sub:
-            margin = g_lim.values[y] + tol - gv.max(axis=0)
-        else:
-            margin = gv.min(axis=0) - (g_lim.values[y] - tol)
-        passed = ~gated | (margin >= 0.0)
-        seq_ok = seq_ok and bool(passed.all())
-        for yi, g, ok, m in zip(y.tolist(), gated.tolist(), passed.tolist(), margin.tolist()):
-            records.append({"q": q, "y": yi, "gated": g, "passed": ok, "margin": m if g else None})
-    return tuple(records), seq_ok
 
 
 def _check_ex_one_sided(
@@ -218,21 +195,55 @@ def _check_ex_one_sided(
     g_seq = _member_images(op_seq, f_seq, g_seq)
     bound = float(max(f_lim.norm, 1e-12))
     c_grid = np.linspace(-2.0 * bound, 2.0 * bound, TRUNCATION_LEVELS)
-    truncation = []
-    trunc_ok = True
-    for c in c_grid:
+    clip = np.minimum if sub else np.maximum
+    trunc_dev = [0.0] * TRUNCATION_LEVELS
+    per_level = {}
+    seq_ok = True
+    for qi, q in enumerate(seq.compacts.labels):
+        # truncating after the gather gives the values of gathering truncated
+        # copies
+        fv = _gather(f_seq, seq.tracked(q), n0)
+        target = f_lim.values[seq.compacts.limit_sets[qi]]
+        dev = np.empty_like(fv)
+        for k, c in enumerate(c_grid):
+            clip(fv, c, out=dev)
+            dev -= clip(target, c)
+            trunc_dev[k] = max(trunc_dev[k], float(np.abs(dev, out=dev).max()))
+
+        idx = seq.tracked_enlarged(q)
+        y = seq.enlarged_limit_sets[qi]
+        fv = _gather(f_seq, idx, n0)
+        gv = _gather(g_seq, idx, n0)
+        fv -= f_lim.values[seq.gamma[y]]
+        gated = np.abs(fv, out=fv).max(axis=0) <= tol
+        # rounding is monotone, so the smallest member margin of a sequence
+        # equals the margin against its largest (sub) or smallest (super) g_n
         if sub:
-            v = check_LIM(f_seq.truncate_above(c), f_lim.truncate_above(c), tol, n0=n0)
+            margins = np.subtract(g_lim.values[y] + tol, gv, out=gv)
         else:
-            v = check_LIM(f_seq.truncate_below(c), f_lim.truncate_below(c), tol, n0=n0)
-        worst = max(rec["worst_dev"] for rec in v.per_level.values())
-        truncation.append({"c": float(c), "passed": v.passed, "worst_dev": worst})
-        trunc_ok = trunc_ok and v.passed
+            margins = np.subtract(gv, g_lim.values[y] - tol, out=gv)
+        seq_margin = margins.min(axis=0)[gated]
+        level = {"sequences": int(y.size), "gated": int(seq_margin.size), "failed": 0,
+                 "worst_margin": None, "witness_index": None, "per_member_margin": None}
+        if seq_margin.size:
+            i = int(np.argmin(seq_margin))
+            level.update(
+                failed=int((seq_margin < 0.0).sum()), worst_margin=float(seq_margin[i]),
+                witness_index=int(y[gated][i]),
+                per_member_margin=margins.min(axis=1, where=gated, initial=np.inf),
+            )
+        level["passed"] = level["failed"] == 0
+        seq_ok = seq_ok and level["passed"]
+        per_level[q] = level
+    truncation = tuple(
+        {"c": float(c), "passed": bool(d <= tol), "worst_dev": float(d)}
+        for c, d in zip(c_grid, trunc_dev)
+    )
+    trunc_ok = all(t["passed"] for t in truncation)
     if sub:
         g_bound = float(max(g.values.max() for g in g_seq.members))
     else:
         g_bound = float(min(g.values.min() for g in g_seq.members))
-    records, seq_ok = _sequence_records(seq, f_seq, g_seq, f_lim, g_lim, tol, n0, sub)
     notes = []
     if not trunc_ok:
         notes.append("truncated limits failed")
@@ -241,9 +252,9 @@ def _check_ex_one_sided(
     return WitnessBundle(
         passed=trunc_ok and seq_ok,
         kind="sub" if sub else "super",
-        truncation=tuple(truncation),
+        truncation=truncation,
         g_bound=g_bound,
-        sequence_records=records,
+        per_level=per_level,
         notes=tuple(notes),
     )
 
@@ -259,7 +270,9 @@ def check_ex_sublim(
     """One-sided extended limit for dagger pairs: truncated limits of f_n,
     uniform upper bound on g_n, and the tail inequality
     max_{n >= n0} g_n(z_n) <= g(y) + tol along every gated tracked sequence
-    (gated = the f-values do converge to f(gamma(y)))."""
+    (gated = the f-values do converge to f(gamma(y))).  The bundle's
+    per_level holds the inequality's aggregates per compact level, with the
+    margin g(y) + tol - g_n(z_n) (see WitnessBundle)."""
     return _check_ex_one_sided(op_seq, limit_pair, f_seq, g_seq, tol, n0, sub=True)
 
 

@@ -53,12 +53,6 @@ class Fn:
     def norm(self) -> float:
         return float(np.abs(self.values).max())
 
-    def truncate_above(self, c: float) -> "Fn":
-        return Fn(self.space, np.minimum(self.values, float(c)))
-
-    def truncate_below(self, c: float) -> "Fn":
-        return Fn(self.space, np.maximum(self.values, float(c)))
-
     def as_ext(self) -> "ExtFn":
         return ExtFn(self.space, self.values)
 
@@ -108,12 +102,6 @@ class FnSequence:
     def norm(self) -> float:
         return max(f.norm for f in self.members)
 
-    def truncate_above(self, c: float) -> "FnSequence":
-        return FnSequence(self.spaces, tuple(f.truncate_above(c) for f in self.members))
-
-    def truncate_below(self, c: float) -> "FnSequence":
-        return FnSequence(self.spaces, tuple(f.truncate_below(c) for f in self.members))
-
 
 @dataclass(frozen=True)
 class ConvergenceVerdict:
@@ -127,11 +115,12 @@ class ConvergenceVerdict:
     notes: tuple = ()
 
 
-def _gather(fs: FnSequence, idx: np.ndarray) -> np.ndarray:
-    """f_n(z_n) along every tracked sequence, member-major: row n holds member
-    n's values at column n of the index matrix idx, one entry per row of idx.
-    Reductions over members run over axis 0, along contiguous rows."""
-    return np.stack([f.values[idx[:, n]] for n, f in enumerate(fs.members)])
+def _gather(fs: FnSequence, idx: np.ndarray, n0: int = 0) -> np.ndarray:
+    """f_n(z_n) along every tracked sequence for the members n >= n0,
+    member-major: row n - n0 holds member n's values at column n of the index
+    matrix idx, one entry per row of idx.  Reductions over members run over
+    axis 0, along contiguous rows."""
+    return np.stack([fs.members[n].values[idx[:, n]] for n in range(n0, len(fs.members))])
 
 
 def _burn_in(seq: SpaceSequence, n0: int | None) -> int:

@@ -47,7 +47,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .errors import PreconditionError, SolverError, StructuralError
 from .limits import ExtFn, Fn
-from .spaces import FiniteSpace, SpaceSequence
+from .spaces import FiniteSpace, SpaceSequence, _gamma_map
 
 __all__ = [
     "Hamiltonian",
@@ -153,15 +153,7 @@ class OperatorGraph:
         if self.kind not in ("dagger", "ddagger"):
             raise ValueError("kind must be 'dagger' or 'ddagger'")
         enlarged = self.space if self.enlarged_space is None else self.enlarged_space
-        if self.gamma is None:
-            gamma = np.arange(enlarged.size)
-        else:
-            gamma = np.array(self.gamma, dtype=int)
-        if gamma.shape != (enlarged.size,):
-            raise ValueError("gamma must map every enlarged point")
-        if np.any((gamma < 0) | (gamma >= self.space.size)):
-            raise ValueError("gamma must map into the base space")
-        gamma.flags.writeable = False
+        gamma = _gamma_map(self.gamma, enlarged.size, self.space.size, "base")
         pairs = tuple(
             (f.as_ext() if isinstance(f, Fn) else f, g.as_ext() if isinstance(g, Fn) else g)
             for f, g in self.pairs

@@ -111,6 +111,19 @@ def _nearest(coords: np.ndarray, pool: np.ndarray, targets: np.ndarray) -> np.nd
     return out
 
 
+def _gamma_map(gamma, n_enlarged: int, n_base: int, base: str) -> np.ndarray:
+    """The read-only index map from enlarged points onto base points: a copy
+    of gamma, or the identity when gamma is None.  It must assign one point
+    of the base space (named `base` in the messages) to every enlarged point."""
+    gamma = np.arange(n_enlarged) if gamma is None else np.array(gamma, dtype=int)
+    if gamma.shape != (n_enlarged,):
+        raise ValueError(f"gamma must assign a {base} point to every enlarged point")
+    if np.any((gamma < 0) | (gamma >= n_base)):
+        raise ValueError(f"gamma must map into the {base} space")
+    gamma.flags.writeable = False
+    return gamma
+
+
 def _index_matrix(columns: list) -> np.ndarray:
     # one column per member, each stored contiguously (the transpose of a
     # member-major stack), frozen so cached matrices cannot be edited
@@ -142,6 +155,9 @@ class CompactFamily:
             for s in per_q:
                 if s.size == 0:
                     raise ValueError("empty compact member set")
+        for s in limit_sets:
+            if s.size == 0:
+                raise ValueError("empty compact limit set")
         object.__setattr__(self, "member_sets", member_sets)
         object.__setattr__(self, "limit_sets", limit_sets)
 
@@ -191,15 +207,7 @@ class SpaceSequence:
         if not 0 <= self.n0 < len(self.members):
             raise ValueError("n0 out of range")
         enlarged = self.limit if self.enlarged_limit is None else self.enlarged_limit
-        if self.gamma is None:
-            gamma = np.arange(enlarged.size)
-        else:
-            gamma = np.array(self.gamma, dtype=int)
-        if gamma.shape != (enlarged.size,):
-            raise ValueError("gamma must assign a limit point to every enlarged point")
-        if np.any((gamma < 0) | (gamma >= self.limit.size)):
-            raise ValueError("gamma must map into the limit space")
-        gamma.flags.writeable = False
+        gamma = _gamma_map(self.gamma, enlarged.size, self.limit.size, "limit")
         if not np.array_equal(self.limit.coords[gamma], enlarged.coords[:, :self.limit.dim]):
             raise ValueError(
                 "embedding square does not commute: eta(gamma(y)) != gamma_hat(eta_hat(y))"

@@ -22,3 +22,34 @@ def unit_grid(n: int, name: str = "") -> FiniteSpace:
 
 def chain(n: int, name: str = "") -> FiniteSpace:
     return FiniteSpace(coords=np.arange(float(n)), name=name or f"chain{n}")
+
+
+def reduce_records(records) -> dict:
+    """Per-level aggregates of one-sided sequence records ({"q", "y",
+    "gated", "passed", "margin"} each, in tracked order), keyed as a
+    WitnessBundle's per_level without its per-member margins: the worst
+    margin is the first smallest one among the gated records."""
+    levels: dict = {}
+    for r in records:
+        lv = levels.setdefault(r["q"], {
+            "sequences": 0, "gated": 0, "failed": 0, "passed": True,
+            "worst_margin": None, "witness_index": None,
+        })
+        lv["sequences"] += 1
+        if r["gated"]:
+            lv["gated"] += 1
+            if not r["passed"]:
+                lv["failed"] += 1
+                lv["passed"] = False
+            if lv["worst_margin"] is None or r["margin"] < lv["worst_margin"]:
+                lv["worst_margin"], lv["witness_index"] = r["margin"], r["y"]
+    return levels
+
+
+def per_level_counts(per_level: dict) -> dict:
+    """A WitnessBundle's per_level without its per-member margins.  Margins
+    compare with ==, under which the two signs of zero agree: the bundle
+    takes the smallest member margin, the records the margin against the
+    largest (or smallest) g_n, which can differ in the sign of a zero."""
+    return {q: {k: v for k, v in lv.items() if k != "per_member_margin"}
+            for q, lv in per_level.items()}

@@ -274,6 +274,35 @@ def test_converge_grid_experiment_end_to_end(tmp_path):
     )
 
 
+def test_a_compact_level_without_limit_points_is_a_config_error(tmp_path, capsys):
+    # the 14-point limit grid has no point within 0.025 of 1/2, while every
+    # member grid (3, 5 and 7 points) has 1/2 itself
+    cfg = write_cfg(
+        tmp_path,
+        {
+            "schema_version": 1,
+            "name": "empty-limit-level",
+            "converge": {
+                "kind": "grid_experiment",
+                "sequence": {"kind": "grid_sequence", "domain": [0.0, 1.0],
+                             "resolutions": [3, 5, 7], "periodic": False,
+                             "limit_resolution_factor": 2, "q_widths": [0.05]},
+                "scheme": "upwind_quadratic",
+                "drift": {"kind": "trig", "sin": [0.3]},
+                "probes": {"kind": "trig_list", "items": [{"cos": [0.0, 0.2]}]},
+                "lambdas": [0.5],
+                "tol_lim": 0.1,
+                "envelope_tolerance": {"factor": 4.0},
+                "expectation": "converge",
+            },
+        },
+    )
+    out = tmp_path / "out"
+    assert main(["converge", "--config", cfg, "--out", str(out)]) == 2
+    assert "empty compact limit set" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # the report float the benchmark gates per config (cell, details key), and
 # the slow grid it runs slowfast.yaml on (its slowfast_product workload)
 BENCH_FLOATS = {

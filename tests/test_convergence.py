@@ -4,7 +4,7 @@ refinements, and slow-fast averaging."""
 import numpy as np
 import pytest
 
-from conftest import unit_grid
+from conftest import per_level_counts, reduce_records, unit_grid
 from oracles import limit_reference
 from hjlab import (
     FiniteSpace,
@@ -17,6 +17,7 @@ from hjlab import (
     StructuralError,
     barles_perthame_envelopes,
     centered_quadratic,
+    check_LIM,
     check_ex_lim,
     check_ex_sublim,
     check_ex_superlim,
@@ -95,8 +96,9 @@ def test_one_sided_extended_limits_hold_for_the_upwind_refinement():
     assert len(sub.truncation) == 5
     assert all(t["passed"] for t in sub.truncation)
     assert np.isfinite(sub.g_bound)
-    gated = [r for r in sub.sequence_records if r["gated"]]
-    assert gated and all(r["margin"] >= 0.0 for r in gated)
+    gated = [lv for lv in sub.per_level.values() if lv["gated"]]
+    assert gated and all(lv["worst_margin"] >= 0.0 and lv["failed"] == 0 for lv in gated)
+    assert all((lv["per_member_margin"] >= 0.0).all() for lv in gated)
 
     sup = check_ex_superlim(op_seq, (phi, psi), f_seq, tol=1.0)
     assert sup.passed and sup.kind == "super"
@@ -124,11 +126,38 @@ def test_one_sided_records_match_the_per_sequence_reference():
             seq, f_values, g_values, phi.values.tolist(), psi.values.tolist(),
             tol, 1, sub,
         )
-        assert bundle.sequence_records == tuple(ref)
+        assert per_level_counts(bundle.per_level) == reduce_records(ref)
         # the fixture reaches every branch: ungated, passing and failing rows
         assert {(r["gated"], r["passed"]) for r in ref} == {
             (False, True), (True, True), (True, False)
         }
+
+
+def test_truncation_matches_check_LIM_on_truncated_copies():
+    seq = make_grid_sequence(
+        (0.0, 1.0), [5, 15, 45], q_widths=(0.4, 0.7), limit_resolution_factor=3, n0=1
+    )
+    members = tuple(upwind_quadratic(m, drift(m, 0.5)) for m in seq.members)
+    limit = upwind_quadratic(seq.limit, drift(seq.limit, 0.5))
+    op_seq = OperatorSequence(spaces=seq, members=members)
+    phi = trig_polynomial(seq.limit, [0.0, 0.3], [0.2])
+    f_seq = lift_to_members(phi, seq)
+    for sub, check, clip in (
+        (True, check_ex_sublim, np.minimum), (False, check_ex_superlim, np.maximum)
+    ):
+        bundle = check(op_seq, (phi, limit(phi)), f_seq, tol=0.05)
+        outcomes = set()
+        for t in bundle.truncation:
+            copies = FnSequence(
+                seq, tuple(Fn(f.space, clip(f.values, t["c"])) for f in f_seq.members)
+            )
+            v = check_LIM(copies, Fn(seq.limit, clip(phi.values, t["c"])), 0.05, n0=1)
+            worst = max(r["worst_dev"] for r in v.per_level.values())
+            assert (t["passed"], t["worst_dev"]) == (v.passed, worst)
+            outcomes.add(v.passed)
+        # the fixture reaches both verdicts
+        assert outcomes == {True, False}
+        assert "truncated limits failed" in bundle.notes
 
 
 def test_envelope_preconditions_reject_biased_data():

@@ -5,16 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import unit_grid
+from conftest import per_level_counts, reduce_records, unit_grid
 from oracles import limit_core_reference, limit_reference
 from hjlab import (
     CompactFamily,
     ExtFn,
     Fn,
     FnSequence,
+    Hamiltonian,
+    OperatorSequence,
     PreconditionError,
     SpaceSequence,
     check_LIM,
+    check_ex_sublim,
+    check_ex_superlim,
     compute_LIMINF,
     compute_LIMSUP,
     lift_to_members,
@@ -22,7 +26,6 @@ from hjlab import (
     make_product_sequence,
     trig_polynomial,
 )
-from hjlab.convergence import _sequence_records
 from hjlab.limits import _lim_verdict
 
 
@@ -38,13 +41,6 @@ def test_fn_values_are_frozen():
     f = Fn(unit_grid(3), np.zeros(3))
     with pytest.raises(ValueError):
         f.values[0] = 1.0
-
-
-def test_fn_algebra_and_truncation():
-    s = unit_grid(4)
-    f = Fn(s, np.array([1.0, -2.0, 3.0, 0.0]))
-    assert f.truncate_above(0.5).values.max() == 0.5
-    assert f.truncate_below(0.0).values.min() == 0.0
 
 
 def test_ext_fn_boundedness_flags_and_round_trip():
@@ -233,13 +229,40 @@ def test_member_major_core_matches_the_target_major_reference_bytewise(
         assert compute(fs, n0=n0).values.tobytes() == want.values.tobytes()
 
     f_lim = Fn(seq.limit, values(seq.limit))
-    got_records, got_ok = _sequence_records(seq, fs, gs, f_lim, g, tol, n0, sub)
+    # member operators that map everything to g_n make (f_n, g_n) witnesses
+    op_seq = OperatorSequence(spaces=seq, members=tuple(
+        Hamiltonian(m, lambda v, g_n=g_n: g_n.values) for m, g_n in zip(seq.members, gs.members)
+    ))
+    check = check_ex_sublim if sub else check_ex_superlim
+    bundle = check(op_seq, (f_lim, g), fs, gs, tol=tol, n0=n0)
     want_records, want_ok = limit_core_reference.sequence_records(
         seq, fs, gs, f_lim, g, tol, n0, sub
     )
-    # repr spells every float exactly, the sign of a zero included
-    assert repr(got_records) == repr(want_records)
-    assert got_ok == want_ok
+    assert per_level_counts(bundle.per_level) == reduce_records(want_records)
+    assert ("tracked-sequence inequality failed" in bundle.notes) == (not want_ok)
+    got = {q: lv["per_member_margin"] for q, lv in bundle.per_level.items()}
+    assert {q: None if m is None else m.tolist() for q, m in got.items()} == (
+        _member_margins(seq, gs, g, tol, n0, sub, want_records)
+    )
+
+
+def _member_margins(seq, gs, g, tol, n0, sub, records):
+    """Per level, the smallest margin of each member n >= n0 over the gated
+    records, one member value at a time (None when no record is gated)."""
+    out = {}
+    for q in seq.compacts.labels:
+        idx = seq.tracked_enlarged(q)
+        level = [r for r in records if r["q"] == q]
+        rows = [(i, r["y"]) for i, r in enumerate(level) if r["gated"]]
+        out[q] = [
+            min(
+                g.values[y] + tol - gs.members[n].values[idx[i, n]] if sub
+                else gs.members[n].values[idx[i, n]] - (g.values[y] - tol)
+                for i, y in rows
+            )
+            for n in range(n0, seq.n_members)
+        ] if rows else None
+    return out
 
 
 def test_burn_in_index_must_name_a_member():

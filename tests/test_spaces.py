@@ -153,11 +153,17 @@ def test_lifting_is_searched_once_per_sequence(monkeypatch):
 
 
 def test_compact_family_rejects_empty_levels():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty compact member set"):
         CompactFamily(
             labels=(0.5,),
             member_sets=((np.array([], dtype=int),),),
             limit_sets=(np.array([0]),),
+        )
+    with pytest.raises(ValueError, match="empty compact limit set"):
+        CompactFamily(
+            labels=(0.5,),
+            member_sets=((np.array([0]),),),
+            limit_sets=(np.array([], dtype=int),),
         )
 
 
