@@ -229,7 +229,7 @@ def _cells_converge_grid(section: dict, seed: int):
     if "value" in env:
         tol_env = float(env["value"])
     else:
-        tol_env = float(env.get("factor", 4.0)) * _grid_spacing(seq.members[-1])
+        tol_env = float(env["factor"]) * _grid_spacing(seq.members[-1])
 
     def run_experiment():
         rep = resolvent_convergence_experiment(

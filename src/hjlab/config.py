@@ -216,6 +216,8 @@ _CONVERGE_GRID = {
                 "factor": {"type": "number", "exclusiveMinimum": 0},
                 "value": {"type": "number", "exclusiveMinimum": 0},
             },
+            # exactly one: a factor times the finest member's spacing, or a value
+            "oneOf": [{"required": ["factor"]}, {"required": ["value"]}],
             "additionalProperties": False,
         },
         "expectation": {"enum": ["converge", "separate"]},

@@ -382,6 +382,8 @@ def resolvent_convergence_experiment(
     expectation="separate" the report passes when the envelopes detectably
     split on at least one probe instead.
     """
+    if expectation not in ("converge", "separate"):
+        raise PreconditionError("expectation must be 'converge' or 'separate'")
     seq = op_seq.spaces
     families = [ResolventFamily(hamiltonian=H) for H in op_seq.members]
     limit_family = (
@@ -492,12 +494,10 @@ def resolvent_convergence_experiment(
     )
     if expectation == "converge":
         passed = structural_ok and converged
-    elif expectation == "separate":
+    else:
         passed = separated
         if separated:
             notes.append("envelope separation detected, as expected for the negative control")
-    else:
-        raise PreconditionError("expectation must be 'converge' or 'separate'")
     return ResolventExperimentReport(
         passed=passed,
         expectation=expectation,

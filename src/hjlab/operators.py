@@ -43,6 +43,7 @@ from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg.lapack import dgtsv
 
 from .errors import PreconditionError, SolverError, StructuralError
@@ -76,13 +77,12 @@ class Hamiltonian:
     jacobian, when set, maps values v to the Jacobian of apply_values at v:
     a dense ndarray when jacobian_pattern is None, and otherwise the 1-D
     array of its values on the declared pattern jacobian_pattern (a
-    JacobianPattern), one value per stored entry in CSR order.  The pattern
-    stores each entry once (sorted, unique column indices per row, explicit
-    zeros allowed) and is the same at every v; only the values change with v.
-    The damped Newton step relies on this: it builds the CSC layout of
-    I - lam * J once per pattern object, on the pattern's first solve, and
-    each step only writes the values into it.  Only the constructors in this
-    module declare a pattern.
+    JacobianPattern), one value per slot of its CSC layout, 0.0 on a diagonal
+    slot where J stores nothing.  The pattern is the same at every v; only
+    the values change with v.  The damped Newton step relies on this: each
+    step hands the values to jacobian_pattern.newton_matrix, which writes
+    I - lam * J on that layout.  Only the constructors in this module declare
+    a pattern.
 
     custom_solver, when set, inverts f - lam * Hf = h better than generic
     Newton can, for a stack of k problems at once: (lam, h, f0, tol) with lam
@@ -360,64 +360,78 @@ def _grid_spacing(space: FiniteSpace) -> float:
     return float(dx[0])
 
 
-def _compressed_pattern(
-    major: np.ndarray, minor: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The compressed pattern of an n x n matrix with entries at (major[k],
-    minor[k]): (indptr, indices, slot), where indptr (int32) delimits each
-    major line, indices (int32) lists its minor indices sorted and unique,
-    and entry k sits at position slot[k] of indices (duplicates share one).
-    With rows as major this is the CSR pattern; with columns as major the
-    CSC pattern, which is the CSR pattern of the transpose."""
-    keys, slot = np.unique(major.astype(np.int64) * n + minor, return_inverse=True)
-    indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(np.int32)
-    return indptr, (keys % n).astype(np.int32), slot
-
-
 @dataclass(frozen=True, eq=False)
 class JacobianPattern:
-    """The declared CSR pattern of an n x n sparse Jacobian: indptr (int32)
-    delimits each row and indices (int32) lists its columns, sorted and
-    unique.  A Hamiltonian that declares it returns from jacobian(v) the
-    values on it, one per stored entry in that order.
+    """The declared Newton layout of an n x n sparse Jacobian J: the CSC
+    pattern of J's stored entries together with the diagonal, each entry
+    once.  indptr (int32) delimits each column, indices (int32) lists its
+    rows, sorted and unique, and diag holds the slot of each diagonal entry,
+    row by row; all three are read-only.  A Hamiltonian that declares it
+    returns from jacobian(v) one value per slot, 0.0 where J stores nothing.
 
     A pattern is compared by identity: Hamiltonians that share the object (a
-    scaled copy, the members of a slow-fast sweep) share the Newton layout
-    the resolvent builds for it once (resolvent._NewtonPattern).
+    scaled copy, the members of a slow-fast sweep) share the layout.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
+    diag: np.ndarray
+
+    def newton_matrix(self, values: np.ndarray, lam: float) -> sp.csc_matrix:
+        """I - lam * J for the J with these values, as the csc_matrix the
+        damped Newton step hands SuperLU.
+
+        It equals sp.eye(n, format="csc") - lam * J.tocsc() in data, indices
+        and indptr: a slot holds 0 - lam * J_ij, plus 1 on the diagonal, and
+        1 + (0 - x) == 1 - x in IEEE arithmetic; exact zeros are dropped, as
+        sparse subtraction drops them.  The same matrix means the same SuperLU
+        ordering and the same Newton step, bit for bit.
+        """
+        n = self.indptr.shape[0] - 1
+        data = 0.0 - lam * values
+        data[self.diag] += 1.0
+        indices, indptr = self.indices, self.indptr
+        kept = data != 0.0
+        if not kept.all():
+            data, indices = data[kept], indices[kept]
+            indptr = np.concatenate(([0], np.cumsum(kept)))[indptr].astype(np.intc)
+        return sp.csc_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _csr_assembler(
-    rows: np.ndarray, cols: np.ndarray, n: int
-) -> tuple[JacobianPattern, Callable]:
+def _assembler(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[JacobianPattern, Callable]:
     """One-pass assembly of n x n matrices with entries at (rows[k], cols[k]).
 
-    Returns the pattern of the canonical CSR matrix, each entry once (its
-    index arrays read-only), and the function that takes one value per entry,
-    in the order of rows and cols, and returns the values on that pattern,
-    duplicates summed.  The pattern and the scatter into it are computed
-    here, once.
+    Returns the JacobianPattern of those entries and the diagonal, and the
+    function that takes one value per entry, in the order of rows and cols,
+    and returns one value per slot of the pattern: duplicates summed in that
+    order, 0.0 at a diagonal slot no entry falls on.  The pattern and the
+    scatter into it are computed here, once.
     """
-    indptr, indices, slot = _compressed_pattern(rows, cols, n)
-    indices.flags.writeable = indptr.flags.writeable = False
+    diag = np.arange(n, dtype=np.int64)
+    # columns as the major index: the CSC pattern
+    keys, slot = np.unique(
+        np.concatenate((cols, diag)).astype(np.int64) * n + np.concatenate((rows, diag)),
+        return_inverse=True,
+    )
+    indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(np.int32)
+    indices = (keys % n).astype(np.int32)
+    entry_slot, diag_slot = slot[: rows.shape[0]], slot[rows.shape[0]:]
+    indptr.flags.writeable = indices.flags.writeable = diag_slot.flags.writeable = False
 
     def assemble(data: np.ndarray) -> np.ndarray:
-        return np.bincount(slot, weights=data, minlength=indices.shape[0])
+        return np.bincount(entry_slot, weights=data, minlength=indices.shape[0])
 
-    return JacobianPattern(indptr, indices), assemble
+    return JacobianPattern(indptr, indices, diag_slot), assemble
 
 
 def _periodic_stencil(n: int, offsets: tuple[int, ...]) -> tuple[JacobianPattern, Callable]:
-    """Pattern and assembly (as _csr_assembler) of the n x n periodic stencil
+    """Pattern and assembly (as _assembler) of the n x n periodic stencil
     matrix whose row i has entries at columns (i + k) mod n for k in offsets,
     from the values stencil by stencil (n per offset, in the order of
     offsets); on small grids two offsets can meet, and their values are
     summed."""
     rows = np.tile(np.arange(n), len(offsets))
-    return _csr_assembler(rows, (rows + np.repeat(offsets, n)) % n, n)
+    return _assembler(rows, (rows + np.repeat(offsets, n)) % n, n)
 
 
 # Grids with at least this many points (and an even count) first solve the
@@ -727,7 +741,7 @@ class SlowFastCoupling:
         """The Jacobian layout that slowfast_hamiltonian shares across
         coupling strengths n, or None when the slow part has no Jacobian:
         (pattern, assemble, coupled, fast_rates), with pattern and assemble
-        as _csr_assembler gives them for the product, the fast states coupled
+        as _assembler gives them for the product, the fast states coupled
         to the slow part (m_z != 0), and the nonzero entries of the fast rate
         matrix in the order the assembly takes them, before the factor n."""
         slow = self.slow
@@ -746,17 +760,16 @@ class SlowFastCoupling:
         if slow.jacobian_pattern is None:  # dense: every entry, row-major
             r, c = np.divmod(np.arange(n_slow * n_slow), n_slow)
         else:
-            indptr, c = slow.jacobian_pattern.indptr, slow.jacobian_pattern.indices
-            r = np.repeat(np.arange(n_slow), np.diff(indptr))
+            # column-major, as the slow values come
+            indptr, r = slow.jacobian_pattern.indptr, slow.jacobian_pattern.indices
+            c = np.repeat(np.arange(n_slow), np.diff(indptr))
         for z in coupled:
             rows.append(r * n_fast + z)
             cols.append(c * n_fast + z)
         # a slow pattern that stores each entry once gives no product entry
         # more than two contributions (a fast and a slow diagonal), so the
-        # scatter sums exactly what a COO -> CSR sum would
-        pattern, assemble = _csr_assembler(
-            np.concatenate(rows), np.concatenate(cols), n_slow * n_fast
-        )
+        # scatter sums exactly what a sparse COO sum would
+        pattern, assemble = _assembler(np.concatenate(rows), np.concatenate(cols), n_slow * n_fast)
         return pattern, assemble, coupled, A_fast[zi, zj]
 
 
@@ -766,8 +779,8 @@ def slowfast_hamiltonian(
     """Two-scale operator on the product space at coupling strength n:
     H_n f(x,z) = m_z * H_slow(f(., z))(x) + n * (A_fast f(x, .))(z).
 
-    Its Jacobian pattern, and with it the pattern's Newton layout, is built
-    once per coupling and shared by every coupling strength."""
+    Its Jacobian pattern is built once per coupling and shared by every
+    coupling strength."""
     if n <= 0:
         raise PreconditionError("coupling strength must be positive")
     slow = coupling.slow

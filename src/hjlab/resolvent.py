@@ -10,9 +10,9 @@ f of f - lambda * H f = h.  The solve path follows from H and lambda alone:
     small steps), handing over to Newton from its last iterate if it stalls
     or its residual turns non-finite;
   * otherwise Newton with backtracking line search on the residual, using the
-    Hamiltonian's Jacobian (dense, or its values on the pattern
-    H.jacobian_pattern declares, written into the CSC layout of
-    I - lambda * J that is built once per pattern, see _NewtonPattern).
+    Hamiltonian's Jacobian: dense, or its values on the CSC layout
+    H.jacobian_pattern declares, from which JacobianPattern.newton_matrix
+    writes the sparse I - lambda * J that SuperLU factors.
     When Newton fails from the start it was given, it retries once from the
     constant mean(h): large data can overflow H at f0 = h (exp in a tilt),
     and a constant start keeps every difference f_j - f_i at zero, where
@@ -52,17 +52,15 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import weakref
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import PreconditionError, SolverError
 from .limits import Fn
-from .operators import Hamiltonian, JacobianPattern, OperatorGraph, _compressed_pattern
+from .operators import Hamiltonian, OperatorGraph
 from .spaces import SpaceSequence
 from .viscosity import perturb_subsolution
 
@@ -178,68 +176,6 @@ def _newton(
     return f, spent + its, res
 
 
-@dataclass(frozen=True)
-class _NewtonPattern:
-    """The CSC layout of I - lam * J for J on a declared pattern: the union
-    of J's stored entries and the diagonal, each entry once, with the slot of
-    every stored entry of J and of every diagonal entry.
-
-    newton_matrix(values, lam) equals sp.eye(n, format="csc") - lam * J.tocsc()
-    in data, indices and indptr for the J with these values on the pattern:
-    a slot holds 0 - lam * J_ij, plus 1 on the diagonal, and
-    1 + (0 - x) == 1 - x in IEEE arithmetic; exact zeros are dropped, as
-    sparse subtraction drops them.  The same matrix means the same SuperLU
-    ordering and the same Newton step, bit for bit.
-    """
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    jac_slot: np.ndarray
-    diag_slot: np.ndarray
-
-    @classmethod
-    def of(cls, pattern: JacobianPattern) -> "_NewtonPattern":
-        n = pattern.indptr.shape[0] - 1
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(pattern.indptr))
-        diag = np.arange(n, dtype=np.int64)
-        # columns as the major index: the CSC pattern
-        indptr, indices, slot = _compressed_pattern(
-            np.concatenate((pattern.indices, diag)), np.concatenate((rows, diag)), n
-        )
-        indices.flags.writeable = indptr.flags.writeable = slot.flags.writeable = False
-        return cls(
-            indptr=indptr,
-            indices=indices,
-            jac_slot=slot[: rows.shape[0]],
-            diag_slot=slot[rows.shape[0]:],
-        )
-
-    def newton_matrix(self, values: np.ndarray, lam: float) -> sp.csc_matrix:
-        n = self.indptr.shape[0] - 1
-        data = np.zeros(self.indices.shape[0])
-        data[self.jac_slot] = 0.0 - lam * values
-        data[self.diag_slot] += 1.0
-        indices, indptr = self.indices, self.indptr
-        kept = data != 0.0
-        if not kept.all():
-            data, indices = data[kept], indices[kept]
-            indptr = np.concatenate(([0], np.cumsum(kept)))[indptr].astype(np.intc)
-        return sp.csc_matrix((data, indices, indptr), shape=(n, n))
-
-
-# the Newton layout of each declared pattern, built on its first solve and
-# kept while the pattern lives: Hamiltonians that share the pattern object (a
-# scaled copy, the members of a slow-fast sweep) share its layout
-_NEWTON_PATTERNS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _newton_pattern(pattern: JacobianPattern) -> _NewtonPattern:
-    layout = _NEWTON_PATTERNS.get(pattern)
-    if layout is None:
-        layout = _NEWTON_PATTERNS[pattern] = _NewtonPattern.of(pattern)
-    return layout
-
-
 # A start outside H's domain (exp overflow in a tilt) gives inf/nan; the start
 # check and the line-search test reject those values, so numpy's warnings about
 # them are noise.
@@ -252,15 +188,14 @@ def _damped_newton(
     res = float(np.abs(g).max())
     if not np.isfinite(res):
         raise SolverError(f"newton start residual is not finite (lam={lam})")
-    if H.jacobian_pattern is None:
+    pattern = H.jacobian_pattern
+    if pattern is None:
         eye = np.eye(f.shape[0])
-    else:
-        pattern = _newton_pattern(H.jacobian_pattern)
     for it in range(1, MAX_ITER_NEWTON + 1):
         if res <= tol:
             return f, it - 1, res
         J_H = H.jacobian(f)
-        if H.jacobian_pattern is None:
+        if pattern is None:
             step = np.linalg.solve(eye - lam * np.asarray(J_H), -g)
         else:
             # J_H holds the values on the declared pattern

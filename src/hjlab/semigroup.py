@@ -157,8 +157,8 @@ def convergence_in_n(
     """Errors of the iterated resolvent along n_list, against the oracle when
     given, otherwise against successive approximations (self mode)."""
     n_list = [int(n) for n in n_list]
-    if sorted(n_list) != n_list:
-        raise PreconditionError("n_list must be increasing")
+    if any(b <= a for a, b in zip(n_list[:-1], n_list[1:])):
+        raise PreconditionError("n_list must be strictly increasing")
     approx = [crandall_liggett(family, t, n, f).result.values for n in n_list]
     notes = []
     if oracle_values is not None:

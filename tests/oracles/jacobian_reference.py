@@ -5,9 +5,9 @@ Each Jacobian is assembled per call the straightforward way: the upwind and
 centered schemes from freshly built COO index arrays, the product as
 n * kron(I, A_fast) plus one kron(J_z, m_z e_z e_z^T) per fast state z.  The
 package builds its index patterns once per Hamiltonian and assembles each
-call in one pass, returning only the values on its declared pattern
-(on_pattern makes them a CSR matrix again); the two must give the same
-Newton matrix I - lam * J, entry for entry.
+call in one pass, returning only the values on its declared CSC layout, which
+stores the diagonal too (on_pattern makes them a CSC matrix again); the two
+must give the same Newton matrix I - lam * J, entry for entry.
 """
 
 import numpy as np
@@ -69,10 +69,10 @@ def slowfast(jac_slow, A_fast, multipliers, n, v):
 
 
 def on_pattern(pattern, values):
-    """The CSR matrix of a package Jacobian: its values on the declared
+    """The CSC matrix of a package Jacobian: its values on the declared
     pattern, with fresh index arrays."""
     n = pattern.indptr.shape[0] - 1
-    return sp.csr_matrix((values, pattern.indices.copy(), pattern.indptr.copy()), shape=(n, n))
+    return sp.csc_matrix((values, pattern.indices.copy(), pattern.indptr.copy()), shape=(n, n))
 
 
 def newton_matrix(J, lam):

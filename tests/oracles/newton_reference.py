@@ -1,11 +1,12 @@
 """The package's earlier damped Newton step and fixed-point iteration.
 
 damped_newton assembled each sparse Newton matrix as
-sp.eye(n, format="csc") - lam * J.tocsc(), J the CSR matrix of the values a
-patterned Jacobian returns on its declared pattern; the package writes
-I - lam * J straight into the CSC layout its pattern keeps.  fixed_point
-scaled H f_k by lam twice per iterate; the package scales it once.  Both
-must give the same iterates, bit for bit.
+sp.eye(n, format="csc") - lam * J.tocsc(), J the sparse matrix of the values
+a patterned Jacobian returns on its declared pattern; the package writes
+I - lam * J straight onto that pattern's CSC layout
+(JacobianPattern.newton_matrix).  fixed_point scaled H f_k by lam twice per
+iterate; the package scales it once.  Both must give the same iterates, bit
+for bit.
 """
 
 import numpy as np

@@ -132,6 +132,14 @@ def test_schema_errors_exit_two_with_a_message(tmp_path, capsys):
                  "--jobs", "0"]) == 2
     assert "--jobs" in capsys.readouterr().err
 
+    # an envelope tolerance is a factor or a value, never both
+    both = yaml.safe_load((CONFIGS / "positive_control.yaml").read_text())
+    both["converge"]["envelope_tolerance"] = {"factor": 4.0, "value": 0.1}
+    cfg = write_cfg(tmp_path, both, "both.yaml")
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "envelope_tolerance" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
 
 def test_invalid_dynamics_are_suite_failures_not_schema_errors(tmp_path):
     # a negative lambda is schema-legal; it must surface as a failing cell

@@ -284,9 +284,11 @@ def test_keywords_follow_draft_2020_12_as_jsonschema_does(schema, doc):
 
 def _nodes(doc, schema, path=()):
     """(path, value, schema) for every value of the valid doc, with a oneOf
-    resolved to the branch the value satisfies."""
+    resolved to the branch the value satisfies, taken together with the
+    keywords beside the oneOf."""
     if "oneOf" in schema:
-        schema = next(s for s in schema["oneOf"] if ORACLE.evolve(schema=s).is_valid(doc))
+        branch = next(s for s in schema["oneOf"] if ORACLE.evolve(schema=s).is_valid(doc))
+        schema = {k: v for k, v in schema.items() if k != "oneOf"} | branch
     yield path, doc, schema
     if isinstance(doc, dict):
         for key, value in doc.items():

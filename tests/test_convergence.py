@@ -30,6 +30,7 @@ from hjlab import (
     trig_polynomial,
     upwind_quadratic,
 )
+from hjlab import convergence, resolvent
 
 
 def drift(space, amp):
@@ -257,13 +258,19 @@ def test_centered_scheme_separates_the_envelopes():
     assert len(fails) == 3
 
 
-def test_experiment_rejects_unknown_expectations():
-    seq, members, _ = grid_fixture(upwind_quadratic, [4, 8, 16], 0.0)
-    op_seq = OperatorSequence(spaces=seq, members=members)
+def test_experiment_rejects_unknown_expectations(monkeypatch):
+    # before any lift or solve
+    def no_work(*args, **kwargs):
+        raise AssertionError("the experiment started work")
+
+    monkeypatch.setattr(convergence, "lift_to_members", no_work)
+    monkeypatch.setattr(resolvent, "_solve", no_work)
+    seq, op_seq = positive_op_seq()
+    D = [trig_polynomial(seq.limit, [0.0, 0.2])]
     with pytest.raises(PreconditionError, match="expectation"):
         resolvent_convergence_experiment(
-            op_seq, [], lambdas=[], tol_lim=0.1, tol_envelope=0.1,
-            expectation="sideways",
+            op_seq, D, lambdas=(0.25,), tol_lim=0.05, tol_envelope=4.0 / 128,
+            tol_witness=1.0, expectation="sideways",
         )
 
 

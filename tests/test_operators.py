@@ -37,14 +37,14 @@ from hjlab import (
 )
 from hjlab import operators
 from hjlab.operators import (
-    JacobianPattern,
+    _assembler,
     _next,
     _policy_step,
     _prev,
     scale_hamiltonian,
     validate_rate_matrix,
 )
-from hjlab.resolvent import _NewtonPattern, _damped_newton, _newton_pattern, _one_row, _solve
+from hjlab.resolvent import _one_row, _solve
 
 
 def fd_jacobian(apply_values, v, eps=1e-7):
@@ -422,7 +422,7 @@ def test_upwind_jacobian_matches_finite_differences_off_ties():
     s = unit_grid(24)
     H = upwind_quadratic(s, drift_sin(s, 0.3))
     v = 0.1 * np.sin(2.0 * np.pi * s.coords[:, 0] + 0.37)
-    J = as_csr(H, H.jacobian(v)).toarray()
+    J = as_csc(H, H.jacobian(v)).toarray()
     assert np.abs(J - fd_jacobian(H.apply_values, v)).max() < 1e-6
 
 
@@ -430,25 +430,26 @@ def test_centered_jacobian_matches_finite_differences():
     s = unit_grid(24)
     H = centered_quadratic(s, drift_sin(s, 0.3))
     v = 0.1 * np.sin(2.0 * np.pi * s.coords[:, 0] + 0.37)
-    J = as_csr(H, H.jacobian(v)).toarray()
+    J = as_csc(H, H.jacobian(v)).toarray()
     assert np.abs(J - fd_jacobian(H.apply_values, v)).max() < 1e-6
 
 
-def as_csr(H, values):
-    """A patterned Jacobian's values as the CSR matrix on H's declared
-    pattern, checking that there is one float value per stored entry."""
+def as_csc(H, values):
+    """A patterned Jacobian's values as the CSC matrix on H's declared
+    pattern, checking that there is one float value per slot."""
     assert isinstance(values, np.ndarray) and values.dtype == float
     assert values.shape == H.jacobian_pattern.indices.shape
     return jacobian_reference.on_pattern(H.jacobian_pattern, values)
 
 
 def assert_same_newton_matrix(H, values, J_ref, lam):
-    # the damped Newton step factors I - lam * J, written into its CSC
-    # layout; the same canonical CSC as the reference's sparse subtraction
-    # means the same SuperLU ordering and the same step, bit for bit
+    # the damped Newton step factors I - lam * J, written onto the declared
+    # CSC layout; the same canonical CSC as the reference's sparse
+    # subtraction means the same SuperLU ordering and the same step, bit for
+    # bit
     want = jacobian_reference.newton_matrix(J_ref, lam)
-    for got in (jacobian_reference.newton_matrix(as_csr(H, values), lam),
-                _newton_pattern(H.jacobian_pattern).newton_matrix(values, lam)):
+    for got in (jacobian_reference.newton_matrix(as_csc(H, values), lam),
+                H.jacobian_pattern.newton_matrix(values, lam)):
         assert got.format == "csc" and got.has_canonical_format
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
@@ -482,7 +483,7 @@ def test_grid_jacobians_give_the_reference_newton_matrix(scheme, n, tie_share, l
     H = build(s, b)
     J = H.jacobian(v)
     J_ref = getattr(jacobian_reference, scheme)(b, dx, v)
-    assert np.array_equal(as_csr(H, J).toarray(), J_ref.toarray())
+    assert np.array_equal(as_csc(H, J).toarray(), J_ref.toarray())
     assert_same_newton_matrix(H, J, J_ref, lam)
 
 
@@ -690,7 +691,7 @@ def test_slowfast_apply_has_the_two_scale_block_structure():
         expected[:, z] = coupling.multipliers[z] * coupling.slow.apply_values(V[:, z])
     expected += 4.0 * V @ coupling.fast_rate_matrix.T
     assert np.allclose(H.apply_values(v), expected.reshape(-1))
-    J = as_csr(H, H.jacobian(v)).toarray()
+    J = as_csc(H, H.jacobian(v)).toarray()
     assert np.abs(J - fd_jacobian(H.apply_values, v)).max() < 1e-5
 
 
@@ -699,20 +700,20 @@ def test_slowfast_jacobian_is_sparse_and_matches_the_dense_block_assembly():
     n = 4.0
     H = slowfast_hamiltonian(product, n, coupling)
     v = np.random.default_rng(13).uniform(-1, 1, 24)
-    J = as_csr(H, H.jacobian(v))
+    J = as_csc(H, H.jacobian(v))
     # dense reference: the fast chain on 3x3 diagonal blocks, plus each fast
     # state's slow Jacobian scattered onto the states (x, z), x = 0..7
     want = n * np.kron(np.eye(8), coupling.fast_rate_matrix)
     V = v.reshape(8, 3)
     for z, m_z in enumerate(coupling.multipliers):
         idx = np.arange(8) * 3 + z
-        J_z = as_csr(coupling.slow, coupling.slow.jacobian(V[:, z]))
+        J_z = as_csc(coupling.slow, coupling.slow.jacobian(V[:, z]))
         want[np.ix_(idx, idx)] += m_z * J_z.toarray()
     assert np.array_equal(J.toarray(), want)
 
 
 @pytest.mark.parametrize("dense_slow", [linear_generator, tilt_linear])
-def test_slowfast_jacobian_over_a_dense_slow_jacobian_is_csr(dense_slow):
+def test_slowfast_jacobian_over_a_dense_slow_jacobian_is_sparse(dense_slow):
     product, coupling = slowfast_fixture()
     # a slow operator whose Jacobian is a dense ndarray, with a zero entry
     A_slow = random_rate_matrix(np.random.default_rng(14), 8)
@@ -722,7 +723,7 @@ def test_slowfast_jacobian_over_a_dense_slow_jacobian_is_csr(dense_slow):
     n = 4.0
     H = slowfast_hamiltonian(product, n, coupling)
     v = np.random.default_rng(13).uniform(-1, 1, 24)
-    J = as_csr(H, H.jacobian(v))
+    J = as_csc(H, H.jacobian(v))
     want = n * np.kron(np.eye(8), coupling.fast_rate_matrix)
     V = v.reshape(8, 3)
     for z, m_z in enumerate(coupling.multipliers):
@@ -735,7 +736,7 @@ def test_slowfast_jacobian_over_a_dense_slow_jacobian_is_csr(dense_slow):
     # (exp underflow in the tilt) keep the pattern fixed
     with np.errstate(over="ignore", invalid="ignore"):
         J_far = H.jacobian(np.linspace(0.0, 2000.0, 24))
-    as_csr(H, J_far)
+    as_csc(H, J_far)
 
 
 @given(
@@ -768,7 +769,7 @@ def test_slowfast_jacobian_gives_the_reference_newton_matrix(
     J_ref = jacobian_reference.slowfast(
         partial(jacobian_reference.upwind, b, dx), A_fast, coupling.multipliers, n, v
     )
-    assert np.array_equal(as_csr(H, J).toarray(), J_ref.toarray())
+    assert np.array_equal(as_csc(H, J).toarray(), J_ref.toarray())
     assert_same_newton_matrix(H, J, J_ref, lam)
 
 
@@ -783,7 +784,7 @@ def product_hamiltonian(slow, n_fast, n, seed):
 
 
 def jacobian_case(kind, n_slow, seed):
-    """A Jacobian of the given kind at random values, as the CSR matrix on
+    """A Jacobian of the given kind at random values, as the CSC matrix on
     its declared pattern, with that pattern: a grid scheme's, or a slow-fast
     product's over an upwind (sparse) or tilted (dense) slow part."""
     s, dx, v, b = tie_case(n_slow, seed, 0.3)
@@ -797,7 +798,7 @@ def jacobian_case(kind, n_slow, seed):
             slow = tilt_linear(random_rate_matrix(np.random.default_rng(seed), n_slow), s)
         H = product_hamiltonian(slow, 3, 4.0, seed)
         v = np.repeat(v, 3) + np.random.default_rng(seed).uniform(-0.1, 0.1, 3 * n_slow)
-    return as_csr(H, H.jacobian(v)), H.jacobian_pattern
+    return as_csc(H, H.jacobian(v)), H.jacobian_pattern
 
 
 @pytest.mark.parametrize("kind", ["upwind", "centered", "product", "dense_product"])
@@ -818,11 +819,11 @@ def test_newton_matrix_is_the_reference_subtraction(kind, n_slow, lam, zero_shar
     J2 = J.copy()
     J2.data = rng.uniform(-3.0, 3.0, J.nnz)
     J2.data[rng.random(J.nnz) < zero_share] = 0.0
+    # every declared layout stores the diagonal
     diag = np.flatnonzero(J2.indices == np.repeat(np.arange(J.shape[0]), np.diff(J.indptr)))
-    if diag.size:
-        J2.data[rng.choice(diag)] = 1.0 / lam
+    J2.data[rng.choice(diag)] = 1.0 / lam
     for M in (J, J2):
-        got = _newton_pattern(pattern).newton_matrix(M.data, lam)
+        got = pattern.newton_matrix(M.data, lam)
         want = jacobian_reference.newton_matrix(M, lam)
         assert got.format == "csc" and got.has_canonical_format
         for attr in ("data", "indices", "indptr"):
@@ -830,9 +831,10 @@ def test_newton_matrix_is_the_reference_subtraction(kind, n_slow, lam, zero_shar
 
 
 def test_newton_matrix_drops_an_exact_zero_diagonal():
-    J = sp.csr_matrix(np.array([[4.0, 0.0, 1.0], [0.0, 0.5, 0.0], [2.0, 0.0, 0.0]]))
+    J = sp.coo_matrix(np.array([[4.0, 0.0, 1.0], [0.0, 0.5, 0.0], [2.0, 0.0, 0.0]]))
     J.data[J.data == 1.0] = 0.0  # an explicit zero off the diagonal
-    A = _NewtonPattern.of(JacobianPattern(J.indptr, J.indices)).newton_matrix(J.data, 0.25)
+    pattern, assemble = _assembler(J.row, J.col, 3)
+    A = pattern.newton_matrix(assemble(J.data), 0.25)
     # 1 - 0.25 * 4 == 0 at (0, 0) and the explicit zero at (0, 2) are dropped;
     # (2, 2), where J stores nothing, gets the bare diagonal 1
     assert A.nnz == 3
@@ -852,7 +854,7 @@ def test_grid_jacobians_where_stencil_offsets_meet_give_the_reference_newton_mat
     H = (upwind_quadratic if scheme == "upwind" else centered_quadratic)(s, b)
     J = H.jacobian(v)
     J_ref = getattr(jacobian_reference, scheme)(b, dx, v)
-    assert np.array_equal(as_csr(H, J).toarray(), J_ref.toarray())
+    assert np.array_equal(as_csc(H, J).toarray(), J_ref.toarray())
     assert_same_newton_matrix(H, J, J_ref, lam)
 
 
@@ -871,8 +873,49 @@ def test_slowfast_with_a_zero_multiplier_gives_the_reference_newton_matrix(lam):
     J_ref = jacobian_reference.slowfast(
         partial(jacobian_reference.upwind, b, dx), A_fast, multipliers, 2.0, v
     )
-    assert np.array_equal(as_csr(H, J).toarray(), J_ref.toarray())
+    assert np.array_equal(as_csc(H, J).toarray(), J_ref.toarray())
     assert_same_newton_matrix(H, J, J_ref, lam)
+
+
+def declared_case(kind, n_slow):
+    """A sparse Hamiltonian of the given kind, a value vector and the
+    reference Jacobian there: a grid scheme on n_slow points, or a slow-fast
+    product over that scheme with a fast state decoupled by m_z = 0."""
+    s, dx, v, b = tie_case(n_slow, 7, 0.5)
+    scheme = kind.removeprefix("slowfast_")
+    H = (upwind_quadratic if scheme == "upwind" else centered_quadratic)(s, b)
+    jac_ref = partial(getattr(jacobian_reference, scheme), b, dx)
+    if kind == scheme:
+        return H, v, jac_ref(v)
+    A_fast = np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [1.0, 0.0, -1.0]])
+    multipliers = (1.5, 0.0, 1.0)
+    coupling = SlowFastCoupling(slow=H, fast_rate_matrix=A_fast, multipliers=multipliers)
+    fast = FiniteSpace(coords=np.arange(3.0), name="fast")
+    H = slowfast_hamiltonian(make_product_sequence(s, fast, n_members=3), 2.0, coupling)
+    v = np.repeat(v, 3) + np.random.default_rng(7).uniform(-0.1, 0.1, 3 * n_slow)
+    return H, v, jacobian_reference.slowfast(jac_ref, A_fast, multipliers, 2.0, v)
+
+
+@pytest.mark.parametrize(
+    "kind, n_slow",
+    [(scheme, n) for scheme in ("upwind", "centered") for n in (2, 3, 64)]
+    + [("slowfast_upwind", 3), ("slowfast_centered", 3), ("slowfast_centered", 16)],
+)
+@pytest.mark.parametrize("lam", [0.25, 7.5])
+def test_every_sparse_hamiltonian_declares_one_diagonal_slot_per_row(kind, n_slow, lam):
+    H, v, J_ref = declared_case(kind, n_slow)
+    pattern = H.jacobian_pattern
+    n = H.space.size
+    cols = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    # slot diag[i] holds entry (i, i), also where the scheme stores nothing
+    # there (the centered stencil), and no array of the layout can be written
+    assert pattern.diag.shape == (n,)
+    assert np.array_equal(pattern.indices[pattern.diag], np.arange(n))
+    assert np.array_equal(cols[pattern.diag], np.arange(n))
+    assert not any(a.flags.writeable for a in (pattern.indptr, pattern.indices, pattern.diag))
+    values = H.jacobian(v)
+    assert np.array_equal(as_csc(H, values).toarray(), J_ref.toarray())
+    assert_same_newton_matrix(H, values, J_ref, lam)
 
 
 def test_slowfast_sweep_members_share_one_pattern():
@@ -885,27 +928,6 @@ def test_slowfast_sweep_members_share_one_pattern():
     # a coupling built anew builds its own pattern
     again = replace(coupling, multipliers=coupling.multipliers)
     assert slowfast_hamiltonian(product, 1.0, again).jacobian_pattern is not sweep[0].jacobian_pattern
-
-
-def test_damped_newton_builds_the_newton_layout_once_per_pattern(monkeypatch):
-    builds = []
-    build = _NewtonPattern.of
-    monkeypatch.setattr(
-        _NewtonPattern, "of", lambda pattern: builds.append(pattern) or build(pattern)
-    )
-    product, coupling = slowfast_fixture()
-    h = np.repeat(0.3 * np.cos(2.0 * np.pi * coupling.slow.space.coords[:, 0]), 3)
-    for n in (1.0, 2.0, 4.0):
-        H = slowfast_hamiltonian(product, n, coupling)
-        for lam in (0.5, 1.0):
-            f, its, _ = _damped_newton(H, lam, h, h, 1e-10)
-            assert its > 0
-    assert builds == [H.jacobian_pattern]
-    # a scaled copy shares the pattern, and with it the layout
-    upwind = coupling.slow
-    _damped_newton(upwind, 0.5, h[::3], h[::3], 1e-10)
-    _damped_newton(scale_hamiltonian(2.0, upwind), 0.5, h[::3], h[::3], 1e-10)
-    assert builds == [H.jacobian_pattern, upwind.jacobian_pattern]
 
 
 def test_scale_hamiltonian_keeps_the_pattern_and_scales_the_values():
@@ -934,12 +956,12 @@ def test_slowfast_newton_solve_matches_the_reference_jacobian_bit_for_bit():
         jacobian_reference.slowfast, partial(jacobian_reference.upwind, b, dx),
         A_fast, coupling.multipliers, n,
     )
-    # the reference Jacobian's values on the declared pattern
-    indptr, indices = H.jacobian_pattern.indptr, H.jacobian_pattern.indices
-    rows = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
+    # the reference Jacobian's values on the declared pattern, column-major
+    indptr, rows = H.jacobian_pattern.indptr, H.jacobian_pattern.indices
+    cols = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
 
     def values_on_pattern(v):
-        return np.asarray(jac_ref(v)[rows, indices]).ravel()
+        return np.asarray(jac_ref(v)[rows, cols]).ravel()
 
     H_ref = replace(H, jacobian=values_on_pattern)
     h = np.repeat(0.3 * np.cos(2.0 * np.pi * slow_space.coords[:, 0]), 3)

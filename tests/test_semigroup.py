@@ -230,8 +230,11 @@ def test_convergence_in_n_oracle_and_self_modes():
     assert len(rep_self.deviations) == 2
     assert rep_self.passed
 
-    with pytest.raises(PreconditionError, match="increasing"):
-        convergence_in_n(family, 1.0, f, [64, 16])
+    # a repeated count would compare an approximation with itself in self
+    # mode and pass on a deviation of exactly 0
+    for n_list in ([64, 16], [4, 4], [4, 16, 16]):
+        with pytest.raises(PreconditionError, match="strictly increasing"):
+            convergence_in_n(family, 1.0, f, n_list)
 
 
 def test_convergence_in_n_flags_non_monotone_deviations():
