@@ -27,7 +27,7 @@ from .convergence import (
     resolvent_convergence_experiment,
     slowfast_resolvent_experiment,
 )
-from .errors import ConfigError, HJLabError
+from .errors import ConfigError, HJLabError, PreconditionError
 from .limits import Fn
 from .operators import (
     SlowFastCoupling,
@@ -279,10 +279,13 @@ def _cells_converge_slowfast(section: dict, seed: int):
     fast_space = FiniteSpace(coords=np.arange(n_fast, dtype=float), name=f"fast{n_fast}")
     couplings = [float(c) for c in section["couplings"]]
     product = make_product_sequence(slow_space, fast_space, n_members=len(couplings))
-    coupling = SlowFastCoupling(
-        slow=H_slow, fast_rate_matrix=A_fast,
-        multipliers=tuple(float(m) for m in section.get("multipliers", ())),
-    )
+    try:
+        coupling = SlowFastCoupling(
+            slow=H_slow, fast_rate_matrix=A_fast,
+            multipliers=tuple(float(m) for m in section.get("multipliers", ())),
+        )
+    except PreconditionError as exc:
+        raise ConfigError(f"bad slow-fast coupling: {exc}") from exc
     h = cfg.build_probes(section["h"], slow_space, _rng(seed, SEED_TAG_PROBES))[0]
 
     def run_slowfast():
@@ -467,6 +470,8 @@ def main(argv=None) -> int:
         config = cfg.load_config(args.config)
         if args.jobs < 1:
             raise ConfigError("--jobs must be at least 1")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed must be nonnegative")
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
         return run_command(args.command, config, args.out, args.jobs, seed)
     except ConfigError as exc:

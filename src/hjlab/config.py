@@ -547,10 +547,13 @@ def build_probes(spec: dict, space: FiniteSpace, rng: np.random.Generator) -> li
         return trig_basis(space, int(spec.get("max_degree", 2)),
                           period=float(spec.get("period", 1.0)))
     if kind == "trig_list":
+        items = spec.get("items")
+        if not items:
+            raise ConfigError("trig_list probes need items")
         period = float(spec.get("period", 1.0))
         return [
             trig_polynomial(space, item.get("cos", []), item.get("sin", []), period=period)
-            for item in spec["items"]
+            for item in items
         ]
     if kind == "bump":
         return [bump(space, float(spec.get("center", 0.5)), float(spec.get("width", 0.1)),

@@ -21,19 +21,22 @@ enlarged limit, and gamma(y) names the limit point they sit over.  On a
 sequence built without an enlargement the two pictures coincide.
 
 The Barles-Perthame route to resolvent convergence composes these with the
-upper/lower envelopes of the solved member resolvents: when the envelopes
-coincide (comparison holds in the limit) the member solutions converge to
-the limit resolvent, with no compactness or regularity input beyond the
-tracked compact families.  `resolvent_convergence_experiment` runs the whole
-chain: witness lifting, extended-limit checks, per-member viscosity checks,
-equi-continuity fit, envelopes, and the direct comparison against the limit
-solve; `slowfast_resolvent_experiment` exercises the averaging route where
-the fast variable is eliminated in the limit.
+upper/lower envelopes of the solution sequence R_n(lambda) h_n: when the
+envelopes coincide (comparison holds in the limit) the member solutions
+converge to the limit resolvent, with no compactness or regularity input
+beyond the tracked compact families.  The envelopes and the equi-continuity
+fit read solution sequences and solve nothing.  `resolvent_convergence_experiment`
+runs the whole chain: witness lifting and extended-limit checks, then one
+solve_all call per member family and one for the limit family, whose
+solutions the per-member viscosity checks, the equi-continuity fit, the
+envelopes and the direct comparison against the limit solve all read.
+`slowfast_resolvent_experiment` exercises the averaging route where the fast
+variable is eliminated in the limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -293,25 +296,24 @@ def check_ex_superlim(
 class EnvelopeReport:
     upper: object
     lower: object
-    solutions: FnSequence
     separation_per_level: dict
     max_separation: float
 
 
 def barles_perthame_envelopes(
-    families: Sequence[ResolventFamily],
+    u_seq: FnSequence,
     h_seq: FnSequence,
-    lam: float,
     h_limit: Fn,
     pre_tol: float,
 ) -> EnvelopeReport:
-    """Upper and lower envelopes of the member resolvents R_n(lam) h_n.
+    """Upper and lower envelopes of the solution sequence u_n = R_n(lam) h_n.
 
-    Precondition (raised on violation): LIMSUP h_n <= h and LIMINF h_n >= h
-    within pre_tol on the tracked compact levels.  The returned separation is
-    the worst gap upper - lower per level, the quantity that must vanish for
-    the limit resolvent to exist along this route.  Every envelope starts
-    at the sequence's own burn-in index.
+    u_seq holds the member solutions of the data h_seq; nothing is solved
+    here.  Precondition (raised on violation): LIMSUP h_n <= h and
+    LIMINF h_n >= h within pre_tol on the tracked compact levels.  The
+    returned separation is the worst gap upper - lower per level, the
+    quantity that must vanish for the limit resolvent to exist along this
+    route.  Every envelope starts at the sequence's own burn-in index.
     """
     seq = h_seq.spaces
     up_h = compute_LIMSUP(h_seq)
@@ -325,10 +327,6 @@ def barles_perthame_envelopes(
             raise PreconditionError(
                 f"LIMINF of the data undershoots the target by {under:.3g} at level {q}"
             )
-    sols = []
-    for n, fam in enumerate(families):
-        sols.append(fam.solve(lam, h_seq.members[n]))
-    u_seq = FnSequence(seq, tuple(sols))
     upper = compute_LIMSUP(u_seq)
     lower = compute_LIMINF(u_seq)
     separation = {}
@@ -341,8 +339,7 @@ def barles_perthame_envelopes(
         separation[q] = s
         worst = max(worst, s)
     return EnvelopeReport(
-        upper=upper, lower=lower, solutions=u_seq,
-        separation_per_level=separation, max_separation=worst,
+        upper=upper, lower=lower, separation_per_level=separation, max_separation=worst
     )
 
 
@@ -374,18 +371,20 @@ def resolvent_convergence_experiment(
 
     Steps: (a) lift every probe h through the embeddings (norms never grow)
     and confirm LIM h_n = h; (b) run the one-sided extended-limit checks for
-    every limit graph pair, with witnesses lifted the same way; (c) check
-    each member solution is a viscosity sub- and supersolution for its own
-    equation against the member test pairs; (d) fit the equi-continuity
+    every limit graph pair, with witnesses lifted the same way; then solve
+    every member problem R_n(lambda) h_n and limit problem R(lambda) h once,
+    each family's in one solve_all call, for the steps that read them: (c)
+    check each member solution is a viscosity sub- and supersolution for its
+    own equation against the member test pairs; (d) fit the equi-continuity
     level; then per (h, lambda): envelopes, their separation, and the direct
-    comparison of member solutions against the limit solve.  With
-    expectation="separate" the report passes when the envelopes detectably
-    split on at least one probe instead.
+    comparison of member solutions against the limit solution.  Only the
+    limit family's pseudo-resolvent identity solves again, for R(alpha) of
+    derived data.  With expectation="separate" the report passes when the
+    envelopes detectably split on at least one probe instead.
     """
     if expectation not in ("converge", "separate"):
         raise PreconditionError("expectation must be 'converge' or 'separate'")
     seq = op_seq.spaces
-    families = [ResolventFamily(hamiltonian=H) for H in op_seq.members]
     limit_family = (
         ResolventFamily(hamiltonian=op_seq.limit_hamiltonian)
         if op_seq.limit_hamiltonian is not None
@@ -394,10 +393,10 @@ def resolvent_convergence_experiment(
     notes: list[str] = []
 
     lifting = []
-    lifted: dict = {}
+    lifted: list[FnSequence] = []
     for k, h in enumerate(D):
         h_seq = lift_to_members(h, seq)
-        lifted[k] = h_seq
+        lifted.append(h_seq)
         norm_ok = all(m.norm <= h.norm + 1e-12 for m in h_seq.members)
         verdict = check_LIM(h_seq, h, tol_lim)
         lifting.append({"h_index": k, "norm_preserved": norm_ok, "passed": verdict.passed,
@@ -429,55 +428,65 @@ def resolvent_convergence_experiment(
             witness_bundles.append({"pair": j, "kind": "super", "passed": bundle.passed,
                                     "bundle": bundle})
 
-    member_viscosity = []
-    probe_seqs = witness_fns if witness_fns else [lifted[k] for k in lifted]
-    for n in range(seq.n_members):
-        probes_n = [fs.members[n] for fs in probe_seqs]
-        member_dagger = graph_from_hamiltonian(op_seq.members[n], probes_n, kind="dagger")
-        member_ddagger = graph_from_hamiltonian(op_seq.members[n], probes_n, kind="ddagger")
-        for k in lifted:
-            for lam in lambdas:
-                u_n = families[n].solve(lam, lifted[k].members[n])
-                sub = check_subsolution(u_n, member_dagger, lifted[k].members[n], lam,
-                                        tol=tol_viscosity)
-                sup = check_supersolution(u_n, member_ddagger, lifted[k].members[n], lam,
-                                          tol=tol_viscosity)
-                member_viscosity.append(
-                    {"n": n, "h_index": k, "lam": float(lam),
-                     "sub_passed": sub.passed, "super_passed": sup.passed}
-                )
+    # U[(k, lam)] is the solution sequence R_n(lam) h_n of probe k, and
+    # u_limit[(k, lam)] its limit solution R(lam) h
+    problems = [(k, lam) for k in range(len(D)) for lam in lambdas]
+    member_sols = [
+        ResolventFamily(hamiltonian=H).solve_all(
+            [(lam, lifted[k].members[n]) for k, lam in problems]
+        )
+        for n, H in enumerate(op_seq.members)
+    ]
+    U = {p: FnSequence(seq, tuple(sols[i] for sols in member_sols))
+         for i, p in enumerate(problems)}
+    u_limit = {}
+    if limit_family is not None:
+        u_limit = dict(zip(problems, limit_family.solve_all(
+            [(lam, D[k]) for k, lam in problems]
+        )))
 
-    pairs = []
-    for i in range(len(D)):
-        for j in range(i + 1, len(D)):
-            pairs.append((lifted[i], lifted[j]))
+    member_viscosity = []
+    probe_seqs = witness_fns if witness_fns else lifted
+    for n, H in enumerate(op_seq.members):
+        dagger = graph_from_hamiltonian(H, [fs.members[n] for fs in probe_seqs], kind="dagger")
+        ddagger = replace(dagger, kind="ddagger")
+        for k, lam in problems:
+            u_n, h_n = U[(k, lam)].members[n], lifted[k].members[n]
+            sub = check_subsolution(u_n, dagger, h_n, lam, tol=tol_viscosity)
+            sup = check_supersolution(u_n, ddagger, h_n, lam, tol=tol_viscosity)
+            member_viscosity.append(
+                {"n": n, "h_index": k, "lam": float(lam),
+                 "sub_passed": sub.passed, "super_passed": sup.passed}
+            )
+
+    pairs = [(i, j) for i in range(len(D)) for j in range(i + 1, len(D))][:4]
     equi = None
     if pairs:
         equi = estimate_equicontinuity(
-            families, seq, seq.compacts.labels[0], equicontinuity_delta,
-            lambdas, pairs[:4],
+            seq, seq.compacts.labels[0], equicontinuity_delta,
+            [(lifted[i], lifted[j], U[(i, lam)], U[(j, lam)])
+             for i, j in pairs for lam in lambdas],
         )
 
     envelope_cases = []
     separated = False
     converged = True
-    for k, h in enumerate(D):
-        for lam in lambdas:
-            rep = barles_perthame_envelopes(families, lifted[k], lam, h, pre_tol=tol_lim)
-            case = {"h_index": k, "lam": float(lam),
-                    "max_separation": rep.max_separation,
-                    "separation_per_level": rep.separation_per_level,
-                    "envelopes_coincide": rep.max_separation <= tol_envelope}
-            if limit_family is not None:
-                u_lim = limit_family.solve(lam, h)
-                verdict = check_LIM(rep.solutions, u_lim, tol_envelope)
-                case["lim_passed"] = verdict.passed
-                case["lim_worst_dev"] = max(
-                    r["worst_dev"] for r in verdict.per_level.values()
-                )
-            envelope_cases.append(case)
-            separated = separated or rep.max_separation > tol_envelope
-            converged = converged and case["envelopes_coincide"] and case.get("lim_passed", True)
+    for k, lam in problems:
+        u_seq = U[(k, lam)]
+        rep = barles_perthame_envelopes(u_seq, lifted[k], D[k], pre_tol=tol_lim)
+        case = {"h_index": k, "lam": float(lam),
+                "max_separation": rep.max_separation,
+                "separation_per_level": rep.separation_per_level,
+                "envelopes_coincide": rep.max_separation <= tol_envelope}
+        if limit_family is not None:
+            verdict = check_LIM(u_seq, u_limit[(k, lam)], tol_envelope)
+            case["lim_passed"] = verdict.passed
+            case["lim_worst_dev"] = max(
+                r["worst_dev"] for r in verdict.per_level.values()
+            )
+        envelope_cases.append(case)
+        separated = separated or rep.max_separation > tol_envelope
+        converged = converged and case["envelopes_coincide"] and case.get("lim_passed", True)
 
     limit_identity = None
     if limit_family is not None and len(lambdas) >= 2:

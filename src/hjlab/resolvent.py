@@ -38,8 +38,9 @@ _solve.  The algebraic checks:
   * contractivity in the two one-sided forms
         sup R(l)h1 - R(l)h2 <= sup h1 - h2,
         inf R(l)h1 - R(l)h2 >= inf h1 - h2;
-  * the local strict equi-continuity estimate over a compact chain: find the
-    smallest level q_hat with
+  * the local strict equi-continuity estimate over a compact chain, read
+    from solution sequences the caller solved: find the smallest level q_hat
+    with
         sup_{K_n^q} (R_n(l)h1 - R_n(l)h2)
             <= delta * sup_{X_n} (h1 - h2) + sup_{K_n^q_hat} (h1 - h2).
 
@@ -413,64 +414,45 @@ class EquiContinuityReport:
 
 
 def estimate_equicontinuity(
-    families: Sequence[ResolventFamily],
     seq: SpaceSequence,
     q,
     delta: float,
-    lambdas: Sequence[float],
-    probe_pairs: Sequence[tuple],
+    cases: Sequence[tuple],
 ) -> EquiContinuityReport:
-    """Fit the smallest level q_hat such that, uniformly over members, probe
-    pairs, and the lambda grid,
+    """Fit the smallest level q_hat such that, uniformly over members and
+    cases (h1s, h2s, u1s, u2s),
 
-        sup_{K_n^q}(R_n(l)h1 - R_n(l)h2)
-            <= delta * sup_{X_n}(h1 - h2) + sup_{K_n^q_hat}(h1 - h2) + slack,
+        sup_{K_n^q}(u1_n - u2_n)
+            <= delta * sup_{X_n}(h1_n - h2_n) + sup_{K_n^q_hat}(h1_n - h2_n) + slack,
 
-    slack = EQUICONTINUITY_SLACK.  probe_pairs are pairs of FnSequence over
-    seq.  Fit failure is reported (ok=False, q_hat=None), not raised.
+    slack = EQUICONTINUITY_SLACK.  Each case holds four FnSequence over seq:
+    two data sequences and their solution sequences u_n = R_n(l) h_n for one
+    lambda; nothing is solved here.  Fit failure is reported (ok=False,
+    q_hat=None), not raised.
     """
-    qi = seq.compacts.level(q)
-    n_mem = seq.n_members
-    sup_on_K: list[list[float]] = []  # [case][n]
-    sup_global: list[list[float]] = []
-    sup_on_level: dict = {lab: [] for lab in seq.compacts.labels}
-    for h1s, h2s in probe_pairs:
-        for lam in lambdas:
-            row_K, row_glob = [], []
-            rows_level = {lab: [] for lab in seq.compacts.labels}
-            for n in range(n_mem):
-                h1, h2 = h1s.members[n], h2s.members[n]
-                r1 = families[n].solve(lam, h1)
-                r2 = families[n].solve(lam, h2)
-                diff_out = r1.values - r2.values
-                diff_in = h1.values - h2.values
-                row_K.append(float(diff_out[seq.compacts.member_sets[qi][n]].max()))
-                row_glob.append(float(diff_in.max()))
-                for li, lab in enumerate(seq.compacts.labels):
-                    rows_level[lab].append(
-                        float(diff_in[seq.compacts.member_sets[li][n]].max())
-                    )
-            sup_on_K.append(row_K)
-            sup_global.append(row_glob)
-            for lab in seq.compacts.labels:
-                sup_on_level[lab].append(rows_level[lab])
-
-    chosen, worst = None, np.inf
-    details = []
-    for li, lab in enumerate(seq.compacts.labels):
-        margins = []
-        for c in range(len(sup_on_K)):
-            for n in range(n_mem):
-                bound = delta * sup_global[c][n] + sup_on_level[lab][c][n] + EQUICONTINUITY_SLACK
-                margins.append(bound - sup_on_K[c][n])
-        m = float(min(margins))
-        details.append({"q_hat": lab, "worst_margin": m, "ok": m >= 0.0})
-        if m >= 0.0 and chosen is None:
-            chosen, worst = lab, m
+    sets = seq.compacts.member_sets
+    on_K = sets[seq.compacts.level(q)]
+    # one row per (case, member): sup_{K_n^q} of the solution gap, sup_{X_n}
+    # of the data gap, then sup_{K_n^l} of the data gap for every level l
+    rows = []
+    for case in cases:
+        for n, (h1, h2, u1, u2) in enumerate(zip(*(fs.members for fs in case))):
+            d_in = h1.values - h2.values
+            rows.append([(u1.values - u2.values)[on_K[n]].max(), d_in.max(),
+                         *(d_in[level[n]].max() for level in sets)])
+    sups = np.array(rows)
+    bound = delta * sups[:, 1:2] + sups[:, 2:] + EQUICONTINUITY_SLACK
+    margins = (bound - sups[:, :1]).min(axis=0)
+    labels = seq.compacts.labels
+    details = tuple(
+        {"q_hat": lab, "worst_margin": float(m), "ok": bool(m >= 0.0)}
+        for lab, m in zip(labels, margins)
+    )
+    fits = np.flatnonzero(margins >= 0.0)
+    i = int(fits[0]) if fits.size else int(np.argmin(margins))
     return EquiContinuityReport(
-        ok=chosen is not None, q=q, q_hat=chosen, delta=delta,
-        worst_margin=(worst if chosen is not None else float(min(d["worst_margin"] for d in details))),
-        details=tuple(details),
+        ok=bool(fits.size), q=q, q_hat=labels[i] if fits.size else None, delta=delta,
+        worst_margin=float(margins[i]), details=details,
     )
 
 

@@ -4,7 +4,7 @@ The tracer wraps hjlab functions by name from outside the package, so a
 rename inside hjlab silently empties its per-layer metrics.  This runs one
 tiny traced run in a fresh interpreter and checks that the metrics a run
 feeds are still fed: the tracked sequences and Howard iterations of a grid
-experiment, and the Crandall-Liggett steps of a semigroup suite, which no
+experiment, which solves each of its problems once, and the Crandall-Liggett steps of a semigroup suite, which no
 longer pass through the patched solve_resolvent, and the Jacobians of a
 slow-fast suite's Newton steps.  A traced check suite, whose graph solves go
 through the upwind scheme's custom solver in one stack, must count their
@@ -102,6 +102,9 @@ def test_traced_grid_run_feeds_the_tracked_sequence_metric(tmp_path):
     # the tracer sums the iteration counts the custom solver returns
     policy_iterations = metrics["operators.policy_iterations"]
     assert isinstance(policy_iterations, int) and policy_iterations > 0
+    # each problem is solved once and read once: 3 members and 1 limit
+    # problem of the one probe at the one lambda, no cache hit
+    assert metrics["resolvent.solve_calls"] == metrics["resolvent.method.custom"] == 4
 
 
 def test_traced_check_run_reports_metrics_json_accepts(tmp_path):

@@ -168,6 +168,38 @@ def test_seed_flag_overrides_the_config_seed(tmp_path):
     assert t1 != t2
 
 
+@pytest.mark.parametrize("command, stem", [("resolvent", "resolvent"),
+                                           ("converge", "positive_control")])
+def test_a_negative_seed_is_a_config_error(tmp_path, capsys, command, stem):
+    out = tmp_path / "out"
+    assert main([command, "--config", str(CONFIGS / f"{stem}.yaml"), "--out", str(out),
+                 "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--seed" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_trig_list_probes_without_items_are_a_config_error(tmp_path, capsys):
+    payload = yaml.safe_load((CONFIGS / "positive_control.yaml").read_text())
+    del payload["converge"]["probes"]["items"]
+    out = tmp_path / "out"
+    assert main(["converge", "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: trig_list probes need items\n"
+    assert not out.exists()
+
+
+def test_a_multiplier_per_fast_state_is_a_config_requirement(tmp_path, capsys):
+    payload = yaml.safe_load((CONFIGS / "slowfast.yaml").read_text())
+    payload["converge"]["multipliers"] = [0.5, 1.0]  # three fast states
+    out = tmp_path / "out"
+    assert main(["converge", "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: bad slow-fast coupling:")
+    assert "one multiplier per fast state" in err
+    assert not out.exists()
+
+
 def assert_identical_outputs(out1, out2):
     r1 = (Path(out1) / "report.json").read_bytes()
     r2 = (Path(out2) / "report.json").read_bytes()

@@ -161,27 +161,32 @@ def test_truncation_matches_check_LIM_on_truncated_copies():
         assert "truncated limits failed" in bundle.notes
 
 
+def solved(members, h_seq, lam):
+    """The solution sequence R_n(lam) h_n of the member operators."""
+    return FnSequence(h_seq.spaces, tuple(
+        ResolventFamily(hamiltonian=H).solve(lam, h) for H, h in zip(members, h_seq.members)
+    ))
+
+
 def test_envelope_preconditions_reject_biased_data():
     seq, members, _ = grid_fixture(upwind_quadratic, [16, 32, 64], 0.3)
-    families = [ResolventFamily(hamiltonian=H) for H in members]
     h = trig_polynomial(seq.limit, [0.0, 0.2])
     over = lift_to_members(Fn(seq.limit, h.values + 0.2), seq)
     with pytest.raises(PreconditionError, match="LIMSUP of the data exceeds"):
-        barles_perthame_envelopes(families, over, 0.25, h, pre_tol=0.05)
+        barles_perthame_envelopes(solved(members, over, 0.25), over, h, pre_tol=0.05)
     under = lift_to_members(Fn(seq.limit, h.values - 0.2), seq)
     with pytest.raises(PreconditionError, match="undershoots"):
-        barles_perthame_envelopes(families, under, 0.25, h, pre_tol=0.05)
+        barles_perthame_envelopes(solved(members, under, 0.25), under, h, pre_tol=0.05)
 
 
 def test_envelopes_collapse_under_grid_refinement():
     seq, members, _ = grid_fixture(upwind_quadratic, [32, 64, 128], 0.5)
-    families = [ResolventFamily(hamiltonian=H) for H in members]
     h = trig_polynomial(seq.limit, [0.0, 0.2])
-    rep = barles_perthame_envelopes(families, lift_to_members(h, seq), 0.25, h, 0.05)
+    h_seq = lift_to_members(h, seq)
+    rep = barles_perthame_envelopes(solved(members, h_seq, 0.25), h_seq, h, 0.05)
     # bound calibrated by tests/oracles/envelope_fixtures.py
     assert rep.max_separation <= 0.021
     assert set(rep.separation_per_level) == set(seq.compacts.labels)
-    assert len(rep.solutions.members) == 3
     assert all(s >= 0.0 for s in rep.separation_per_level.values())
 
 
@@ -256,6 +261,35 @@ def test_centered_scheme_separates_the_envelopes():
     ]
     assert len(rep.member_viscosity) == 3
     assert len(fails) == 3
+
+
+def test_the_experiment_solves_each_family_once(monkeypatch):
+    # one solve_all call per member family and one for the limit family,
+    # each a Howard stack, and one member graph per member
+    calls = {"solve_all": 0, "graphs": 0}
+    solve_all, graph = ResolventFamily.solve_all, convergence.graph_from_hamiltonian
+
+    def counted_solve_all(self, problems):
+        calls["solve_all"] += 1
+        return solve_all(self, problems)
+
+    def counted_graph(*args, **kwargs):
+        calls["graphs"] += 1
+        return graph(*args, **kwargs)
+
+    def one_row(*args, **kwargs):
+        raise AssertionError("a problem was solved outside its family's stack")
+
+    monkeypatch.setattr(ResolventFamily, "solve_all", counted_solve_all)
+    monkeypatch.setattr(convergence, "graph_from_hamiltonian", counted_graph)
+    monkeypatch.setattr(resolvent, "_solve", one_row)
+    seq, op_seq = positive_op_seq()
+    D = [trig_polynomial(seq.limit, [0.0, 0.2]), trig_polynomial(seq.limit, [0.1], [0.15])]
+    rep = resolvent_convergence_experiment(
+        op_seq, D, lambdas=(0.25,), tol_lim=0.05, tol_envelope=4.0 / 128,
+    )
+    assert rep.passed
+    assert calls == {"solve_all": seq.n_members + 1, "graphs": seq.n_members}
 
 
 def test_experiment_rejects_unknown_expectations(monkeypatch):

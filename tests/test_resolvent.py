@@ -12,6 +12,7 @@ import pytest
 from conftest import chain, unit_grid
 from hjlab import (
     Fn,
+    FnSequence,
     Hamiltonian,
     PreconditionError,
     ResolventFamily,
@@ -30,7 +31,7 @@ from hjlab import (
     upwind_quadratic,
 )
 from hjlab import centered_quadratic, resolvent
-from oracles import newton_reference
+from oracles import equicontinuity_reference, newton_reference
 
 
 def exact_stack_solver(A):
@@ -494,9 +495,20 @@ def test_equicontinuity_fit_finds_a_level_for_upwind_resolvents():
         families.append(ResolventFamily(hamiltonian=upwind_quadratic(m, b)))
     h1 = lift_to_members(trig_polynomial(seq.limit, [0.0, 0.2]), seq)
     h2 = lift_to_members(trig_polynomial(seq.limit, [0.1], [0.15]), seq)
-    rep = estimate_equicontinuity(
-        families, seq, q=0.5, delta=0.5, lambdas=[0.25, 1.0], probe_pairs=[(h1, h2)]
-    )
+
+    def solved(hs, lam):
+        return FnSequence(seq, tuple(f.solve(lam, h) for f, h in zip(families, hs.members)))
+
+    cases = [(h1, h2, solved(h1, lam), solved(h2, lam)) for lam in (0.25, 1.0)]
+    rep = estimate_equicontinuity(seq, q=0.5, delta=0.5, cases=cases)
     assert rep.ok
     assert rep.q_hat in seq.compacts.labels
     assert rep.worst_margin >= 0.0
+    # the margin array gives the reports of the earlier loop version, on
+    # the first level, a later one, and no level at all
+    q_hats = set()
+    for delta in (0.5, 0.05, 0.0, -5.0):
+        rep = estimate_equicontinuity(seq, 0.5, delta, cases)
+        assert rep == equicontinuity_reference.estimate_equicontinuity(seq, 0.5, delta, cases)
+        q_hats.add(rep.q_hat)
+    assert q_hats == set(seq.compacts.labels) | {None}
