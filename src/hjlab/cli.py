@@ -278,7 +278,10 @@ def _cells_converge_slowfast(section: dict, seed: int):
     n_fast = A_fast.shape[0]
     fast_space = FiniteSpace(coords=np.arange(n_fast, dtype=float), name=f"fast{n_fast}")
     couplings = [float(c) for c in section["couplings"]]
-    product = make_product_sequence(slow_space, fast_space, n_members=len(couplings))
+    try:
+        product = make_product_sequence(slow_space, fast_space, n_members=len(couplings))
+    except ValueError as exc:
+        raise ConfigError(f"bad slow-fast product: {exc}") from exc
     try:
         coupling = SlowFastCoupling(
             slow=H_slow, fast_rate_matrix=A_fast,

@@ -44,7 +44,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgtsv
+import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbsv, dgtsv
 
 from .errors import PreconditionError, SolverError, StructuralError
 from .limits import ExtFn, Fn
@@ -80,9 +81,9 @@ class Hamiltonian:
     JacobianPattern), one value per slot of its CSC layout, 0.0 on a diagonal
     slot where J stores nothing.  The pattern is the same at every v; only
     the values change with v.  The damped Newton step relies on this: each
-    step hands the values to jacobian_pattern.newton_matrix, which writes
-    I - lam * J on that layout.  Only the constructors in this module declare
-    a pattern.
+    step hands the values to jacobian_pattern.newton_step, which writes
+    I - lam * J on that layout and solves with it.  Only the constructors in
+    this module declare a pattern.
 
     custom_solver, when set, inverts f - lam * Hf = h better than generic
     Newton can, for a stack of k problems at once: (lam, h, f0, tol) with lam
@@ -361,6 +362,47 @@ def _grid_spacing(space: FiniteSpace) -> float:
 
 
 @dataclass(frozen=True, eq=False)
+class _FoldedBand:
+    """The band layout of a JacobianPattern whose matrix is periodic-banded
+    in a slow index of n / block values, each slow value owning a block of
+    consecutive states.  order lists the state at each folded position: the
+    slow index taken from both ends, 0, s - 1, 1, s - 2, ..., each with its
+    block in place, so the periodic neighbours 0 and s - 1 sit side by side
+    and the folded matrix is a plain band with kl sub- and ku
+    superdiagonals, without wrap-around corners.  slots holds each CSC slot's
+    index in the flattened (n, 2 kl + ku + 1) array whose transpose is LAPACK
+    gbsv's band storage.  order and slots (int32, as the pattern's indices)
+    are read-only."""
+
+    order: np.ndarray
+    kl: int
+    ku: int
+    slots: np.ndarray
+
+
+def _fold_band(pattern: JacobianPattern, block: int) -> JacobianPattern:
+    """pattern with the _FoldedBand layout of its slow index in blocks of
+    block states."""
+    n = pattern.indptr.shape[0] - 1
+    s = n // block
+    fold = np.empty(s, dtype=np.intp)
+    fold[0::2] = np.arange((s + 1) // 2)
+    fold[1::2] = np.arange(s - 1, (s - 1) // 2, -1)
+    order = (fold[:, None] * block + np.arange(block)).ravel()
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    rows = position[pattern.indices]
+    cols = position[np.repeat(np.arange(n), np.diff(pattern.indptr))]
+    kl = int((rows - cols).max())  # the diagonal is in the pattern: both >= 0
+    ku = int((cols - rows).max())
+    # entry (i, j) of the folded matrix is band[j, kl + ku + i - j]
+    slots = (cols * (2 * kl + ku + 1) + (kl + ku + rows - cols)).astype(np.int32)
+    order = order.astype(np.int32)
+    order.flags.writeable = slots.flags.writeable = False
+    return replace(pattern, band=_FoldedBand(order, kl, ku, slots))
+
+
+@dataclass(frozen=True, eq=False)
 class JacobianPattern:
     """The declared Newton layout of an n x n sparse Jacobian J: the CSC
     pattern of J's stored entries together with the diagonal, each entry
@@ -368,6 +410,7 @@ class JacobianPattern:
     rows, sorted and unique, and diag holds the slot of each diagonal entry,
     row by row; all three are read-only.  A Hamiltonian that declares it
     returns from jacobian(v) one value per slot, 0.0 where J stores nothing.
+    band, when set, is the _FoldedBand layout that newton_step factors.
 
     A pattern is compared by identity: Hamiltonians that share the object (a
     scaled copy, the members of a slow-fast sweep) share the layout.
@@ -376,10 +419,11 @@ class JacobianPattern:
     indptr: np.ndarray
     indices: np.ndarray
     diag: np.ndarray
+    band: _FoldedBand | None = None
 
     def newton_matrix(self, values: np.ndarray, lam: float) -> sp.csc_matrix:
-        """I - lam * J for the J with these values, as the csc_matrix the
-        damped Newton step hands SuperLU.
+        """I - lam * J for the J with these values, as the csc_matrix that
+        newton_step hands SuperLU when the pattern has no band layout.
 
         It equals sp.eye(n, format="csc") - lam * J.tocsc() in data, indices
         and indptr: a slot holds 0 - lam * J_ij, plus 1 on the diagonal, and
@@ -396,6 +440,31 @@ class JacobianPattern:
             data, indices = data[kept], indices[kept]
             indptr = np.concatenate(([0], np.cumsum(kept)))[indptr].astype(np.intc)
         return sp.csc_matrix((data, indices, indptr), shape=(n, n))
+
+    def newton_step(self, values: np.ndarray, lam: float, rhs: np.ndarray) -> np.ndarray:
+        """The solution x of (I - lam * J) x = rhs for the J with these
+        values: the damped Newton step.  With a band layout, the slots of
+        I - lam * J (the values newton_matrix writes) go into a fresh band
+        array in folded order, and LAPACK gbsv factors and solves it in one
+        call; a singular matrix gives a NaN step, as spsolve does, and the
+        line search rejects it.  Without one, SuperLU (spsolve) solves
+        newton_matrix(values, lam)."""
+        band = self.band
+        if band is None:
+            return spla.spsolve(self.newton_matrix(values, lam), rhs)
+        n = band.order.shape[0]
+        width = 2 * band.kl + band.ku + 1
+        data = 0.0 - lam * values
+        data[self.diag] += 1.0
+        ab = np.zeros(n * width)
+        ab[band.slots] = data
+        # gbsv overwrites the band and the right-hand side
+        *_, x, info = dgbsv(band.kl, band.ku, ab.reshape(n, width).T, rhs[band.order, None], 1, 1)
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
+        step = np.empty(n)
+        step[band.order] = np.nan if info > 0 else x[:, 0]
+        return step
 
 
 def _assembler(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[JacobianPattern, Callable]:
@@ -424,14 +493,18 @@ def _assembler(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[JacobianPatt
     return JacobianPattern(indptr, indices, diag_slot), assemble
 
 
-def _periodic_stencil(n: int, offsets: tuple[int, ...]) -> tuple[JacobianPattern, Callable]:
+def _periodic_stencil(
+    n: int, offsets: tuple[int, ...], banded: bool
+) -> tuple[JacobianPattern, Callable]:
     """Pattern and assembly (as _assembler) of the n x n periodic stencil
     matrix whose row i has entries at columns (i + k) mod n for k in offsets,
     from the values stencil by stencil (n per offset, in the order of
     offsets); on small grids two offsets can meet, and their values are
-    summed."""
+    summed.  banded attaches the folded band layout (_fold_band, one state
+    per grid point) that newton_step factors."""
     rows = np.tile(np.arange(n), len(offsets))
-    return _assembler(rows, (rows + np.repeat(offsets, n)) % n, n)
+    pattern, assemble = _assembler(rows, (rows + np.repeat(offsets, n)) % n, n)
+    return (_fold_band(pattern, 1) if banded else pattern), assemble
 
 
 # Grids with at least this many points (and an even count) first solve the
@@ -484,7 +557,7 @@ def upwind_quadratic(
     if b.shape[0] != space.size:
         raise PreconditionError("drift must have one value per grid point")
     theta = 0.5 * b
-    pattern, assemble = _periodic_stencil(b.shape[0], (0, -1, 1))
+    pattern, assemble = _periodic_stencil(b.shape[0], (0, -1, 1), banded=True)
 
     def jac(v: np.ndarray) -> np.ndarray:
         p_minus, p_plus = _upwind_diffs(dx, v)
@@ -519,17 +592,35 @@ def _value_and_control(
     one evaluation of the upwind differences and the two branches.  v is one
     value vector or a stack of them, one per row, and b and theta = b / 2
     have its shape."""
-    p_minus = (v - _prev(v)) / dx
+    # Each array below is written in place once it is no longer read, with
+    # the operations, and so the bits, of the plain expressions:
+    # p_minus = (v - _prev(v)) / dx, p_plus = _next(p_minus),
+    # val = _hval(b, clipped p) = p * p - b * p per branch, and the control
+    # where(val_fwd >= val_bwd, max(2 p_plus - b, 0), min(2 p_minus - b, 0)).
+    p_minus = np.empty_like(v)
+    np.subtract(v[..., 1:], v[..., :-1], out=p_minus[..., 1:])
+    np.subtract(v[..., :1], v[..., -1:], out=p_minus[..., :1])
+    p_minus /= dx
     p_plus = _next(p_minus)  # p_plus[i] = p_minus[i + 1] = (v[i + 1] - v[i]) / dx
-    val_bwd = _hval(b, np.minimum(p_minus, theta))
-    val_fwd = _hval(b, np.maximum(p_plus, theta))
+    clipped = np.minimum(p_minus, theta)
+    val_bwd = clipped * clipped
+    clipped *= b
+    val_bwd -= clipped
+    np.maximum(p_plus, theta, out=clipped)
+    val_fwd = clipped * clipped
+    clipped *= b
+    val_fwd -= clipped
+    forward = val_fwd >= val_bwd
     # p + p is 2 p exactly, and numpy adds two arrays faster than it scales one
-    a = np.where(
-        val_fwd >= val_bwd,
-        np.maximum(p_plus + p_plus - b, 0.0),
-        np.minimum(p_minus + p_minus - b, 0.0),
-    )
-    return np.maximum(val_bwd, val_fwd), a
+    a = p_minus
+    a += p_minus
+    a -= b
+    np.minimum(a, 0.0, out=a)
+    p_plus += p_plus
+    p_plus -= b
+    np.maximum(p_plus, 0.0, out=p_plus)
+    np.copyto(a, p_plus, where=forward)
+    return np.maximum(val_bwd, val_fwd, out=val_bwd), a
 
 
 def _policy_step(
@@ -550,20 +641,29 @@ def _policy_step(
     # every row's first and last entries: scalars for one problem, columns
     # for a stack
     first, last = (0, -1) if a.ndim == 1 else (np.s_[:, :1], np.s_[:, -1:])
-    a_pos = np.maximum(a, 0.0)
-    a_neg = np.minimum(a, 0.0)
-    sup = -lam * a_pos / dx
-    sub = lam * a_neg / dx
+    # sup = -lam * max(a, 0) / dx and sub = lam * min(a, 0) / dx, in place;
+    # x * c is c * x exactly
+    sup = np.maximum(a, 0.0)
+    sup *= -lam
+    sup /= dx
+    sub = np.minimum(a, 0.0)
+    sub *= lam
+    sub /= dx
     # 1 + lam * |a| / dx: in every cell one of sup and sub is zero and the
     # other is -lam * |a| / dx, exactly
-    diag = 1.0 - (sup + sub)
+    diag = np.add(sup, sub)
+    np.subtract(1.0, diag, out=diag)
     gamma = -diag[first]
     ratio = sub[first] / gamma
     # the right-hand sides y and z of every row, as the two columns of one
     # Fortran-ordered (k * n, 2) array
     rhs = np.zeros((2,) + a.shape)
     y, z = rhs[0], rhs[1]
-    np.subtract(h, 0.25 * lam * (a + b) ** 2, out=y)
+    # y = h - 0.25 * lam * (a + b) ** 2, in place; x ** 2 is np.square(x)
+    np.add(a, b, out=y)
+    np.square(y, out=y)
+    y *= 0.25 * lam
+    np.subtract(h, y, out=y)
     z[first] = gamma
     z[last] = sup[last]
     diag[first] -= gamma
@@ -651,9 +751,14 @@ def _howard(
     residuals = np.empty(k)
     for it in range(sweeps + 1):
         value, a = _value_and_control(b_it, theta_it, dx, f_it)
-        # the residual of every row, as an array also for one problem;
+        # the residual of every row, as an array also for one problem, from
+        # |f - lam * value - h| written into value's own array;
         # maximum.reduce is what .max() calls
-        res = np.maximum.reduce(np.abs(f_it - lam_it * value - h_it).reshape(-1, n), axis=1)
+        np.multiply(lam_it, value, out=value)
+        np.subtract(f_it, value, out=value)
+        value -= h_it
+        res = np.maximum.reduce(np.abs(value, out=value).reshape(-1, n), axis=1)
+        del value  # free before the policy step allocates its own arrays
         # Python compares a short list faster than numpy a small array
         ok = [r <= tol for r in res.tolist()]
         converged = ok.count(True)
@@ -694,7 +799,13 @@ def centered_quadratic(
         pc = (_next(v) - _prev(v)) / (2.0 * dx)
         return pc * pc - b * pc
 
-    pattern, assemble = _periodic_stencil(b.shape[0], (1, -1))
+    # No band layout: SuperLU solves the centered Newton step.  A centered
+    # member can have several Newton solutions, and SuperLU's rounding picks
+    # the one the negative control reports; another LU (the folded band
+    # moves max_separation from 2.1202 to 1.9177) picks another.  This path,
+    # with spsolve and newton_matrix, goes once the control no longer hangs
+    # on that choice (ROADMAP item 2).
+    pattern, assemble = _periodic_stencil(b.shape[0], (1, -1), banded=False)
 
     def jac(v: np.ndarray) -> np.ndarray:
         pc = (_next(v) - _prev(v)) / (2.0 * dx)
@@ -770,6 +881,9 @@ class SlowFastCoupling:
         # more than two contributions (a fast and a slow diagonal), so the
         # scatter sums exactly what a sparse COO sum would
         pattern, assemble = _assembler(np.concatenate(rows), np.concatenate(cols), n_slow * n_fast)
+        if slow.jacobian_pattern is not None and slow.jacobian_pattern.band is not None:
+            # a slow band folds into a product band of one block per slow point
+            pattern = _fold_band(pattern, n_fast)
         return pattern, assemble, coupled, A_fast[zi, zj]
 
 

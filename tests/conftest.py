@@ -3,7 +3,14 @@ from pathlib import Path
 
 import numpy as np
 
-from hjlab import FiniteSpace
+from hjlab import (
+    FiniteSpace,
+    SlowFastCoupling,
+    make_product_sequence,
+    random_rate_matrix,
+    slowfast_hamiltonian,
+    upwind_quadratic,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -22,6 +29,28 @@ def unit_grid(n: int, name: str = "") -> FiniteSpace:
 
 def chain(n: int, name: str = "") -> FiniteSpace:
     return FiniteSpace(coords=np.arange(float(n)), name=name or f"chain{n}")
+
+
+def banded_product(n_slow: int, n_fast: int, seed: int):
+    """A slow-fast product over the upwind scheme on a unit grid of n_slow
+    points, at coupling strength 4, with a random fast chain and, when it has
+    more than one state, one fast state decoupled by m_z = 0: a Hamiltonian
+    whose Newton step factors a folded band.  Returns it with a smooth value
+    vector v on the product, as a Newton iterate of smooth data looks."""
+    rng = np.random.default_rng(seed)
+    s = unit_grid(n_slow, "slow")
+    x = s.coords[:, 0]
+    m = rng.uniform(0.5, 1.5, n_fast)
+    if n_fast > 1:
+        m[seed % n_fast] = 0.0
+    coupling = SlowFastCoupling(
+        slow=upwind_quadratic(s, 0.4 * np.sin(2.0 * np.pi * x)),
+        fast_rate_matrix=random_rate_matrix(rng, n_fast), multipliers=tuple(m),
+    )
+    fast = FiniteSpace(coords=np.arange(float(n_fast)), name="fast")
+    H = slowfast_hamiltonian(make_product_sequence(s, fast, n_members=3), 4.0, coupling)
+    v = np.repeat(0.3 * np.cos(2.0 * np.pi * x), n_fast)
+    return H, v + rng.uniform(-0.01, 0.01, v.shape[0])
 
 
 def reduce_records(records) -> dict:

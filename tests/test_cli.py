@@ -10,7 +10,9 @@ import pytest
 import yaml
 
 from conftest import src_env
+from hjlab import resolvent
 from hjlab.cli import main, run_command
+from oracles import newton_reference
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 BENCH_EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
@@ -200,6 +202,17 @@ def test_a_multiplier_per_fast_state_is_a_config_requirement(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_slow_grid_too_small_for_the_compact_levels_is_a_config_error(tmp_path, capsys):
+    # two slow points leave the central half of the slow grid empty
+    payload = yaml.safe_load((CONFIGS / "slowfast.yaml").read_text())
+    payload["converge"]["slow_space"]["resolution"] = 2
+    out = tmp_path / "out"
+    assert main(["converge", "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: bad slow-fast product: empty compact member set\n"
+    assert not out.exists()
+
+
 def assert_identical_outputs(out1, out2):
     r1 = (Path(out1) / "report.json").read_bytes()
     r2 = (Path(out2) / "report.json").read_bytes()
@@ -370,6 +383,22 @@ def test_controls_reproduce_the_benchmark_separation(tmp_path, stem, code):
     cell = {c["name"]: c for c in read_report(out)["cells"]}[cell_name]
     want = recorded[f"{stem}.{cell_name}.{key}"]
     assert abs(cell["details"][key] - want) <= 1e-8
+
+
+@pytest.mark.parametrize("slow_points", [16, BENCH_SLOW_POINTS])
+def test_slowfast_band_newton_writes_the_superlu_bytes(tmp_path, monkeypatch, slow_points):
+    # the shipped grid and the benchmark's: the folded band LU rounds
+    # differently from SuperLU, but not by enough to move a report byte
+    cfg = yaml.safe_load((CONFIGS / "slowfast.yaml").read_text())
+    cfg["converge"]["slow_space"]["resolution"] = slow_points
+    path = write_cfg(tmp_path, cfg)
+    band, superlu = str(tmp_path / "band"), str(tmp_path / "superlu")
+    assert main(["converge", "--config", path, "--out", band]) == 0
+    with monkeypatch.context() as m:
+        m.setattr(resolvent, "_damped_newton", newton_reference.damped_newton)
+        assert main(["converge", "--config", path, "--out", superlu]) == 0
+    assert [p.name for p in (Path(band) / "tables").glob("*.csv")] == ["slowfast_oscillation.csv"]
+    assert_identical_outputs(band, superlu)
 
 
 # the seeded report floats the benchmark gates (1e-9 and 1e-8 absolute)

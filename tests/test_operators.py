@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chain, unit_grid
+from conftest import banded_product, chain, unit_grid
 from oracles import dissipativity_reference, howard_reference, jacobian_reference
 from hjlab import (
     ExtFn,
@@ -970,6 +970,64 @@ def test_slowfast_newton_solve_matches_the_reference_jacobian_bit_for_bit():
     assert diag.method == diag_ref.method == "newton"
     assert diag.iterations == diag_ref.iterations > 0
     assert np.array_equal(f, f_ref)
+
+
+BAND_GRIDS = [(n_slow, n_fast) for n_slow in (3, 4, 5, 16, 384) for n_fast in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("n_slow, n_fast", BAND_GRIDS)
+@pytest.mark.parametrize("lam", [0.25, 1.0])
+def test_folded_band_newton_step_agrees_with_a_dense_solve(n_slow, n_fast, lam):
+    # on 3 to 5 slow points the band covers all or most of the matrix
+    H, v = banded_product(n_slow, n_fast, n_slow + n_fast)
+    pattern = H.jacobian_pattern
+    values = H.jacobian(v)
+    J = jacobian_reference.on_pattern(pattern, values).toarray()
+    rhs = np.random.default_rng(n_slow).uniform(-1.0, 1.0, H.space.size)
+    kept = rhs.copy()
+    got = pattern.newton_step(values, lam, rhs)
+    want = np.linalg.solve(np.eye(H.space.size) - lam * J, rhs)
+    assert np.array_equal(rhs, kept)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n_slow, n_fast", BAND_GRIDS)
+def test_band_layouts_fold_the_periodic_product_into_a_read_only_band(n_slow, n_fast):
+    H, _ = banded_product(n_slow, n_fast, 0)
+    band = H.jacobian_pattern.band
+    n = H.space.size
+    # each slow point keeps its block of fast states, in the folded slow
+    # order 0, s - 1, 1, s - 2, ...
+    fold = [x for pair in zip(range(n_slow), range(n_slow - 1, -1, -1)) for x in pair][:n_slow]
+    blocks = np.add.outer(np.array(fold) * n_fast, np.arange(n_fast))
+    assert np.array_equal(band.order, blocks.ravel())
+    # the periodic neighbours sit at most two folded slow points apart
+    assert band.kl == band.ku == min(2 * n_fast, n - 1)
+    assert band.slots.shape == H.jacobian_pattern.indices.shape
+    assert not any(a.flags.writeable for a in (band.order, band.slots))
+
+
+def test_only_the_upwind_scheme_and_its_products_carry_a_band():
+    s = unit_grid(16)
+    b = drift_sin(s, 0.4)
+    upwind, centered = upwind_quadratic(s, b), centered_quadratic(s, b)
+    tilt = tilt_linear(random_rate_matrix(np.random.default_rng(2), 16), s)
+    assert upwind.jacobian_pattern.band is not None
+    # the centered scheme's Newton step stays with SuperLU (ROADMAP item 2)
+    assert centered.jacobian_pattern.band is None
+    assert product_hamiltonian(upwind, 3, 2.0, 0).jacobian_pattern.band is not None
+    assert product_hamiltonian(centered, 3, 2.0, 0).jacobian_pattern.band is None
+    assert product_hamiltonian(tilt, 3, 2.0, 0).jacobian_pattern.band is None
+
+
+def test_a_singular_band_newton_matrix_gives_a_nan_step():
+    # J = I / lam makes I - lam * J the zero matrix; spsolve returns NaN for
+    # a singular matrix too, and the line search rejects that step
+    H = upwind_quadratic(unit_grid(8), np.zeros(8))
+    pattern = H.jacobian_pattern
+    values = np.zeros(pattern.indices.shape[0])
+    values[pattern.diag] = 4.0
+    assert np.isnan(pattern.newton_step(values, 0.25, np.ones(8))).all()
 
 
 def test_slowfast_rejects_nonpositive_coupling_and_bad_multipliers():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import chain, unit_grid
+from conftest import banded_product, chain, unit_grid
 from hjlab import (
     Fn,
     FnSequence,
@@ -138,6 +138,18 @@ def test_centered_newton_solve_equals_the_earlier_step_bit_for_bit():
     f_ref, its_ref, res_ref = newton_reference.damped_newton(H, 0.25, h, h, 1e-10)
     assert its == its_ref > 1 and res == res_ref
     assert np.array_equal(f, f_ref)
+
+
+@pytest.mark.parametrize("n_slow", [3, 4, 5, 16, 384])
+@pytest.mark.parametrize("n_fast", [1, 2, 3])
+def test_banded_newton_solve_follows_the_superlu_step(n_slow, n_fast):
+    # the folded band LU and SuperLU round differently, but on the slow-fast
+    # product their Newton iterates stay within an ulp of each other
+    H, h = banded_product(n_slow, n_fast, n_slow + n_fast)
+    f, its, res = resolvent._damped_newton(H, 1.0, h, h, 1e-10)
+    f_ref, its_ref, res_ref = newton_reference.damped_newton(H, 1.0, h, h, 1e-10)
+    assert its == its_ref > 0 and res <= 1e-10
+    assert np.abs(f - f_ref).max() <= 1e-15
 
 
 def test_solve_rejects_bad_lambda_and_wrong_space():
