@@ -2,18 +2,20 @@
 
 A sequence of operators H_n over a converging sequence of spaces has three
 graded notions of limit, each realized as an executable check over witness
-sequences:
+pairs (f_n, g_n) with g_n = H_n f_n, which the caller forms:
 
   check_ex_lim      both components of a limit pair are two-sided limits of
-                    member pairs (f_n, g_n) with g_n = H_n f_n;
+                    the member pairs;
   check_ex_sublim   the one-sided version a dagger limit pair must satisfy:
                     truncated limits of f_n, a uniform upper bound on g_n,
                     and limsup g_n(z_n) <= g(y) along every tracked sequence
                     whose f-values converge to f(gamma(y));
   check_ex_superlim the mirror image for ddagger pairs.
 
-The one-sided checks make one array pass per compact level and report the
-tail inequality as per-level aggregates, never one record per tracked point.
+The checks read sequences only, and every tolerance applies from the
+sequence's burn-in index SpaceSequence.n0 on.  The one-sided checks make one
+array pass per compact level and report the tail inequality as per-level
+aggregates, never one record per tracked point.
 
 First components are tracked toward limit points; second components are
 tracked through the sequence's enlarged embeddings toward points y of its
@@ -26,10 +28,13 @@ envelopes coincide (comparison holds in the limit) the member solutions
 converge to the limit resolvent, with no compactness or regularity input
 beyond the tracked compact families.  The envelopes and the equi-continuity
 fit read solution sequences and solve nothing.  `resolvent_convergence_experiment`
-runs the whole chain: witness lifting and extended-limit checks, then one
-solve_all call per member family and one for the limit family, whose
-solutions the per-member viscosity checks, the equi-continuity fit, the
-envelopes and the direct comparison against the limit solve all read.
+runs the whole chain.  It lifts each distinct limit function (data probe or
+graph first component) once and applies each member operator to it once;
+those witness pairs feed the extended-limit checks and the member test
+graphs.  Then one solve_all call per member family and one for the limit
+family give the solutions that the per-member viscosity checks, the
+equi-continuity fit, the envelopes and the direct comparison against the
+limit solve all read.
 `slowfast_resolvent_experiment` exercises the averaging route where the fast
 variable is eliminated in the limit.
 """
@@ -41,12 +46,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PreconditionError, StructuralError
+from .errors import PreconditionError
 from .limits import (
     ConvergenceVerdict,
     Fn,
     FnSequence,
-    _burn_in,
     _envelope_excess,
     _gather,
     _lim_verdict,
@@ -57,9 +61,9 @@ from .limits import (
 )
 from .operators import (
     Hamiltonian,
+    OperatorGraph,
     SlowFastCoupling,
     averaged_slowfast_hamiltonian,
-    graph_from_hamiltonian,
     slowfast_hamiltonian,
 )
 from .resolvent import (
@@ -85,8 +89,6 @@ __all__ = [
     "slowfast_resolvent_experiment",
 ]
 
-# sup-norm deviation up to which a witness g_n counts as H_n f_n
-MEMBERSHIP_TOL = 1e-9
 # truncation levels c of the one-sided checks, evenly spaced over
 # [-2 ||f||, 2 ||f||]
 TRUNCATION_LEVELS = 5
@@ -114,25 +116,6 @@ class OperatorSequence:
             raise ValueError("need one member operator per member space")
 
 
-def _member_images(
-    op_seq: OperatorSequence, f_seq: FnSequence, g_seq: FnSequence | None
-) -> FnSequence:
-    """Validate (f_n, g_n) in H_n; when g_seq is None, construct g_n = H_n f_n."""
-    images = []
-    for n, H in enumerate(op_seq.members):
-        img = H(f_seq.members[n])
-        if g_seq is not None:
-            dev = float(np.abs(img.values - g_seq.members[n].values).max())
-            if dev > MEMBERSHIP_TOL:
-                raise StructuralError(
-                    f"witness pair {n} is not in the member operator: ||H f_n - g_n|| = {dev:.3g}"
-                )
-            images.append(g_seq.members[n])
-        else:
-            images.append(img)
-    return FnSequence(f_seq.spaces, tuple(images))
-
-
 @dataclass(frozen=True)
 class ExLimReport:
     passed: bool
@@ -141,24 +124,15 @@ class ExLimReport:
 
 
 def check_ex_lim(
-    op_seq: OperatorSequence,
-    limit_pair: tuple,
-    f_seq: FnSequence,
-    g_seq: FnSequence | None,
-    tol: float,
-    n0: int | None = None,
+    limit_pair: tuple, f_seq: FnSequence, g_seq: FnSequence, tol: float
 ) -> ExLimReport:
-    """Two-sided extended limit: LIM f_n = f and LIM g_n = g with
-    (f_n, g_n) in H_n (membership violations are structural errors).  The
-    second components are tracked through the enlarged embeddings toward
-    points of the enlarged limit."""
-    seq = op_seq.spaces
+    """Two-sided extended limit of the witness pairs (f_n, g_n = H_n f_n):
+    LIM f_n = f and LIM g_n = g.  The second components are tracked through
+    the enlarged embeddings toward points of the enlarged limit."""
+    seq = f_seq.spaces
     f_lim, g_lim = limit_pair
-    g_seq = _member_images(op_seq, f_seq, g_seq)
-    f_verdict = check_LIM(f_seq, f_lim, tol, n0=n0)
-    g_verdict = _lim_verdict(
-        g_seq, g_lim, tol, n0, seq.tracked_enlarged, seq.enlarged_limit_sets
-    )
+    f_verdict = check_LIM(f_seq, f_lim, tol)
+    g_verdict = _lim_verdict(g_seq, g_lim, tol, seq.tracked_enlarged, seq.enlarged_limit_sets)
     return ExLimReport(
         passed=f_verdict.passed and g_verdict.passed, f_verdict=f_verdict, g_verdict=g_verdict
     )
@@ -184,18 +158,11 @@ class WitnessBundle:
 
 
 def _check_ex_one_sided(
-    op_seq: OperatorSequence,
-    limit_pair: tuple,
-    f_seq: FnSequence,
-    g_seq: FnSequence | None,
-    tol: float,
-    n0: int | None,
-    sub: bool,
+    limit_pair: tuple, f_seq: FnSequence, g_seq: FnSequence, tol: float, sub: bool
 ) -> WitnessBundle:
-    seq = op_seq.spaces
-    n0 = _burn_in(seq, n0)
+    seq = f_seq.spaces
+    n0 = seq.n0
     f_lim, g_lim = limit_pair
-    g_seq = _member_images(op_seq, f_seq, g_seq)
     bound = float(max(f_lim.norm, 1e-12))
     c_grid = np.linspace(-2.0 * bound, 2.0 * bound, TRUNCATION_LEVELS)
     clip = np.minimum if sub else np.maximum
@@ -263,33 +230,24 @@ def _check_ex_one_sided(
 
 
 def check_ex_sublim(
-    op_seq: OperatorSequence,
-    limit_pair: tuple,
-    f_seq: FnSequence,
-    g_seq: FnSequence | None = None,
-    tol: float = 1e-6,
-    n0: int | None = None,
+    limit_pair: tuple, f_seq: FnSequence, g_seq: FnSequence, tol: float
 ) -> WitnessBundle:
-    """One-sided extended limit for dagger pairs: truncated limits of f_n,
-    uniform upper bound on g_n, and the tail inequality
+    """One-sided extended limit of the witness pairs (f_n, g_n = H_n f_n) for
+    a dagger pair: truncated limits of f_n, uniform upper bound on g_n, and
+    the tail inequality
     max_{n >= n0} g_n(z_n) <= g(y) + tol along every gated tracked sequence
     (gated = the f-values do converge to f(gamma(y))).  The bundle's
     per_level holds the inequality's aggregates per compact level, with the
     margin g(y) + tol - g_n(z_n) (see WitnessBundle)."""
-    return _check_ex_one_sided(op_seq, limit_pair, f_seq, g_seq, tol, n0, sub=True)
+    return _check_ex_one_sided(limit_pair, f_seq, g_seq, tol, sub=True)
 
 
 def check_ex_superlim(
-    op_seq: OperatorSequence,
-    limit_pair: tuple,
-    f_seq: FnSequence,
-    g_seq: FnSequence | None = None,
-    tol: float = 1e-6,
-    n0: int | None = None,
+    limit_pair: tuple, f_seq: FnSequence, g_seq: FnSequence, tol: float
 ) -> WitnessBundle:
     """Mirror of check_ex_sublim for ddagger pairs (truncation from below,
     uniform lower bound, liminf inequality)."""
-    return _check_ex_one_sided(op_seq, limit_pair, f_seq, g_seq, tol, n0, sub=False)
+    return _check_ex_one_sided(limit_pair, f_seq, g_seq, tol, sub=False)
 
 
 @dataclass(frozen=True)
@@ -371,9 +329,10 @@ def resolvent_convergence_experiment(
 
     Steps: (a) lift every probe h through the embeddings (norms never grow)
     and confirm LIM h_n = h; (b) run the one-sided extended-limit checks for
-    every limit graph pair, with witnesses lifted the same way; then solve
-    every member problem R_n(lambda) h_n and limit problem R(lambda) h once,
-    each family's in one solve_all call, for the steps that read them: (c)
+    every limit graph pair on the witness pairs (phi_n, H_n phi_n) of its
+    first component phi, lifted the same way; then solve every member
+    problem R_n(lambda) h_n and limit problem R(lambda) h once, each
+    family's in one solve_all call, for the steps that read them: (c)
     check each member solution is a viscosity sub- and supersolution for its
     own equation against the member test pairs; (d) fit the equi-continuity
     level; then per (h, lambda): envelopes, their separation, and the direct
@@ -392,10 +351,31 @@ def resolvent_convergence_experiment(
     )
     notes: list[str] = []
 
+    # [f, its lift f_n, its member images H_n f_n] per distinct limit function
+    # f, a data probe or a graph first component, told apart bit for bit as
+    # the lift copies bits; the images are formed when a step first reads them
+    formed: list = []
+
+    def entry_for(f: Fn) -> list:
+        for entry in formed:
+            if entry[0].space is f.space and entry[0].values.tobytes() == f.values.tobytes():
+                return entry
+        formed.append([f, lift_to_members(f, seq), None])
+        return formed[-1]
+
+    def witness(f: Fn) -> tuple:
+        """The witness pair sequences (f_n, H_n f_n) over the lift of f."""
+        entry = entry_for(f)
+        if entry[2] is None:
+            entry[2] = FnSequence(seq, tuple(
+                H(f_n) for H, f_n in zip(op_seq.members, entry[1].members)
+            ))
+        return entry[1], entry[2]
+
     lifting = []
     lifted: list[FnSequence] = []
     for k, h in enumerate(D):
-        h_seq = lift_to_members(h, seq)
+        h_seq = entry_for(h)[1]
         lifted.append(h_seq)
         norm_ok = all(m.norm <= h.norm + 1e-12 for m in h_seq.members)
         verdict = check_LIM(h_seq, h, tol_lim)
@@ -405,27 +385,14 @@ def resolvent_convergence_experiment(
     # witness tolerance covers scheme consistency error at member resolution,
     # a larger scale than the solution-convergence tolerance tol_lim
     witness_bundles = []
-    witness_fns: list[FnSequence] = []
-    if op_seq.limit_dagger is not None:
-        for j, (phi, psi) in enumerate(op_seq.limit_dagger.pairs):
+    for kind, graph, check in (("sub", op_seq.limit_dagger, check_ex_sublim),
+                               ("super", op_seq.limit_ddagger, check_ex_superlim)):
+        if graph is None or tol_witness is None:
+            continue
+        for j, (phi, psi) in enumerate(graph.pairs):
             phi_fn = Fn(seq.limit, phi.values)
-            f_seq = lift_to_members(phi_fn, seq)
-            witness_fns.append(f_seq)
-            if tol_witness is None:
-                continue
-            bundle = check_ex_sublim(
-                op_seq, (phi_fn, psi), f_seq, None, tol=tol_witness
-            )
-            witness_bundles.append({"pair": j, "kind": "sub", "passed": bundle.passed,
-                                    "bundle": bundle})
-    if op_seq.limit_ddagger is not None and tol_witness is not None:
-        for j, (phi, psi) in enumerate(op_seq.limit_ddagger.pairs):
-            phi_fn = Fn(seq.limit, phi.values)
-            f_seq = lift_to_members(phi_fn, seq)
-            bundle = check_ex_superlim(
-                op_seq, (phi_fn, psi), f_seq, None, tol=tol_witness
-            )
-            witness_bundles.append({"pair": j, "kind": "super", "passed": bundle.passed,
+            bundle = check((phi_fn, psi), *witness(phi_fn), tol=tol_witness)
+            witness_bundles.append({"pair": j, "kind": kind, "passed": bundle.passed,
                                     "bundle": bundle})
 
     # U[(k, lam)] is the solution sequence R_n(lam) h_n of probe k, and
@@ -445,10 +412,17 @@ def resolvent_convergence_experiment(
             [(lam, D[k]) for k, lam in problems]
         )))
 
+    # the member test pairs: the witness pairs over the dagger graph's first
+    # components, or over the data probes when there are none
     member_viscosity = []
-    probe_seqs = witness_fns if witness_fns else lifted
+    graph_fns = [] if op_seq.limit_dagger is None else [
+        Fn(seq.limit, phi.values) for phi, _ in op_seq.limit_dagger.pairs
+    ]
+    test_pairs = [witness(f) for f in graph_fns or D]
     for n, H in enumerate(op_seq.members):
-        dagger = graph_from_hamiltonian(H, [fs.members[n] for fs in probe_seqs], kind="dagger")
+        dagger = OperatorGraph(
+            H.space, tuple((f.members[n], g.members[n]) for f, g in test_pairs), kind="dagger"
+        )
         ddagger = replace(dagger, kind="ddagger")
         for k, lam in problems:
             u_n, h_n = U[(k, lam)].members[n], lifted[k].members[n]

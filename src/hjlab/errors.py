@@ -1,9 +1,9 @@
 """Shared exception types.
 
 Precondition failures (caller handed in data that violates a documented
-assumption) are distinguished from structural failures (claimed memberships
-or identities that do not hold) and solver failures (iteration did not reach
-the residual target).  Quantitative check failures are never exceptions;
+assumption) are distinguished from structural failures (a claimed structure
+that does not hold, such as a clean stationary law) and solver failures
+(iteration did not reach the residual target).  Quantitative check failures are never exceptions;
 they come back as report objects with passed=False.
 """
 

@@ -4,7 +4,8 @@ A function sequence {f_n} converges to f (written LIM f_n = f) when the norms
 stay bounded and f_n(x_n) -> f(x) along every tracked convergent sequence
 x_n in K_n^q, for every compact level q.  Tracked sequences are the
 nearest-point liftings of the limit points, one row of the sequence's index
-matrix each; tolerances apply from the burn-in index on.
+matrix each; tolerances apply from the sequence's burn-in index
+SpaceSequence.n0 on.
 
 The one-sided envelopes LIMSUP and LIMINF replace the limit along each
 tracked sequence by the tail maximum or minimum.
@@ -123,28 +124,16 @@ def _gather(fs: FnSequence, idx: np.ndarray, n0: int = 0) -> np.ndarray:
     return np.stack([fs.members[n].values[idx[:, n]] for n in range(n0, len(fs.members))])
 
 
-def _burn_in(seq: SpaceSequence, n0: int | None) -> int:
-    """The burn-in index to use: seq.n0 when n0 is None, else n0, which must
-    name a member (0 <= n0 < n_members)."""
-    n0 = seq.n0 if n0 is None else n0
-    if not 0 <= n0 < seq.n_members:
-        raise PreconditionError(
-            f"burn-in index n0={n0} outside [0, {seq.n_members}) members"
-        )
-    return n0
-
-
 def _lim_verdict(
     fs: FnSequence,
     f: Fn,
     tol: float,
-    n0: int | None,
     tracked: Callable[..., np.ndarray],
     limit_sets: Sequence[np.ndarray],
 ) -> ConvergenceVerdict:
     """LIM f_n = f along the tracked(q) index matrices, whose rows converge to
     the points limit_sets[qi] of the space f lives on."""
-    n0 = _burn_in(fs.spaces, n0)
+    n0 = fs.spaces.n0
     per_level: dict = {}
     passed = True
     notes: list[str] = []
@@ -175,16 +164,16 @@ def _lim_verdict(
     )
 
 
-def check_LIM(fs: FnSequence, f: Fn, tol: float, n0: int | None = None) -> ConvergenceVerdict:
-    """Verdict on LIM f_n = f at the given tolerance and burn-in index."""
-    return _lim_verdict(fs, f, tol, n0, fs.spaces.tracked, fs.spaces.compacts.limit_sets)
+def check_LIM(fs: FnSequence, f: Fn, tol: float) -> ConvergenceVerdict:
+    """Verdict on LIM f_n = f at the given tolerance, from the sequence's
+    burn-in index on."""
+    return _lim_verdict(fs, f, tol, fs.spaces.tracked, fs.spaces.compacts.limit_sets)
 
 
-def _envelope(fs: FnSequence, n0: int | None, upper: bool) -> ExtFn:
-    n0 = _burn_in(fs.spaces, n0)
+def _envelope(fs: FnSequence, upper: bool) -> ExtFn:
     out = np.full(fs.spaces.limit.size, -np.inf if upper else np.inf)
     for qi, q in enumerate(fs.spaces.compacts.labels):
-        tail = _gather(fs, fs.spaces.tracked(q))[n0:]
+        tail = _gather(fs, fs.spaces.tracked(q), fs.spaces.n0)
         if upper:
             np.maximum.at(out, fs.spaces.compacts.limit_sets[qi], tail.max(axis=0))
         else:
@@ -192,15 +181,16 @@ def _envelope(fs: FnSequence, n0: int | None, upper: bool) -> ExtFn:
     return ExtFn(fs.spaces.limit, out)
 
 
-def compute_LIMSUP(fs: FnSequence, n0: int | None = None) -> ExtFn:
-    """Upper envelope: tail max of f_n along every tracked sequence, sup over levels.
-    Limit points not reached by any tracked sequence come back as -inf."""
-    return _envelope(fs, n0, upper=True)
+def compute_LIMSUP(fs: FnSequence) -> ExtFn:
+    """Upper envelope: tail max of f_n (from the burn-in index on) along every
+    tracked sequence, sup over levels.  Limit points not reached by any
+    tracked sequence come back as -inf."""
+    return _envelope(fs, upper=True)
 
 
-def compute_LIMINF(fs: FnSequence, n0: int | None = None) -> ExtFn:
+def compute_LIMINF(fs: FnSequence) -> ExtFn:
     """Lower envelope, mirror of compute_LIMSUP; unreached points are +inf."""
-    return _envelope(fs, n0, upper=False)
+    return _envelope(fs, upper=False)
 
 
 def _envelope_excess(upper: ExtFn, lower: ExtFn, f: Fn, seq: SpaceSequence) -> list[tuple]:

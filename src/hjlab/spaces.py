@@ -174,8 +174,9 @@ class SpaceSequence:
     """Members X_1..X_N embedded alongside a limit space X, with a compact family.
 
     n0 is the burn-in index: quantitative convergence checks apply to members
-    n >= n0 only.  Tracked sequences (nearest-point liftings of limit points,
-    level by level) are the probes for all limit computations.
+    n >= n0 only; every limit check reads it from here.  Tracked sequences
+    (nearest-point liftings of limit points, level by level) are the probes
+    for all limit computations.
 
     The enlarged picture of two-scale problems: an enlarged limit Y with its
     own embedding eta_hat into R^{d_hat}, member coordinates in that ambient
@@ -183,7 +184,8 @@ class SpaceSequence:
     every Y point onto a limit point.  The square commutes exactly: the
     first limit.dim coordinates of eta_hat(y) are eta(gamma(y)).  Omitted,
     these fields take the trivial enlargement: Y = X, gamma = identity and
-    the member and limit embeddings and compact sets of the base picture.
+    the member and limit embeddings and compact sets of the base picture,
+    whose tracked index matrices it shares.
     """
 
     members: tuple
@@ -195,6 +197,7 @@ class SpaceSequence:
     member_enlarged_coords: tuple | None = None
     enlarged_limit_sets: tuple | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _trivial_enlargement: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.members) < 3:
@@ -221,6 +224,9 @@ class SpaceSequence:
         if sets is None:
             sets = self.compacts.limit_sets
         sets = tuple(np.asarray(s, dtype=int) for s in sets)
+        object.__setattr__(self, "_trivial_enlargement", self.enlarged_limit is None
+                           and self.member_enlarged_coords is None
+                           and self.enlarged_limit_sets is None)
         object.__setattr__(self, "enlarged_limit", enlarged)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "member_enlarged_coords", tuple(coords))
@@ -247,7 +253,9 @@ class SpaceSequence:
 
     def _tracked(self, q, enlarged: bool) -> np.ndarray:
         # one body for both pictures, so that neither public method calls the
-        # other (perfbench's tracer times each of them as its own span)
+        # other (perfbench's tracer times each of them as its own span); a
+        # trivial enlargement tracks as the base picture, under its key
+        enlarged = enlarged and not self._trivial_enlargement
         key = ("tracked_hat" if enlarged else "tracked", q)
         if key not in self._cache:
             qi = self.compacts.level(q)
@@ -344,14 +352,14 @@ def make_product_sequence(
     slow: FiniteSpace,
     fast: FiniteSpace,
     n_members: int = 7,
-    q_fractions: Sequence[float] = (0.5, 1.0),
 ) -> SpaceSequence:
     """Constant sequence of slow x fast product spaces.
 
     The base picture collapses the fast coordinate: members embed through the
     slow coordinates only and the limit space is the slow factor.  The
     enlarged limit is the product itself; gamma forgets the fast coordinate.
-    Compact levels pair a central slow subset with the whole fast space.
+    Compact levels pair a central slow subset (the central half, then the
+    whole slow factor) with the whole fast space.
     """
     if n_members < 3:
         raise ValueError("need at least 3 members")
@@ -367,9 +375,7 @@ def make_product_sequence(
 
     lo, hi = slow.coords[:, 0].min(), slow.coords[:, 0].max()
     member_sets, limit_sets, hat_sets = [], [], []
-    fractions = [float(w) for w in q_fractions]
-    if fractions[-1] != 1.0:
-        fractions = fractions + [1.0]
+    fractions = (0.5, 1.0)
     for w in fractions:
         slow_sub = _central_subset(slow.coords[:, 0], lo, hi, w)
         mask = np.isin(slow_of, slow_sub)
@@ -378,7 +384,7 @@ def make_product_sequence(
         limit_sets.append(slow_sub)
         hat_sets.append(prod_sub)
     compacts = CompactFamily(
-        labels=tuple(fractions), member_sets=tuple(member_sets), limit_sets=tuple(limit_sets)
+        labels=fractions, member_sets=tuple(member_sets), limit_sets=tuple(limit_sets)
     )
     return SpaceSequence(
         members=members,

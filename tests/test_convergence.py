@@ -1,6 +1,8 @@
 """Extended limits of operator sequences, envelope experiments on grid
 refinements, and slow-fast averaging."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,11 @@ from hjlab import (
     FiniteSpace,
     Fn,
     FnSequence,
+    Hamiltonian,
     OperatorSequence,
     PreconditionError,
     ResolventFamily,
     SlowFastCoupling,
-    StructuralError,
     barles_perthame_envelopes,
     centered_quadratic,
     check_LIM,
@@ -44,6 +46,11 @@ def grid_fixture(scheme, resolutions, amp):
     return seq, members, limit
 
 
+def images(members, f_seq):
+    """The member images H_n f_n that pair with f_seq into witnesses."""
+    return FnSequence(f_seq.spaces, tuple(H(f) for H, f in zip(members, f_seq.members)))
+
+
 def test_operator_sequence_needs_one_member_per_space():
     seq, members, limit = grid_fixture(upwind_quadratic, [16, 32, 64], 0.3)
     with pytest.raises(ValueError, match="one member operator per member space"):
@@ -52,47 +59,29 @@ def test_operator_sequence_needs_one_member_per_space():
 
 def test_ex_lim_accepts_consistent_witnesses():
     seq, members, limit = grid_fixture(upwind_quadratic, [16, 32, 64], 0.3)
-    op_seq = OperatorSequence(
-        spaces=seq, members=members, limit_hamiltonian=limit
-    )
     f_lim = trig_polynomial(seq.limit, [0.0, 0.2])
     g_lim = limit(f_lim)
     f_seq = lift_to_members(f_lim, seq)
-    # the coarsest member carries ~0.7 of scheme consistency error; burn it in
-    rep = check_ex_lim(op_seq, (f_lim, g_lim), f_seq, None, tol=0.5, n0=1)
+    g_seq = images(members, f_seq)
+    # the coarsest member carries ~0.7 of scheme consistency error: it fails
+    # from n0 = 0 and passes once the sequence burns it in
+    assert not check_ex_lim((f_lim, g_lim), f_seq, g_seq, tol=0.5).passed
+    late = replace(seq, n0=1)
+    rep = check_ex_lim(
+        (f_lim, g_lim), FnSequence(late, f_seq.members), FnSequence(late, g_seq.members), tol=0.5
+    )
     assert rep.passed
     assert rep.f_verdict.passed and rep.g_verdict.passed
-    # explicit member images pass the membership gate
-    g_seq = FnSequence(seq, tuple(H(f) for H, f in zip(members, f_seq.members)))
-    assert check_ex_lim(op_seq, (f_lim, g_lim), f_seq, g_seq, tol=0.5, n0=1).passed
-
-
-def test_ex_lim_rejects_pairs_outside_the_member_operator():
-    seq, members, limit = grid_fixture(upwind_quadratic, [16, 32, 64], 0.3)
-    op_seq = OperatorSequence(
-        spaces=seq, members=members, limit_hamiltonian=limit
-    )
-    f_lim = trig_polynomial(seq.limit, [0.0, 0.2])
-    f_seq = lift_to_members(f_lim, seq)
-    images = [H(f) for H, f in zip(members, f_seq.members)]
-    corrupted = images[1].values.copy()
-    corrupted[0] += 1e-3
-    g_seq = FnSequence(
-        seq, (images[0], Fn(images[1].space, corrupted), images[2])
-    )
-    with pytest.raises(StructuralError, match="witness pair 1 is not in the member"):
-        check_ex_lim(op_seq, (f_lim, limit(f_lim)), f_seq, g_seq, tol=0.5)
+    assert rep.f_verdict.n0 == rep.g_verdict.n0 == 1
 
 
 def test_one_sided_extended_limits_hold_for_the_upwind_refinement():
     seq, members, limit = grid_fixture(upwind_quadratic, [32, 64, 128], 0.5)
-    op_seq = OperatorSequence(
-        spaces=seq, members=members, limit_hamiltonian=limit
-    )
     phi = trig_polynomial(seq.limit, [0.0, 0.3])
     psi = limit(phi)
     f_seq = lift_to_members(phi, seq)
-    sub = check_ex_sublim(op_seq, (phi, psi), f_seq, tol=1.0)
+    g_seq = images(members, f_seq)
+    sub = check_ex_sublim((phi, psi), f_seq, g_seq, tol=1.0)
     assert sub.passed and sub.kind == "sub"
     assert len(sub.truncation) == 5
     assert all(t["passed"] for t in sub.truncation)
@@ -101,7 +90,7 @@ def test_one_sided_extended_limits_hold_for_the_upwind_refinement():
     assert gated and all(lv["worst_margin"] >= 0.0 and lv["failed"] == 0 for lv in gated)
     assert all((lv["per_member_margin"] >= 0.0).all() for lv in gated)
 
-    sup = check_ex_superlim(op_seq, (phi, psi), f_seq, tol=1.0)
+    sup = check_ex_superlim((phi, psi), f_seq, g_seq, tol=1.0)
     assert sup.passed and sup.kind == "super"
     assert sup.g_bound <= sub.g_bound
 
@@ -114,15 +103,15 @@ def test_one_sided_records_match_the_per_sequence_reference():
     )
     members = tuple(upwind_quadratic(m, drift(m, 0.5)) for m in seq.members)
     limit = upwind_quadratic(seq.limit, drift(seq.limit, 0.5))
-    op_seq = OperatorSequence(spaces=seq, members=members)
     phi = trig_polynomial(seq.limit, [0.0, 0.3], [0.2])
     psi = limit(phi)
     f_seq = lift_to_members(phi, seq)
+    g_seq = images(members, f_seq)
     f_values = [f.values.tolist() for f in f_seq.members]
-    g_values = [H(f).values.tolist() for H, f in zip(members, f_seq.members)]
+    g_values = [g.values.tolist() for g in g_seq.members]
     tol = 0.05
     for sub, check in ((True, check_ex_sublim), (False, check_ex_superlim)):
-        bundle = check(op_seq, (phi, psi), f_seq, tol=tol)
+        bundle = check((phi, psi), f_seq, g_seq, tol=tol)
         ref = limit_reference.one_sided_records(
             seq, f_values, g_values, phi.values.tolist(), psi.values.tolist(),
             tol, 1, sub,
@@ -140,19 +129,19 @@ def test_truncation_matches_check_LIM_on_truncated_copies():
     )
     members = tuple(upwind_quadratic(m, drift(m, 0.5)) for m in seq.members)
     limit = upwind_quadratic(seq.limit, drift(seq.limit, 0.5))
-    op_seq = OperatorSequence(spaces=seq, members=members)
     phi = trig_polynomial(seq.limit, [0.0, 0.3], [0.2])
     f_seq = lift_to_members(phi, seq)
+    g_seq = images(members, f_seq)
     for sub, check, clip in (
         (True, check_ex_sublim, np.minimum), (False, check_ex_superlim, np.maximum)
     ):
-        bundle = check(op_seq, (phi, limit(phi)), f_seq, tol=0.05)
+        bundle = check((phi, limit(phi)), f_seq, g_seq, tol=0.05)
         outcomes = set()
         for t in bundle.truncation:
             copies = FnSequence(
                 seq, tuple(Fn(f.space, clip(f.values, t["c"])) for f in f_seq.members)
             )
-            v = check_LIM(copies, Fn(seq.limit, clip(phi.values, t["c"])), 0.05, n0=1)
+            v = check_LIM(copies, Fn(seq.limit, clip(phi.values, t["c"])), 0.05)
             worst = max(r["worst_dev"] for r in v.per_level.values())
             assert (t["passed"], t["worst_dev"]) == (v.passed, worst)
             outcomes.add(v.passed)
@@ -265,23 +254,25 @@ def test_centered_scheme_separates_the_envelopes():
 
 def test_the_experiment_solves_each_family_once(monkeypatch):
     # one solve_all call per member family and one for the limit family,
-    # each a Howard stack, and one member graph per member
-    calls = {"solve_all": 0, "graphs": 0}
-    solve_all, graph = ResolventFamily.solve_all, convergence.graph_from_hamiltonian
+    # each a Howard stack, and one test graph per member, which every
+    # problem's subsolution check reads
+    calls = {"solve_all": 0}
+    graphs = []
+    solve_all, check_sub = ResolventFamily.solve_all, convergence.check_subsolution
 
     def counted_solve_all(self, problems):
         calls["solve_all"] += 1
         return solve_all(self, problems)
 
-    def counted_graph(*args, **kwargs):
-        calls["graphs"] += 1
-        return graph(*args, **kwargs)
+    def recorded_check_sub(u, graph, *args, **kwargs):
+        graphs.append(graph)
+        return check_sub(u, graph, *args, **kwargs)
 
     def one_row(*args, **kwargs):
         raise AssertionError("a problem was solved outside its family's stack")
 
     monkeypatch.setattr(ResolventFamily, "solve_all", counted_solve_all)
-    monkeypatch.setattr(convergence, "graph_from_hamiltonian", counted_graph)
+    monkeypatch.setattr(convergence, "check_subsolution", recorded_check_sub)
     monkeypatch.setattr(resolvent, "_solve", one_row)
     seq, op_seq = positive_op_seq()
     D = [trig_polynomial(seq.limit, [0.0, 0.2]), trig_polynomial(seq.limit, [0.1], [0.15])]
@@ -289,7 +280,35 @@ def test_the_experiment_solves_each_family_once(monkeypatch):
         op_seq, D, lambdas=(0.25,), tol_lim=0.05, tol_envelope=4.0 / 128,
     )
     assert rep.passed
-    assert calls == {"solve_all": seq.n_members + 1, "graphs": seq.n_members}
+    assert calls == {"solve_all": seq.n_members + 1}
+    assert len(graphs) == len(D) * seq.n_members
+    assert len({id(g) for g in graphs}) == seq.n_members
+
+
+@pytest.mark.parametrize("tol_witness", [None, 1.0])
+def test_the_experiment_forms_each_witness_pair_once(monkeypatch, tol_witness):
+    # the dagger and ddagger graphs share their two first components, so the
+    # witness checks and the member test graphs read one witness pair
+    # (phi_n, H_n phi_n) per component: 2 x 3 member applications, with or
+    # without the checks (forming the pairs per check took 18 with them)
+    seq, op_seq = positive_op_seq()
+    applied = []
+    call = Hamiltonian.__call__
+
+    def counted_call(self, f):
+        if any(self is H for H in op_seq.members):
+            applied.append(f)
+        return call(self, f)
+
+    monkeypatch.setattr(Hamiltonian, "__call__", counted_call)
+    D = [trig_polynomial(seq.limit, [0.0, 0.2]), trig_polynomial(seq.limit, [0.1], [0.15])]
+    rep = resolvent_convergence_experiment(
+        op_seq, D, lambdas=(0.25,), tol_lim=0.05, tol_envelope=4.0 / 128,
+        tol_witness=tol_witness,
+    )
+    assert rep.passed
+    assert len(rep.witness_bundles) == (0 if tol_witness is None else 4)
+    assert len(applied) == 2 * seq.n_members
 
 
 def test_experiment_rejects_unknown_expectations(monkeypatch):

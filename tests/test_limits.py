@@ -1,5 +1,7 @@
 """Function containers, LIM checks, and envelopes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,6 @@ from hjlab import (
     ExtFn,
     Fn,
     FnSequence,
-    Hamiltonian,
-    OperatorSequence,
     PreconditionError,
     SpaceSequence,
     check_LIM,
@@ -82,9 +82,8 @@ def test_check_lim_burn_in_ignores_early_members():
     lifted = lift_to_members(f, seq)
     # corrupt the first member only
     members = (Fn(seq.members[0], lifted.members[0].values + 5.0),) + lifted.members[1:]
-    fs = FnSequence(seq, members)
-    assert not check_LIM(fs, f, tol=0.5, n0=0).passed
-    assert check_LIM(fs, f, tol=0.5, n0=1).passed
+    assert not check_LIM(FnSequence(seq, members), f, tol=0.5).passed
+    assert check_LIM(FnSequence(replace(seq, n0=1), members), f, tol=0.5).passed
 
 
 def test_limsup_liminf_bracket_an_oscillating_sequence():
@@ -200,11 +199,11 @@ def test_member_major_core_matches_the_target_major_reference_bytewise(
     if product:
         seq = make_product_sequence(
             unit_grid(res[0], "slow"), unit_grid(3, "fast"), n_members=len(res),
-            q_fractions=(0.5,),
         )
     else:
         seq = make_grid_sequence((0.0, 1.0), sorted(res), q_widths=(0.4, 0.7), n0=0)
     n0 = min(n0, seq.n_members - 1)
+    seq = replace(seq, n0=n0)
     rng = np.random.default_rng(seed)
     levels = np.array([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0])
 
@@ -216,25 +215,21 @@ def test_member_major_core_matches_the_target_major_reference_bytewise(
     f = Fn(seq.limit, values(seq.limit))
     g = Fn(seq.enlarged_limit, values(seq.enlarged_limit))
 
-    assert _verdict_bytes(check_LIM(fs, f, tol, n0=n0)) == _verdict_bytes(
+    assert _verdict_bytes(check_LIM(fs, f, tol)) == _verdict_bytes(
         limit_core_reference._lim_verdict(fs, f, tol, n0, seq.tracked, seq.compacts.limit_sets)
     )
     # the enlarged second-component verdict of check_ex_lim
-    args = (gs, g, tol, n0, seq.tracked_enlarged, seq.enlarged_limit_sets)
-    assert _verdict_bytes(_lim_verdict(*args)) == _verdict_bytes(
-        limit_core_reference._lim_verdict(*args)
+    tracked = (seq.tracked_enlarged, seq.enlarged_limit_sets)
+    assert _verdict_bytes(_lim_verdict(gs, g, tol, *tracked)) == _verdict_bytes(
+        limit_core_reference._lim_verdict(gs, g, tol, n0, *tracked)
     )
     for upper, compute in ((True, compute_LIMSUP), (False, compute_LIMINF)):
         want = limit_core_reference._envelope(fs, n0, upper)
-        assert compute(fs, n0=n0).values.tobytes() == want.values.tobytes()
+        assert compute(fs).values.tobytes() == want.values.tobytes()
 
     f_lim = Fn(seq.limit, values(seq.limit))
-    # member operators that map everything to g_n make (f_n, g_n) witnesses
-    op_seq = OperatorSequence(spaces=seq, members=tuple(
-        Hamiltonian(m, lambda v, g_n=g_n: g_n.values) for m, g_n in zip(seq.members, gs.members)
-    ))
     check = check_ex_sublim if sub else check_ex_superlim
-    bundle = check(op_seq, (f_lim, g), fs, gs, tol=tol, n0=n0)
+    bundle = check((f_lim, g), fs, gs, tol=tol)
     want_records, want_ok = limit_core_reference.sequence_records(
         seq, fs, gs, f_lim, g, tol, n0, sub
     )
@@ -266,8 +261,9 @@ def _member_margins(seq, gs, g, tol, n0, sub, records):
 
 
 def test_burn_in_index_must_name_a_member():
-    # only the last of three members matches f, so n0 = 2 passes and n0 = 0
-    # fails; n0 = -1 would count from the end and n0 = 3 leaves no tail
+    # only the last of three members matches f, so the sequence with n0 = 2
+    # passes and the one with n0 = 0 fails; n0 = -1 would count from the end
+    # and n0 = 3 leaves no tail, and the sequence refuses both
     seq = make_grid_sequence((0.0, 1.0), [8, 16, 32], n0=0)
     f = trig_polynomial(seq.limit, [0.0, 1.0])
     lifted = lift_to_members(f, seq)
@@ -275,13 +271,10 @@ def test_burn_in_index_must_name_a_member():
         Fn(m, v.values + (5.0 if n < 2 else 0.0))
         for n, (m, v) in enumerate(zip(seq.members, lifted.members))
     )
-    fs = FnSequence(seq, members)
-    assert check_LIM(fs, f, tol=0.5, n0=2).passed
-    assert not check_LIM(fs, f, tol=0.5, n0=0).passed
+    late = FnSequence(replace(seq, n0=2), members)
+    assert check_LIM(late, f, tol=0.5).passed
+    assert not check_LIM(FnSequence(seq, members), f, tol=0.5).passed
+    assert np.array_equal(compute_LIMSUP(late).values, compute_LIMINF(late).values)
     for n0 in (-1, 3):
-        with pytest.raises(PreconditionError, match="burn-in"):
-            check_LIM(fs, f, tol=0.5, n0=n0)
-        with pytest.raises(PreconditionError, match="burn-in"):
-            compute_LIMSUP(fs, n0=n0)
-        with pytest.raises(PreconditionError, match="burn-in"):
-            compute_LIMINF(fs, n0=n0)
+        with pytest.raises(ValueError, match="n0 out of range"):
+            replace(seq, n0=n0)

@@ -249,6 +249,13 @@ def test_trivial_enlargement_tracks_as_the_base_picture():
     seq = make_grid_sequence((0.0, 1.0), [8, 16, 32], q_widths=(0.25, 0.5))
     for q in seq.compacts.labels:
         assert np.array_equal(seq.tracked_enlarged(q), seq.tracked(q))
+        # one index matrix serves both pictures
+        assert seq.tracked_enlarged(q) is seq.tracked(q)
+    # a real enlargement tracks its own points
+    product = make_product_sequence(unit_grid(4, "slow"), unit_grid(3, "fast"), n_members=3)
+    for q in product.compacts.labels:
+        assert product.tracked_enlarged(q) is not product.tracked(q)
+        assert product.tracked_enlarged(q).shape != product.tracked(q).shape
 
 
 def test_gamma_must_map_into_the_limit_space():
