@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 
@@ -220,7 +221,8 @@ def _cells_converge_grid(section: dict, seed: int):
     )
     D = cfg.build_probes(section["probes"], seq.limit, _rng(seed, SEED_TAG_PROBES))
     dagger = graph_from_hamiltonian(H_lim, D, kind="dagger")
-    ddagger = graph_from_hamiltonian(H_lim, D, kind="ddagger")
+    # the same pairs (phi, H phi), H applied once per probe
+    ddagger = replace(dagger, kind="ddagger")
     op_seq = OperatorSequence(
         spaces=seq, members=members, limit_hamiltonian=H_lim,
         limit_dagger=dagger, limit_ddagger=ddagger,

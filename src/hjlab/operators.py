@@ -77,13 +77,13 @@ class Hamiltonian:
 
     jacobian, when set, maps values v to the Jacobian of apply_values at v:
     a dense ndarray when jacobian_pattern is None, and otherwise the 1-D
-    array of its values on the declared pattern jacobian_pattern (a
-    JacobianPattern), one value per slot of its CSC layout, 0.0 on a diagonal
-    slot where J stores nothing.  The pattern is the same at every v; only
-    the values change with v.  The damped Newton step relies on this: each
-    step hands the values to jacobian_pattern.newton_step, which writes
-    I - lam * J on that layout and solves with it.  Only the constructors in
-    this module declare a pattern.
+    array of J's entries that jacobian_pattern (a JacobianPattern) declares,
+    one value per declared entry, in its order; repeated entries are summed.
+    The entries are the same at every v; only their values change with v.
+    The damped Newton step relies on this: each step hands the values to
+    jacobian_pattern.newton_step, which writes I - lam * J on the layout the
+    pattern derives at its first step and solves with it.  Only the
+    constructors in this module declare a pattern.
 
     custom_solver, when set, inverts f - lam * Hf = h better than generic
     Newton can, for a stack of k problems at once: (lam, h, f0, tol) with lam
@@ -362,149 +362,130 @@ def _grid_spacing(space: FiniteSpace) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class _FoldedBand:
-    """The band layout of a JacobianPattern whose matrix is periodic-banded
-    in a slow index of n / block values, each slow value owning a block of
-    consecutive states.  order lists the state at each folded position: the
-    slow index taken from both ends, 0, s - 1, 1, s - 2, ..., each with its
-    block in place, so the periodic neighbours 0 and s - 1 sit side by side
-    and the folded matrix is a plain band with kl sub- and ku
-    superdiagonals, without wrap-around corners.  slots holds each CSC slot's
-    index in the flattened (n, 2 kl + ku + 1) array whose transpose is LAPACK
-    gbsv's band storage.  order and slots (int32, as the pattern's indices)
-    are read-only."""
-
-    order: np.ndarray
-    kl: int
-    ku: int
-    slots: np.ndarray
-
-
-def _fold_band(pattern: JacobianPattern, block: int) -> JacobianPattern:
-    """pattern with the _FoldedBand layout of its slow index in blocks of
-    block states."""
-    n = pattern.indptr.shape[0] - 1
-    s = n // block
-    fold = np.empty(s, dtype=np.intp)
-    fold[0::2] = np.arange((s + 1) // 2)
-    fold[1::2] = np.arange(s - 1, (s - 1) // 2, -1)
-    order = (fold[:, None] * block + np.arange(block)).ravel()
-    position = np.empty(n, dtype=np.intp)
-    position[order] = np.arange(n)
-    rows = position[pattern.indices]
-    cols = position[np.repeat(np.arange(n), np.diff(pattern.indptr))]
-    kl = int((rows - cols).max())  # the diagonal is in the pattern: both >= 0
-    ku = int((cols - rows).max())
-    # entry (i, j) of the folded matrix is band[j, kl + ku + i - j]
-    slots = (cols * (2 * kl + ku + 1) + (kl + ku + rows - cols)).astype(np.int32)
-    order = order.astype(np.int32)
-    order.flags.writeable = slots.flags.writeable = False
-    return replace(pattern, band=_FoldedBand(order, kl, ku, slots))
-
-
-@dataclass(frozen=True, eq=False)
 class JacobianPattern:
-    """The declared Newton layout of an n x n sparse Jacobian J: the CSC
-    pattern of J's stored entries together with the diagonal, each entry
-    once.  indptr (int32) delimits each column, indices (int32) lists its
-    rows, sorted and unique, and diag holds the slot of each diagonal entry,
-    row by row; all three are read-only.  A Hamiltonian that declares it
-    returns from jacobian(v) one value per slot, 0.0 where J stores nothing.
-    band, when set, is the _FoldedBand layout that newton_step factors.
+    """The declared entries of an n x n sparse Jacobian J: entry k sits at
+    (rows[k], cols[k]), and rows and cols are read-only int32 arrays.  A
+    Hamiltonian that declares it returns from jacobian(v) one value per
+    entry, in this order; repeated entries are summed.  fold is the block
+    size of the folded band that newton_step factors: 1 for the upwind
+    scheme, n_fast for a slow-fast product over it, None for SuperLU.
 
-    A pattern is compared by identity: Hamiltonians that share the object (a
-    scaled copy, the members of a slow-fast sweep) share the layout.
+    The layout newton_step needs is derived from the entries on its first
+    call and kept on the pattern (_band or _csc), so a Hamiltonian that
+    never takes a Newton step never builds one.  A pattern is compared by
+    identity: Hamiltonians that share the object (a scaled copy, the members
+    of a slow-fast sweep) share the layout.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    diag: np.ndarray
-    band: _FoldedBand | None = None
+    n: int
+    rows: np.ndarray
+    cols: np.ndarray
+    fold: int | None = None
+
+    @cached_property
+    def _band(self) -> tuple:
+        """(order, kl, ku, slots): order lists the state at each folded
+        position, the slow index of n / fold values taken from both ends,
+        0, s - 1, 1, s - 2, ..., each with its block of fold states in
+        place, so the periodic neighbours 0 and s - 1 sit side by side and
+        the folded matrix is a plain band with kl sub- and ku
+        superdiagonals, without wrap-around corners.  slots holds each
+        entry's index in the flattened (n, 2 kl + ku + 1) array whose
+        transpose is LAPACK gbsv's band storage."""
+        n, block = self.n, self.fold
+        s = n // block
+        fold = np.empty(s, dtype=np.intp)
+        fold[0::2] = np.arange((s + 1) // 2)
+        fold[1::2] = np.arange(s - 1, (s - 1) // 2, -1)
+        order = (fold[:, None] * block + np.arange(block)).ravel()
+        position = np.empty(n, dtype=np.intp)
+        position[order] = np.arange(n)
+        rows, cols = position[self.rows], position[self.cols]
+        # floored at 0: a stencil without diagonal entries still has a
+        # diagonal in I - lam * J
+        kl = max(int((rows - cols).max()), 0)
+        ku = max(int((cols - rows).max()), 0)
+        # entry (i, j) of the folded matrix is band[j, kl + ku + i - j]
+        slots = (cols * (2 * kl + ku + 1) + (kl + ku + rows - cols)).astype(np.int32)
+        order = order.astype(np.int32)
+        order.flags.writeable = slots.flags.writeable = False
+        return order, kl, ku, slots
+
+    @cached_property
+    def _csc(self) -> tuple:
+        """(indptr, indices, slots, diag): the canonical CSC pattern of the
+        entries together with the diagonal, each position once, with each
+        entry's slot in it and the slot of each diagonal position, row by
+        row."""
+        n = self.n
+        diag = np.arange(n, dtype=np.int64)
+        # columns as the major index: the CSC pattern
+        keys, slot = np.unique(
+            np.concatenate((self.cols, diag)).astype(np.int64) * n
+            + np.concatenate((self.rows, diag)),
+            return_inverse=True,
+        )
+        indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(np.int32)
+        indices = (keys % n).astype(np.int32)
+        m = self.rows.shape[0]
+        return indptr, indices, slot[:m], slot[m:]
 
     def newton_matrix(self, values: np.ndarray, lam: float) -> sp.csc_matrix:
-        """I - lam * J for the J with these values, as the csc_matrix that
-        newton_step hands SuperLU when the pattern has no band layout.
+        """I - lam * J for the J with these entry values, as the csc_matrix
+        that newton_step hands SuperLU when the pattern has no fold.
 
         It equals sp.eye(n, format="csc") - lam * J.tocsc() in data, indices
-        and indptr: a slot holds 0 - lam * J_ij, plus 1 on the diagonal, and
-        1 + (0 - x) == 1 - x in IEEE arithmetic; exact zeros are dropped, as
-        sparse subtraction drops them.  The same matrix means the same SuperLU
-        ordering and the same Newton step, bit for bit.
+        and indptr: a slot holds 0 - lam * (the sum of its entries), plus 1
+        on the diagonal, and 1 + (0 - x) == 1 - x in IEEE arithmetic; exact
+        zeros are dropped, as sparse subtraction drops them.  The same matrix
+        means the same SuperLU ordering and the same Newton step, bit for
+        bit.
         """
-        n = self.indptr.shape[0] - 1
-        data = 0.0 - lam * values
-        data[self.diag] += 1.0
-        indices, indptr = self.indices, self.indptr
+        indptr, indices, slots, diag = self._csc
+        # bincount sums repeated entries in entry order
+        data = 0.0 - lam * np.bincount(slots, weights=values, minlength=indices.shape[0])
+        data[diag] += 1.0
         kept = data != 0.0
         if not kept.all():
             data, indices = data[kept], indices[kept]
             indptr = np.concatenate(([0], np.cumsum(kept)))[indptr].astype(np.intc)
-        return sp.csc_matrix((data, indices, indptr), shape=(n, n))
+        return sp.csc_matrix((data, indices, indptr), shape=(self.n, self.n))
 
     def newton_step(self, values: np.ndarray, lam: float, rhs: np.ndarray) -> np.ndarray:
-        """The solution x of (I - lam * J) x = rhs for the J with these
-        values: the damped Newton step.  With a band layout, the slots of
-        I - lam * J (the values newton_matrix writes) go into a fresh band
+        """The solution x of (I - lam * J) x = rhs for the J with these entry
+        values: the damped Newton step.  With a fold, the entries of
+        I - lam * J (each band entry 0 - lam * the sum of its entries, plus 1
+        on the diagonal, as newton_matrix writes them) go into a fresh band
         array in folded order, and LAPACK gbsv factors and solves it in one
         call; a singular matrix gives a NaN step, as spsolve does, and the
         line search rejects it.  Without one, SuperLU (spsolve) solves
         newton_matrix(values, lam)."""
-        band = self.band
-        if band is None:
+        if self.fold is None:
             return spla.spsolve(self.newton_matrix(values, lam), rhs)
-        n = band.order.shape[0]
-        width = 2 * band.kl + band.ku + 1
-        data = 0.0 - lam * values
-        data[self.diag] += 1.0
-        ab = np.zeros(n * width)
-        ab[band.slots] = data
+        order, kl, ku, slots = self._band
+        n = self.n
+        width = 2 * kl + ku + 1
+        ab = 0.0 - lam * np.bincount(slots, weights=values, minlength=n * width)
+        ab = ab.reshape(n, width)
+        ab[:, kl + ku] += 1.0
         # gbsv overwrites the band and the right-hand side
-        *_, x, info = dgbsv(band.kl, band.ku, ab.reshape(n, width).T, rhs[band.order, None], 1, 1)
+        *_, x, info = dgbsv(kl, ku, ab.T, rhs[order, None], 1, 1)
         if info < 0:
             raise ValueError(f"illegal value in {-info}-th argument of internal gbsv")
         step = np.empty(n)
-        step[band.order] = np.nan if info > 0 else x[:, 0]
+        step[order] = np.nan if info > 0 else x[:, 0]
         return step
 
 
-def _assembler(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[JacobianPattern, Callable]:
-    """One-pass assembly of n x n matrices with entries at (rows[k], cols[k]).
-
-    Returns the JacobianPattern of those entries and the diagonal, and the
-    function that takes one value per entry, in the order of rows and cols,
-    and returns one value per slot of the pattern: duplicates summed in that
-    order, 0.0 at a diagonal slot no entry falls on.  The pattern and the
-    scatter into it are computed here, once.
-    """
-    diag = np.arange(n, dtype=np.int64)
-    # columns as the major index: the CSC pattern
-    keys, slot = np.unique(
-        np.concatenate((cols, diag)).astype(np.int64) * n + np.concatenate((rows, diag)),
-        return_inverse=True,
-    )
-    indptr = np.searchsorted(keys // n, np.arange(n + 1)).astype(np.int32)
-    indices = (keys % n).astype(np.int32)
-    entry_slot, diag_slot = slot[: rows.shape[0]], slot[rows.shape[0]:]
-    indptr.flags.writeable = indices.flags.writeable = diag_slot.flags.writeable = False
-
-    def assemble(data: np.ndarray) -> np.ndarray:
-        return np.bincount(entry_slot, weights=data, minlength=indices.shape[0])
-
-    return JacobianPattern(indptr, indices, diag_slot), assemble
-
-
-def _periodic_stencil(
-    n: int, offsets: tuple[int, ...], banded: bool
-) -> tuple[JacobianPattern, Callable]:
-    """Pattern and assembly (as _assembler) of the n x n periodic stencil
-    matrix whose row i has entries at columns (i + k) mod n for k in offsets,
-    from the values stencil by stencil (n per offset, in the order of
-    offsets); on small grids two offsets can meet, and their values are
-    summed.  banded attaches the folded band layout (_fold_band, one state
-    per grid point) that newton_step factors."""
-    rows = np.tile(np.arange(n), len(offsets))
-    pattern, assemble = _assembler(rows, (rows + np.repeat(offsets, n)) % n, n)
-    return (_fold_band(pattern, 1) if banded else pattern), assemble
+def _periodic_stencil(n: int, offsets: tuple[int, ...], fold: int | None) -> JacobianPattern:
+    """The pattern of the n x n periodic stencil matrix whose row i has
+    entries at columns (i + k) mod n for k in offsets, stencil by stencil (n
+    per offset, in the order of offsets); on small grids two offsets can
+    meet, and their values are summed."""
+    rows = np.tile(np.arange(n, dtype=np.int32), len(offsets))
+    cols = (rows + np.repeat(np.array(offsets, dtype=np.int32), n)) % n
+    rows.flags.writeable = cols.flags.writeable = False
+    return JacobianPattern(n, rows, cols, fold)
 
 
 # Grids with at least this many points (and an even count) first solve the
@@ -557,7 +538,7 @@ def upwind_quadratic(
     if b.shape[0] != space.size:
         raise PreconditionError("drift must have one value per grid point")
     theta = 0.5 * b
-    pattern, assemble = _periodic_stencil(b.shape[0], (0, -1, 1), banded=True)
+    pattern = _periodic_stencil(b.shape[0], (0, -1, 1), fold=1)
 
     def jac(v: np.ndarray) -> np.ndarray:
         p_minus, p_plus = _upwind_diffs(dx, v)
@@ -569,7 +550,7 @@ def upwind_quadratic(
         diag = np.where(take_minus, du, -dw)
         sub = np.where(take_minus, -du, 0.0)
         sup = np.where(take_minus, 0.0, dw)
-        return assemble(np.concatenate([diag, sub, sup]))
+        return np.concatenate([diag, sub, sup])
 
     return Hamiltonian(
         space=space, apply_values=partial(_upwind_value, b, dx), jacobian=jac,
@@ -799,18 +780,19 @@ def centered_quadratic(
         pc = (_next(v) - _prev(v)) / (2.0 * dx)
         return pc * pc - b * pc
 
-    # No band layout: SuperLU solves the centered Newton step.  A centered
-    # member can have several Newton solutions, and SuperLU's rounding picks
-    # the one the negative control reports; another LU (the folded band
-    # moves max_separation from 2.1202 to 1.9177) picks another.  This path,
-    # with spsolve and newton_matrix, goes once the control no longer hangs
-    # on that choice (ROADMAP item 2).
-    pattern, assemble = _periodic_stencil(b.shape[0], (1, -1), banded=False)
+    # No fold: SuperLU solves the centered Newton step on the canonical CSC
+    # layout of the entries and the diagonal, which the pattern builds at the
+    # first step.  A centered member can have several Newton solutions, and
+    # SuperLU's rounding picks the one the negative control reports; another
+    # LU (the folded band moves max_separation from 2.1202 to 1.9177) picks
+    # another.  This path, with spsolve and newton_matrix, goes once the
+    # control no longer hangs on that choice (ROADMAP item 2).
+    pattern = _periodic_stencil(b.shape[0], (1, -1), fold=None)
 
     def jac(v: np.ndarray) -> np.ndarray:
         pc = (_next(v) - _prev(v)) / (2.0 * dx)
         slope = (2.0 * pc - b) / (2.0 * dx)
-        return assemble(np.concatenate([slope, -slope]))
+        return np.concatenate([slope, -slope])
 
     return Hamiltonian(
         space=space, apply_values=apply, jacobian=jac,
@@ -849,12 +831,12 @@ class SlowFastCoupling:
 
     @cached_property
     def _product_jacobian(self) -> tuple | None:
-        """The Jacobian layout that slowfast_hamiltonian shares across
+        """The Jacobian entries that slowfast_hamiltonian shares across
         coupling strengths n, or None when the slow part has no Jacobian:
-        (pattern, assemble, coupled, fast_rates), with pattern and assemble
-        as _assembler gives them for the product, the fast states coupled
-        to the slow part (m_z != 0), and the nonzero entries of the fast rate
-        matrix in the order the assembly takes them, before the factor n."""
+        (pattern, coupled, fast_rates), with pattern the product's
+        JacobianPattern, the fast states coupled to the slow part (m_z != 0),
+        and the nonzero entries of the fast rate matrix in the order the
+        pattern lists them, before the factor n."""
         slow = self.slow
         if slow.jacobian is None:
             return None
@@ -862,29 +844,28 @@ class SlowFastCoupling:
         n_fast = self.n_fast
         A_fast = self.fast_rate_matrix
         # state (x, z) sits at x * n_fast + z: the fast chain n * kron(I, A_fast)
-        # is fixed, and fast state z's slow Jacobian J_z lands on the rows and
-        # columns x * n_fast + z, scaled by m_z
+        # comes first, so each diagonal sums its fast entry first, then fast
+        # state z's slow Jacobian J_z on the rows and columns x * n_fast + z,
+        # scaled by m_z
         zi, zj = np.nonzero(A_fast)
         block_start = np.arange(n_slow)[:, None] * n_fast
         rows, cols = [(block_start + zi).ravel()], [(block_start + zj).ravel()]
         coupled = tuple(z for z, m_z in enumerate(self.multipliers) if m_z != 0.0)
-        if slow.jacobian_pattern is None:  # dense: every entry, row-major
+        slow_pattern = slow.jacobian_pattern
+        if slow_pattern is None:  # dense: every entry, row-major
             r, c = np.divmod(np.arange(n_slow * n_slow), n_slow)
         else:
-            # column-major, as the slow values come
-            indptr, r = slow.jacobian_pattern.indptr, slow.jacobian_pattern.indices
-            c = np.repeat(np.arange(n_slow), np.diff(indptr))
+            r, c = slow_pattern.rows, slow_pattern.cols
         for z in coupled:
             rows.append(r * n_fast + z)
             cols.append(c * n_fast + z)
-        # a slow pattern that stores each entry once gives no product entry
-        # more than two contributions (a fast and a slow diagonal), so the
-        # scatter sums exactly what a sparse COO sum would
-        pattern, assemble = _assembler(np.concatenate(rows), np.concatenate(cols), n_slow * n_fast)
-        if slow.jacobian_pattern is not None and slow.jacobian_pattern.band is not None:
-            # a slow band folds into a product band of one block per slow point
-            pattern = _fold_band(pattern, n_fast)
-        return pattern, assemble, coupled, A_fast[zi, zj]
+        rows, cols = np.concatenate(rows).astype(np.int32), np.concatenate(cols).astype(np.int32)
+        rows.flags.writeable = cols.flags.writeable = False
+        # no slow entry repeats on 3 or more slow points, so a product entry
+        # sums at most a fast and a slow entry, as a sparse sum of the blocks
+        # does; a folded slow band folds into blocks of n_fast states
+        fold = None if slow_pattern is None or slow_pattern.fold is None else slow_pattern.fold * n_fast
+        return JacobianPattern(n_slow * n_fast, rows, cols, fold), coupled, A_fast[zi, zj]
 
 
 def slowfast_hamiltonian(
@@ -894,7 +875,8 @@ def slowfast_hamiltonian(
     H_n f(x,z) = m_z * H_slow(f(., z))(x) + n * (A_fast f(x, .))(z).
 
     Its Jacobian pattern is built once per coupling and shared by every
-    coupling strength."""
+    coupling strength, and so is the band or CSC layout its first Newton
+    step derives."""
     if n <= 0:
         raise PreconditionError("coupling strength must be positive")
     slow = coupling.slow
@@ -917,15 +899,16 @@ def slowfast_hamiltonian(
 
     pattern = jac = None
     if coupling._product_jacobian is not None:
-        pattern, assemble, coupled, fast_rates = coupling._product_jacobian
+        pattern, coupled, fast_rates = coupling._product_jacobian
         fast_data = np.tile(n * fast_rates, n_slow)
         jac_slow = slow.jacobian
 
         def jac(v: np.ndarray) -> np.ndarray:
             V = v.reshape(n_slow, n_fast)
-            # ravel: a dense slow Jacobian row-major, sparse values as they are
-            data = [fast_data] + [m[z] * jac_slow(V[:, z]).ravel() for z in coupled]
-            return assemble(np.concatenate(data))
+            # ravel: a dense slow Jacobian row-major, sparse entries as they are
+            return np.concatenate(
+                [fast_data] + [m[z] * jac_slow(V[:, z]).ravel() for z in coupled]
+            )
 
     L = None
     if slow.lipschitz_bound is not None:

@@ -10,11 +10,12 @@ f of f - lambda * H f = h.  The solve path follows from H and lambda alone:
     small steps), handing over to Newton from its last iterate if it stalls
     or its residual turns non-finite;
   * otherwise Newton with backtracking line search on the residual, using the
-    Hamiltonian's Jacobian: dense, solved by np.linalg.solve, or its values on
-    the layout H.jacobian_pattern declares, whose newton_step solves with
-    I - lambda * J: a folded band LU (LAPACK gbsv) for the upwind scheme and
-    slow-fast products over it, SuperLU (spsolve) for the centered scheme
-    and products over it or over a dense slow part.
+    Hamiltonian's Jacobian: dense, solved by np.linalg.solve, or the values
+    of the entries H.jacobian_pattern declares, whose newton_step solves with
+    I - lambda * J on the layout the pattern derives at its first step: a
+    folded band LU (LAPACK gbsv) for the upwind scheme and slow-fast
+    products over it, SuperLU (spsolve) for the centered scheme and products
+    over it or over a dense slow part.
     When Newton fails from the start it was given, it retries once from the
     constant mean(h): large data can overflow H at f0 = h (exp in a tilt),
     and a constant start keeps every difference f_j - f_i at zero, where
@@ -200,7 +201,7 @@ def _damped_newton(
         if pattern is None:
             step = np.linalg.solve(eye - lam * np.asarray(J_H), -g)
         else:
-            # J_H holds the values on the declared pattern
+            # J_H holds the values of the declared entries
             step = pattern.newton_step(J_H, lam, -g)
         t = 1.0
         while t >= 2.0**-30:

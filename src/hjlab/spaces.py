@@ -224,9 +224,14 @@ class SpaceSequence:
         if sets is None:
             sets = self.compacts.limit_sets
         sets = tuple(np.asarray(s, dtype=int) for s in sets)
-        object.__setattr__(self, "_trivial_enlargement", self.enlarged_limit is None
-                           and self.member_enlarged_coords is None
-                           and self.enlarged_limit_sets is None)
+        # the enlarged picture made of the base picture's own objects, as an
+        # omitted one is and as dataclasses.replace passes it back, tracks as
+        # the base picture
+        base_sets = self.compacts.limit_sets
+        object.__setattr__(self, "_trivial_enlargement", enlarged is self.limit
+                           and all(c is m.coords for c, m in zip(coords, self.members))
+                           and len(sets) == len(base_sets)
+                           and all(s is t for s, t in zip(sets, base_sets)))
         object.__setattr__(self, "enlarged_limit", enlarged)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "member_enlarged_coords", tuple(coords))
@@ -321,8 +326,8 @@ def make_grid_sequence(
     if sorted(resolutions) != resolutions or len(set(resolutions)) != len(resolutions):
         raise ValueError("resolutions must be strictly increasing")
     widths = [float(w) for w in q_widths]
-    if sorted(widths) != widths or not all(0 < w <= 1 for w in widths):
-        raise ValueError("q_widths must be increasing fractions in (0, 1]")
+    if not widths or sorted(set(widths)) != widths or not all(0 < w <= 1 for w in widths):
+        raise ValueError("q_widths must be strictly increasing fractions in (0, 1]")
     if widths[-1] != 1.0:
         widths = widths + [1.0]
 

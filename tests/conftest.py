@@ -1,4 +1,5 @@
 import os
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hjlab import (
     slowfast_hamiltonian,
     upwind_quadratic,
 )
+from hjlab.operators import JacobianPattern
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -51,6 +53,22 @@ def banded_product(n_slow: int, n_fast: int, seed: int):
     H = slowfast_hamiltonian(make_product_sequence(s, fast, n_members=3), 4.0, coupling)
     v = np.repeat(0.3 * np.cos(2.0 * np.pi * x), n_fast)
     return H, v + rng.uniform(-0.01, 0.01, v.shape[0])
+
+
+def count_layout_builds(monkeypatch) -> dict:
+    """Count, from here to the end of the test, the Newton layouts that
+    JacobianPattern derives at a first Newton step: {"_band": folded bands,
+    "_csc": CSC layouts}."""
+    counts = {"_band": 0, "_csc": 0}
+    for name in counts:
+        def counted(pattern, build=JacobianPattern.__dict__[name].func, name=name):
+            counts[name] += 1
+            return build(pattern)
+
+        prop = cached_property(counted)
+        prop.__set_name__(JacobianPattern, name)
+        monkeypatch.setattr(JacobianPattern, name, prop)
+    return counts
 
 
 def reduce_records(records) -> dict:

@@ -4,10 +4,10 @@ slow-fast product.
 Each Jacobian is assembled per call the straightforward way: the upwind and
 centered schemes from freshly built COO index arrays, the product as
 n * kron(I, A_fast) plus one kron(J_z, m_z e_z e_z^T) per fast state z.  The
-package builds its index patterns once per Hamiltonian and assembles each
-call in one pass, returning only the values on its declared CSC layout, which
-stores the diagonal too (on_pattern makes them a CSC matrix again); the two
-must give the same Newton matrix I - lam * J, entry for entry.
+package declares its entries once per Hamiltonian (a JacobianPattern of rows
+and cols) and returns only their values, repeated entries summed (on_pattern
+makes them a CSC matrix); the two must give the same Newton matrix
+I - lam * J, entry for entry.
 """
 
 import numpy as np
@@ -69,10 +69,10 @@ def slowfast(jac_slow, A_fast, multipliers, n, v):
 
 
 def on_pattern(pattern, values):
-    """The CSC matrix of a package Jacobian: its values on the declared
-    pattern, with fresh index arrays."""
-    n = pattern.indptr.shape[0] - 1
-    return sp.csc_matrix((values, pattern.indices.copy(), pattern.indptr.copy()), shape=(n, n))
+    """The CSC matrix of a package Jacobian: its entry values at the declared
+    rows and cols, repeated entries summed."""
+    n = pattern.n
+    return sp.csc_matrix((values, (pattern.rows, pattern.cols)), shape=(n, n))
 
 
 def newton_matrix(J, lam):

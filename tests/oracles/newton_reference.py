@@ -1,15 +1,15 @@
 """The package's earlier damped Newton step and fixed-point iteration.
 
 damped_newton assembles each sparse Newton matrix as
-sp.eye(n, format="csc") - lam * J.tocsc(), J the sparse matrix of the values
-a patterned Jacobian returns on its declared pattern, and solves it with
-SuperLU (spsolve).  The package's JacobianPattern.newton_step does the same
-for a pattern without a band layout (the centered scheme), writing I - lam * J
-straight onto the CSC layout (newton_matrix), and must give the same
-iterates, bit for bit.  For a pattern with a folded band layout (the upwind
-scheme and slow-fast products over it) it factors a band with LAPACK gbsv,
-which rounds differently: its iterates must take the same number of steps
-and stay within rounding of these.  fixed_point scaled H f_k by lam twice per
+sp.eye(n, format="csc") - lam * J.tocsc(), J the sparse matrix of the entry
+values a patterned Jacobian returns at its declared rows and cols, and solves
+it with SuperLU (spsolve).  The package's JacobianPattern.newton_step does the
+same for a pattern without a fold (the centered scheme), writing I - lam * J
+straight onto the CSC layout it derives at its first step (newton_matrix), and
+must give the same iterates, bit for bit.  For a pattern with a fold (the
+upwind scheme and slow-fast products over it) it factors a folded band with
+LAPACK gbsv, which rounds differently: its iterates must take the same number
+of steps and stay within rounding of these.  fixed_point scaled H f_k by lam twice per
 iterate; the package scales it once, and must give the same iterates, bit
 for bit.
 """

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import src_env
+from conftest import count_layout_builds, src_env
 from hjlab import resolvent
 from hjlab.cli import main, run_command
 from oracles import newton_reference
@@ -213,6 +213,21 @@ def test_a_slow_grid_too_small_for_the_compact_levels_is_a_config_error(tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("q_widths", [[], [0.5, 0.5]])
+def test_empty_or_repeated_q_widths_are_a_config_error(tmp_path, capsys, q_widths):
+    # an empty list left no compact level, and a repeated width named two
+    # levels alike
+    payload = yaml.safe_load((CONFIGS / "positive_control.yaml").read_text())
+    payload["converge"]["sequence"]["q_widths"] = q_widths
+    out = tmp_path / "out"
+    assert main(["converge", "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: bad sequence declaration: "
+        "q_widths must be strictly increasing fractions in (0, 1]\n"
+    )
+    assert not out.exists()
+
+
 def assert_identical_outputs(out1, out2):
     r1 = (Path(out1) / "report.json").read_bytes()
     r2 = (Path(out2) / "report.json").read_bytes()
@@ -383,6 +398,24 @@ def test_controls_reproduce_the_benchmark_separation(tmp_path, stem, code):
     cell = {c["name"]: c for c in read_report(out)["cells"]}[cell_name]
     want = recorded[f"{stem}.{cell_name}.{key}"]
     assert abs(cell["details"][key] - want) <= 1e-8
+
+
+@pytest.mark.parametrize("stem, code, layouts", [
+    # Howard solves every problem: no Newton step, no layout
+    ("positive_control", 0, {"_band": 0, "_csc": 0}),
+    # one SuperLU layout per centered member
+    ("negative_control", 1, {"_band": 0, "_csc": 5}),
+    # one band, shared by the sweep members; the averaged limit is
+    # Howard-solved
+    ("slowfast", 0, {"_band": 1, "_csc": 0}),
+])
+def test_shipped_runs_build_newton_layouts_only_for_newton_steps(
+    tmp_path, monkeypatch, stem, code, layouts
+):
+    builds = count_layout_builds(monkeypatch)
+    out = str(tmp_path / "out")
+    assert main(["converge", "--config", str(CONFIGS / f"{stem}.yaml"), "--out", out]) == code
+    assert builds == layouts
 
 
 @pytest.mark.parametrize("slow_points", [16, BENCH_SLOW_POINTS])

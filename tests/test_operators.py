@@ -1,5 +1,6 @@
 """Shipped Hamiltonians, operator graphs, and their structural checks."""
 
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -9,7 +10,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import banded_product, chain, unit_grid
+from conftest import banded_product, chain, count_layout_builds, unit_grid
 from oracles import dissipativity_reference, howard_reference, jacobian_reference
 from hjlab import (
     ExtFn,
@@ -37,7 +38,7 @@ from hjlab import (
 )
 from hjlab import operators
 from hjlab.operators import (
-    _assembler,
+    JacobianPattern,
     _next,
     _policy_step,
     _prev,
@@ -435,18 +436,18 @@ def test_centered_jacobian_matches_finite_differences():
 
 
 def as_csc(H, values):
-    """A patterned Jacobian's values as the CSC matrix on H's declared
-    pattern, checking that there is one float value per slot."""
+    """A patterned Jacobian's entry values as the CSC matrix at H's declared
+    rows and cols, checking that there is one float value per entry."""
     assert isinstance(values, np.ndarray) and values.dtype == float
-    assert values.shape == H.jacobian_pattern.indices.shape
+    assert values.shape == H.jacobian_pattern.rows.shape
     return jacobian_reference.on_pattern(H.jacobian_pattern, values)
 
 
 def assert_same_newton_matrix(H, values, J_ref, lam):
-    # the damped Newton step factors I - lam * J, written onto the declared
-    # CSC layout; the same canonical CSC as the reference's sparse
-    # subtraction means the same SuperLU ordering and the same step, bit for
-    # bit
+    # the damped Newton step factors I - lam * J, written onto the CSC layout
+    # the pattern derives from its entries; the same canonical CSC as the
+    # reference's sparse subtraction means the same SuperLU ordering and the
+    # same step, bit for bit
     want = jacobian_reference.newton_matrix(J_ref, lam)
     for got in (jacobian_reference.newton_matrix(as_csc(H, values), lam),
                 H.jacobian_pattern.newton_matrix(values, lam)):
@@ -784,9 +785,9 @@ def product_hamiltonian(slow, n_fast, n, seed):
 
 
 def jacobian_case(kind, n_slow, seed):
-    """A Jacobian of the given kind at random values, as the CSC matrix on
-    its declared pattern, with that pattern: a grid scheme's, or a slow-fast
-    product's over an upwind (sparse) or tilted (dense) slow part."""
+    """A Jacobian of the given kind at random values, as its entry values,
+    with its declared pattern: a grid scheme's, or a slow-fast product's
+    over an upwind (sparse) or tilted (dense) slow part."""
     s, dx, v, b = tie_case(n_slow, seed, 0.3)
     if kind in ("upwind", "centered"):
         build = upwind_quadratic if kind == "upwind" else centered_quadratic
@@ -798,7 +799,7 @@ def jacobian_case(kind, n_slow, seed):
             slow = tilt_linear(random_rate_matrix(np.random.default_rng(seed), n_slow), s)
         H = product_hamiltonian(slow, 3, 4.0, seed)
         v = np.repeat(v, 3) + np.random.default_rng(seed).uniform(-0.1, 0.1, 3 * n_slow)
-    return as_csc(H, H.jacobian(v)), H.jacobian_pattern
+    return H.jacobian(v), H.jacobian_pattern
 
 
 @pytest.mark.parametrize("kind", ["upwind", "centered", "product", "dense_product"])
@@ -812,19 +813,25 @@ def jacobian_case(kind, n_slow, seed):
 @settings(max_examples=40, deadline=None)
 def test_newton_matrix_is_the_reference_subtraction(kind, n_slow, lam, zero_share, seed):
     rng = np.random.default_rng(seed)
-    J, pattern = jacobian_case(kind, n_slow, seed)
-    # explicit zeros, and a stored diagonal J_ii = 1 / lam, so 1 - lam * J_ii
-    # is 0 exactly when lam is a power of two: the reference's sparse
-    # subtraction drops both kinds of zero from I - lam * J
-    J2 = J.copy()
-    J2.data = rng.uniform(-3.0, 3.0, J.nnz)
-    J2.data[rng.random(J.nnz) < zero_share] = 0.0
-    # every declared layout stores the diagonal
-    diag = np.flatnonzero(J2.indices == np.repeat(np.arange(J.shape[0]), np.diff(J.indptr)))
-    J2.data[rng.choice(diag)] = 1.0 / lam
-    for M in (J, J2):
-        got = pattern.newton_matrix(M.data, lam)
-        want = jacobian_reference.newton_matrix(M, lam)
+    values, pattern = jacobian_case(kind, n_slow, seed)
+    # explicit zeros, and where J has diagonal entries (all but the centered
+    # stencil) J_ii = 1 / lam, so 1 - lam * J_ii is 0 exactly when lam is a
+    # power of two: the reference's sparse subtraction drops both kinds of
+    # zero from I - lam * J
+    m = values.shape[0]
+    values2 = rng.uniform(-3.0, 3.0, m)
+    values2[rng.random(m) < zero_share] = 0.0
+    diag = np.flatnonzero(pattern.rows == pattern.cols)
+    if diag.size:
+        # a product's diagonal sums a fast and a slow entry: the first gets
+        # 1 / lam, the others 0.0
+        i = pattern.rows[rng.choice(diag)]
+        at_i = diag[pattern.rows[diag] == i]
+        values2[at_i] = 0.0
+        values2[at_i[0]] = 1.0 / lam
+    for vals in (values, values2):
+        got = pattern.newton_matrix(vals, lam)
+        want = jacobian_reference.newton_matrix(jacobian_reference.on_pattern(pattern, vals), lam)
         assert got.format == "csc" and got.has_canonical_format
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
@@ -833,8 +840,8 @@ def test_newton_matrix_is_the_reference_subtraction(kind, n_slow, lam, zero_shar
 def test_newton_matrix_drops_an_exact_zero_diagonal():
     J = sp.coo_matrix(np.array([[4.0, 0.0, 1.0], [0.0, 0.5, 0.0], [2.0, 0.0, 0.0]]))
     J.data[J.data == 1.0] = 0.0  # an explicit zero off the diagonal
-    pattern, assemble = _assembler(J.row, J.col, 3)
-    A = pattern.newton_matrix(assemble(J.data), 0.25)
+    pattern = JacobianPattern(3, J.row.astype(np.int32), J.col.astype(np.int32))
+    A = pattern.newton_matrix(J.data, 0.25)
     # 1 - 0.25 * 4 == 0 at (0, 0) and the explicit zero at (0, 2) are dropped;
     # (2, 2), where J stores nothing, gets the bare diagonal 1
     assert A.nnz == 3
@@ -906,28 +913,54 @@ def test_every_sparse_hamiltonian_declares_one_diagonal_slot_per_row(kind, n_slo
     H, v, J_ref = declared_case(kind, n_slow)
     pattern = H.jacobian_pattern
     n = H.space.size
-    cols = np.repeat(np.arange(n), np.diff(pattern.indptr))
-    # slot diag[i] holds entry (i, i), also where the scheme stores nothing
-    # there (the centered stencil), and no array of the layout can be written
-    assert pattern.diag.shape == (n,)
-    assert np.array_equal(pattern.indices[pattern.diag], np.arange(n))
-    assert np.array_equal(cols[pattern.diag], np.arange(n))
-    assert not any(a.flags.writeable for a in (pattern.indptr, pattern.indices, pattern.diag))
+    # the entries are read-only int32 rows and cols
+    assert pattern.n == n
+    assert pattern.rows.dtype == pattern.cols.dtype == np.int32
+    assert not any(a.flags.writeable for a in (pattern.rows, pattern.cols))
+    # the CSC layout's slot diag[i] holds entry (i, i), also where the scheme
+    # has no entry there (the centered stencil)
+    indptr, indices, _, diag = pattern._csc
+    cols = np.repeat(np.arange(n), np.diff(indptr))
+    assert diag.shape == (n,)
+    assert np.array_equal(indices[diag], np.arange(n))
+    assert np.array_equal(cols[diag], np.arange(n))
     values = H.jacobian(v)
     assert np.array_equal(as_csc(H, values).toarray(), J_ref.toarray())
     assert_same_newton_matrix(H, values, J_ref, lam)
 
 
-def test_slowfast_sweep_members_share_one_pattern():
+def test_slowfast_sweep_members_share_one_pattern(monkeypatch):
+    builds = count_layout_builds(monkeypatch)
     product, coupling = slowfast_fixture()
     sweep = [slowfast_hamiltonian(product, n, coupling) for n in (1.0, 2.0, 4.0, 8.0)]
     assert all(H.jacobian_pattern is sweep[0].jacobian_pattern for H in sweep)
     # each member still scales its own fast chain
     v = np.random.default_rng(15).uniform(-1, 1, 24)
     assert not np.array_equal(sweep[0].jacobian(v), sweep[1].jacobian(v))
+    # the members and a scaled copy share one band, built at the first
+    # Newton step
+    assert builds == {"_band": 0, "_csc": 0}
+    for H in sweep + [scale_hamiltonian(0.5, sweep[0])]:
+        H.jacobian_pattern.newton_step(H.jacobian(v), 0.5, v)
+    assert builds == {"_band": 1, "_csc": 0}
     # a coupling built anew builds its own pattern
     again = replace(coupling, multipliers=coupling.multipliers)
     assert slowfast_hamiltonian(product, 1.0, again).jacobian_pattern is not sweep[0].jacobian_pattern
+
+
+def test_a_grid_hamiltonian_keeps_its_entries_and_no_newton_layout():
+    # an upwind grid Hamiltonian is Howard-solved: it keeps its int32 entry
+    # arrays and the half drift, and builds no band or CSC layout
+    s = unit_grid(10240)
+    b = drift_sin(s, 0.3)
+    tracemalloc.start()
+    try:
+        H = upwind_quadratic(s, b)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.5e6
+    assert not {"_band", "_csc"} & set(vars(H.jacobian_pattern))
 
 
 def test_scale_hamiltonian_keeps_the_pattern_and_scales_the_values():
@@ -956,12 +989,15 @@ def test_slowfast_newton_solve_matches_the_reference_jacobian_bit_for_bit():
         jacobian_reference.slowfast, partial(jacobian_reference.upwind, b, dx),
         A_fast, coupling.multipliers, n,
     )
-    # the reference Jacobian's values on the declared pattern, column-major
-    indptr, rows = H.jacobian_pattern.indptr, H.jacobian_pattern.indices
-    cols = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
+    # the reference Jacobian's value at each position on the first entry
+    # there, 0.0 on a repeated one (a diagonal sums a fast and a slow entry)
+    rows, cols = H.jacobian_pattern.rows, H.jacobian_pattern.cols
+    _, first = np.unique(rows.astype(np.int64) * H.space.size + cols, return_index=True)
 
     def values_on_pattern(v):
-        return np.asarray(jac_ref(v)[rows, cols]).ravel()
+        values = np.zeros(rows.shape[0])
+        values[first] = np.asarray(jac_ref(v)[rows[first], cols[first]]).ravel()
+        return values
 
     H_ref = replace(H, jacobian=values_on_pattern)
     h = np.repeat(0.3 * np.cos(2.0 * np.pi * slow_space.coords[:, 0]), 3)
@@ -994,17 +1030,22 @@ def test_folded_band_newton_step_agrees_with_a_dense_solve(n_slow, n_fast, lam):
 @pytest.mark.parametrize("n_slow, n_fast", BAND_GRIDS)
 def test_band_layouts_fold_the_periodic_product_into_a_read_only_band(n_slow, n_fast):
     H, _ = banded_product(n_slow, n_fast, 0)
-    band = H.jacobian_pattern.band
+    pattern = H.jacobian_pattern
+    assert pattern.fold == n_fast
+    order, kl, ku, slots = pattern._band
     n = H.space.size
     # each slow point keeps its block of fast states, in the folded slow
     # order 0, s - 1, 1, s - 2, ...
     fold = [x for pair in zip(range(n_slow), range(n_slow - 1, -1, -1)) for x in pair][:n_slow]
     blocks = np.add.outer(np.array(fold) * n_fast, np.arange(n_fast))
-    assert np.array_equal(band.order, blocks.ravel())
+    assert np.array_equal(order, blocks.ravel())
     # the periodic neighbours sit at most two folded slow points apart
-    assert band.kl == band.ku == min(2 * n_fast, n - 1)
-    assert band.slots.shape == H.jacobian_pattern.indices.shape
-    assert not any(a.flags.writeable for a in (band.order, band.slots))
+    assert kl == ku == min(2 * n_fast, n - 1)
+    # one band slot per entry; entries at one position share their slot
+    assert slots.shape == pattern.rows.shape
+    position = pattern.rows.astype(np.int64) * n + pattern.cols
+    assert np.unique(slots).size == np.unique(position).size
+    assert not any(a.flags.writeable for a in (order, slots))
 
 
 def test_only_the_upwind_scheme_and_its_products_carry_a_band():
@@ -1012,12 +1053,12 @@ def test_only_the_upwind_scheme_and_its_products_carry_a_band():
     b = drift_sin(s, 0.4)
     upwind, centered = upwind_quadratic(s, b), centered_quadratic(s, b)
     tilt = tilt_linear(random_rate_matrix(np.random.default_rng(2), 16), s)
-    assert upwind.jacobian_pattern.band is not None
+    assert upwind.jacobian_pattern.fold == 1
     # the centered scheme's Newton step stays with SuperLU (ROADMAP item 2)
-    assert centered.jacobian_pattern.band is None
-    assert product_hamiltonian(upwind, 3, 2.0, 0).jacobian_pattern.band is not None
-    assert product_hamiltonian(centered, 3, 2.0, 0).jacobian_pattern.band is None
-    assert product_hamiltonian(tilt, 3, 2.0, 0).jacobian_pattern.band is None
+    assert centered.jacobian_pattern.fold is None
+    assert product_hamiltonian(upwind, 3, 2.0, 0).jacobian_pattern.fold == 3
+    assert product_hamiltonian(centered, 3, 2.0, 0).jacobian_pattern.fold is None
+    assert product_hamiltonian(tilt, 3, 2.0, 0).jacobian_pattern.fold is None
 
 
 def test_a_singular_band_newton_matrix_gives_a_nan_step():
@@ -1025,8 +1066,8 @@ def test_a_singular_band_newton_matrix_gives_a_nan_step():
     # a singular matrix too, and the line search rejects that step
     H = upwind_quadratic(unit_grid(8), np.zeros(8))
     pattern = H.jacobian_pattern
-    values = np.zeros(pattern.indices.shape[0])
-    values[pattern.diag] = 4.0
+    values = np.zeros(pattern.rows.shape[0])
+    values[pattern.rows == pattern.cols] = 4.0
     assert np.isnan(pattern.newton_step(values, 0.25, np.ones(8))).all()
 
 

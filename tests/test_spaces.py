@@ -203,6 +203,10 @@ def test_grid_sequence_rejects_bad_arguments():
         make_grid_sequence((0.0, 1.0), [8, 8, 16])
     with pytest.raises(ValueError):
         make_grid_sequence((0.0, 1.0), [8, 16, 32], q_widths=(1.0, 0.5))
+    # an empty list, and repeated widths that would name two levels alike
+    for q_widths in ((), (0.5, 0.5), (1.0, 1.0)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            make_grid_sequence((0.0, 1.0), [8, 16, 32], q_widths=q_widths)
 
 
 def test_tracked_sequences_stay_within_member_spacing():
@@ -251,6 +255,10 @@ def test_trivial_enlargement_tracks_as_the_base_picture():
         assert np.array_equal(seq.tracked_enlarged(q), seq.tracked(q))
         # one index matrix serves both pictures
         assert seq.tracked_enlarged(q) is seq.tracked(q)
+    # a copy passes the filled-in enlarged fields back, and still shares it
+    r = replace(seq, n0=1)
+    for q in r.compacts.labels:
+        assert r.tracked_enlarged(q) is r.tracked(q)
     # a real enlargement tracks its own points
     product = make_product_sequence(unit_grid(4, "slow"), unit_grid(3, "fast"), n_members=3)
     for q in product.compacts.labels:
