@@ -91,7 +91,6 @@ try:
         fit_loglog_slope,
         linear_semigroup_oracle,
         logexp_oracle,
-        semigroup_convergence_experiment,
     )
     from .convergence import (
         OperatorSequence,
@@ -100,6 +99,7 @@ try:
         check_ex_sublim,
         check_ex_superlim,
         resolvent_convergence_experiment,
+        semigroup_convergence_experiment,
         slowfast_resolvent_experiment,
     )
 finally:

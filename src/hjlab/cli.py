@@ -28,13 +28,15 @@ from .convergence import (
     resolvent_convergence_experiment,
     slowfast_resolvent_experiment,
 )
-from .errors import ConfigError, HJLabError, PreconditionError
+from .errors import ConfigError, HJLabError, PreconditionError, StructuralError
 from .limits import Fn
 from .operators import (
     SlowFastCoupling,
     _grid_spacing,
+    averaged_slowfast_hamiltonian,
     check_dissipative,
     graph_from_hamiltonian,
+    slowfast_hamiltonian,
 )
 from .reporting import write_report, write_table
 from .resolvent import (
@@ -289,13 +291,16 @@ def _cells_converge_slowfast(section: dict, seed: int):
             slow=H_slow, fast_rate_matrix=A_fast,
             multipliers=tuple(float(m) for m in section.get("multipliers", ())),
         )
-    except PreconditionError as exc:
+        limit = averaged_slowfast_hamiltonian(coupling)
+    except (PreconditionError, StructuralError) as exc:
         raise ConfigError(f"bad slow-fast coupling: {exc}") from exc
+    members = tuple(slowfast_hamiltonian(product, n, coupling) for n in couplings)
+    op_seq = OperatorSequence(product, members, limit)
     h = cfg.build_probes(section["h"], slow_space, _rng(seed, SEED_TAG_PROBES))[0]
 
     def run_slowfast():
         rep = slowfast_resolvent_experiment(
-            product, coupling, couplings, float(section["lambda"]), h,
+            op_seq, couplings, float(section["lambda"]), h,
             tol_deviation=float(section["tol_deviation"]),
             min_decay_order=float(section.get("min_decay_order", 0.8)),
         )
@@ -331,8 +336,9 @@ def _cells_check(section: dict, seed: int):
             lams = _lam_list(hhat["lambdas"])
             vtol = float(hhat.get("viscosity_tol", 1e-8))
             dtol = float(hhat.get("dissipativity_tol", 1e-9))
-            G, meta = build_Hhat(family, lams, probes, kind="dagger")
-            G_dd, _ = build_Hhat(family, lams, probes, kind="ddagger")
+            G, meta = build_Hhat(family, lams, probes)
+            # the same pairs, as supersolution tests
+            G_dd = replace(G, kind="ddagger")
             diss = check_dissipative(
                 G.pairs, _lam_list(hhat["dissipativity_lambdas"]), tol=dtol
             )
@@ -372,7 +378,7 @@ def _cells_check(section: dict, seed: int):
         def run_spike():
             lam0 = _lam_list(hhat["lambdas"])[0] if hhat else 1.0
             vtol = float((hhat or {}).get("viscosity_tol", 1e-8))
-            G, meta = build_Hhat(family, [lam0], probes[:1], kind="dagger")
+            G, meta = build_Hhat(family, [lam0], probes[:1])
             u0 = G.pairs[0][0]
             i_spike = space.size // 3
             vals = u0.values.copy()

@@ -55,7 +55,7 @@ _SPACE = {
         "size": {"type": "integer", "minimum": 2},
         "domain": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
         "resolution": {"type": "integer", "minimum": 2},
-        "periodic": {"type": "boolean"},
+        "periodic": {"const": True},
     },
     "required": ["kind"],
     "additionalProperties": False,
@@ -67,7 +67,7 @@ _SEQUENCE = {
         "kind": {"enum": ["grid_sequence"]},
         "domain": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
         "resolutions": {"type": "array", "items": {"type": "integer"}, "minItems": 3},
-        "periodic": {"type": "boolean"},
+        "periodic": {"const": True},
         "q_widths": {"type": "array", "items": {"type": "number"}},
         "limit_resolution_factor": {"type": "integer", "minimum": 1},
         "n0": {"type": "integer", "minimum": 0},
@@ -237,7 +237,8 @@ _CONVERGE_SLOWFAST = {
         "slow_operator": _OPERATOR,
         "fast_rate_matrix": _RATE_MATRIX,
         "multipliers": {"type": "array", "items": {"type": "number", "minimum": 0}},
-        "couplings": {"type": "array", "items": {"type": "number"}, "minItems": 3},
+        "couplings": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
+                      "minItems": 3},
         "lambda": {"type": "number", "exclusiveMinimum": 0},
         "h": _PROBES,
         "tol_deviation": {"type": "number", "exclusiveMinimum": 0},
@@ -445,7 +446,7 @@ def build_space(spec: dict) -> FiniteSpace:
         if b <= a:
             raise ConfigError("grid domain must be an increasing interval")
         res = int(spec.get("resolution", 64))
-        xs = _interval_grid(a, b, res, bool(spec.get("periodic", True)))
+        xs = _interval_grid(a, b, res)
         return FiniteSpace(coords=xs, name=f"grid{res}")
     raise ConfigError(f"unknown space kind: {kind}")
 
@@ -456,7 +457,6 @@ def build_sequence(spec: dict) -> SpaceSequence:
             domain=tuple(spec["domain"]),
             resolutions=spec["resolutions"],
             q_widths=spec.get("q_widths", (0.5, 1.0)),
-            periodic=spec.get("periodic", True),
             limit_resolution_factor=spec.get("limit_resolution_factor", 10),
             n0=spec.get("n0"),
         )

@@ -27,16 +27,17 @@ upper/lower envelopes of the solution sequence R_n(lambda) h_n: when the
 envelopes coincide (comparison holds in the limit) the member solutions
 converge to the limit resolvent, with no compactness or regularity input
 beyond the tracked compact families.  The envelopes and the equi-continuity
-fit read solution sequences and solve nothing.  `resolvent_convergence_experiment`
-runs the whole chain.  It lifts each distinct limit function (data probe or
-graph first component) once and applies each member operator to it once;
-those witness pairs feed the extended-limit checks and the member test
-graphs.  Then one solve_all call per member family and one for the limit
-family give the solutions that the per-member viscosity checks, the
-equi-continuity fit, the envelopes and the direct comparison against the
-limit solve all read.
-`slowfast_resolvent_experiment` exercises the averaging route where the fast
-variable is eliminated in the limit.
+fit read solution sequences and solve nothing.  Three experiments read an
+OperatorSequence, and none builds an operator.
+`resolvent_convergence_experiment` runs the whole chain.  It lifts each
+distinct limit function (data probe or graph first component) once and
+applies each member operator to it once, for the extended-limit checks and
+the member test graphs.  Its solve step, one solve_all call per member family
+and one for the limit family, gives the solutions all later checks read.
+`slowfast_resolvent_experiment` reads the same solve step where the fast
+variable is eliminated in the limit: a member's fast oscillation is the gap
+of its values over the fibres of gamma.  `semigroup_convergence_experiment`
+settles Crandall-Liggett values V_n(t) f_n and V(t) f by step doubling.
 """
 
 from __future__ import annotations
@@ -59,19 +60,13 @@ from .limits import (
     compute_LIMSUP,
     lift_to_members,
 )
-from .operators import (
-    Hamiltonian,
-    OperatorGraph,
-    SlowFastCoupling,
-    averaged_slowfast_hamiltonian,
-    slowfast_hamiltonian,
-)
+from .operators import Hamiltonian, OperatorGraph
 from .resolvent import (
     ResolventFamily,
     check_pseudo_resolvent_identity,
     estimate_equicontinuity,
 )
-from .semigroup import fit_loglog_slope
+from .semigroup import crandall_liggett, fit_loglog_slope
 from .spaces import SpaceSequence
 from .viscosity import check_subsolution, check_supersolution
 
@@ -81,12 +76,14 @@ __all__ = [
     "EnvelopeReport",
     "ResolventExperimentReport",
     "SlowFastReport",
+    "SemigroupExperimentReport",
     "check_ex_lim",
     "check_ex_sublim",
     "check_ex_superlim",
     "barles_perthame_envelopes",
     "resolvent_convergence_experiment",
     "slowfast_resolvent_experiment",
+    "semigroup_convergence_experiment",
 ]
 
 # truncation levels c of the one-sided checks, evenly spaced over
@@ -98,7 +95,8 @@ IDENTITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class OperatorSequence:
-    """Member operators over a space sequence, with limit graphs.
+    """Member operators over a space sequence, with limit graphs: the one
+    input of every sequence experiment, built by the caller.
 
     members align with spaces.members; the limit Hamiltonian (when one
     exists) drives direct limit solves, and the dagger/ddagger graphs are the
@@ -301,6 +299,24 @@ def barles_perthame_envelopes(
     )
 
 
+def _solve_sequence(op_seq: OperatorSequence, problems: list) -> tuple:
+    """The experiments' solve step for problems (lam, h_seq, h): solution
+    sequences R_n(lam) h_n from one solve_all call per member family, limit
+    solutions R(lam) h from one more, and the limit family, whose cache later
+    checks read ([] and None without a limit Hamiltonian)."""
+    member_sols = [
+        ResolventFamily(hamiltonian=H).solve_all(
+            [(lam, h_seq.members[n]) for lam, h_seq, _ in problems]
+        )
+        for n, H in enumerate(op_seq.members)
+    ]
+    u_seqs = [FnSequence(op_seq.spaces, sols) for sols in zip(*member_sols)]
+    if op_seq.limit_hamiltonian is None:
+        return u_seqs, [], None
+    limit_family = ResolventFamily(hamiltonian=op_seq.limit_hamiltonian)
+    return u_seqs, limit_family.solve_all([(lam, h) for lam, _, h in problems]), limit_family
+
+
 @dataclass(frozen=True)
 class ResolventExperimentReport:
     passed: bool
@@ -344,11 +360,6 @@ def resolvent_convergence_experiment(
     if expectation not in ("converge", "separate"):
         raise PreconditionError("expectation must be 'converge' or 'separate'")
     seq = op_seq.spaces
-    limit_family = (
-        ResolventFamily(hamiltonian=op_seq.limit_hamiltonian)
-        if op_seq.limit_hamiltonian is not None
-        else None
-    )
     notes: list[str] = []
 
     # [f, its lift f_n, its member images H_n f_n] per distinct limit function
@@ -398,19 +409,11 @@ def resolvent_convergence_experiment(
     # U[(k, lam)] is the solution sequence R_n(lam) h_n of probe k, and
     # u_limit[(k, lam)] its limit solution R(lam) h
     problems = [(k, lam) for k in range(len(D)) for lam in lambdas]
-    member_sols = [
-        ResolventFamily(hamiltonian=H).solve_all(
-            [(lam, lifted[k].members[n]) for k, lam in problems]
-        )
-        for n, H in enumerate(op_seq.members)
-    ]
-    U = {p: FnSequence(seq, tuple(sols[i] for sols in member_sols))
-         for i, p in enumerate(problems)}
-    u_limit = {}
-    if limit_family is not None:
-        u_limit = dict(zip(problems, limit_family.solve_all(
-            [(lam, D[k]) for k, lam in problems]
-        )))
+    u_seqs, u_lims, limit_family = _solve_sequence(
+        op_seq, [(lam, lifted[k], D[k]) for k, lam in problems]
+    )
+    U = dict(zip(problems, u_seqs))
+    u_limit = dict(zip(problems, u_lims))
 
     # the member test pairs: the witness pairs over the dagger graph's first
     # components, or over the data probes when there are none
@@ -505,33 +508,34 @@ class SlowFastReport:
 
 
 def slowfast_resolvent_experiment(
-    product: SpaceSequence,
-    coupling: SlowFastCoupling,
+    op_seq: OperatorSequence,
     couplings: Sequence[float],
     lam: float,
-    h_slow: Fn,
+    h: Fn,
     tol_deviation: float,
     min_decay_order: float = 0.8,
 ) -> SlowFastReport:
-    """Averaging across coupling strengths: fast-variable oscillation of
-    R_n(lam)h decays like 1/n, and the strongest-coupling solution matches
-    the resolvent of the stationary-averaged slow operator."""
-    if len(couplings) != product.n_members:
+    """Averaging across coupling strengths, one member per strength n, on a
+    sequence whose members are the points of its enlarged limit (a product
+    over the slow limit): the fast oscillation of u_n = R_n(lam) h_n, its
+    largest gap over a fibre of gamma, decays like 1/n, and the last member
+    matches the limit resolvent: max |u_N - R(lam) h o gamma| is small."""
+    seq = op_seq.spaces
+    if len(couplings) != seq.n_members:
         raise PreconditionError("need one coupling strength per member")
-    n_slow = product.limit.size
-    n_fast = coupling.n_fast
-    h_seq = lift_to_members(h_slow, product)
+    if op_seq.limit_hamiltonian is None:
+        raise PreconditionError("need a limit Hamiltonian")
+    if not all(np.array_equal(c, seq.enlarged_limit.coords) for c in seq.member_enlarged_coords):
+        raise PreconditionError("the members must be the points of the enlarged limit")
+    (u_seq,), (u_bar,), _ = _solve_sequence(op_seq, [(lam, lift_to_members(h, seq), h)])
     oscs = []
-    for k, n in enumerate(couplings):
-        H_n = slowfast_hamiltonian(product, n, coupling)
-        u = ResolventFamily(hamiltonian=H_n).solve(lam, h_seq.members[k])
-        V = u.values.reshape(n_slow, n_fast)
-        oscs.append(float((V.max(axis=1) - V.min(axis=1)).max()))
-    H_bar = averaged_slowfast_hamiltonian(coupling)
-    fam_bar = ResolventFamily(hamiltonian=H_bar)
-    u_bar = fam_bar.solve(lam, h_slow)
-    # V is the solution at the strongest coupling, the last one solved
-    final_dev = float(np.abs(V - u_bar.values[:, None]).max())
+    for u in u_seq.members:
+        hi = np.full(seq.limit.size, -np.inf)
+        lo = np.full(seq.limit.size, np.inf)
+        np.maximum.at(hi, seq.gamma, u.values)
+        np.minimum.at(lo, seq.gamma, u.values)
+        oscs.append(float((hi - lo).max()))
+    final_dev = float(np.abs(u_seq.members[-1].values - u_bar.values[seq.gamma]).max())
     # order is an asymptotic quantity: fit on the tail half of the grid,
     # the weakest couplings are pre-asymptotic
     k0 = len(couplings) // 2 if len(couplings) >= 6 else 0
@@ -546,5 +550,63 @@ def slowfast_resolvent_experiment(
         oscillations=tuple(oscs),
         decay_order=float(order),
         final_deviation=final_dev,
+        notes=tuple(notes),
+    )
+
+
+def _settle_steps(
+    family: ResolventFamily, t: float, f: Fn, tol: float, n_start: int, n_cap: int
+) -> tuple[Fn, int, bool]:
+    """Double the step count until two successive approximations agree to tol."""
+    m, v = n_start, crandall_liggett(family, t, n_start, f).result
+    while 2 * m <= n_cap:
+        m, prev, v = 2 * m, v, crandall_liggett(family, t, 2 * m, f).result
+        if float(np.abs(v.values - prev.values).max()) <= tol:
+            return v, m, True
+    return v, m, False
+
+
+@dataclass(frozen=True)
+class SemigroupExperimentReport:
+    passed: bool
+    verdict: ConvergenceVerdict
+    member_steps: tuple
+    limit_steps: int
+    notes: tuple = ()
+
+
+def semigroup_convergence_experiment(
+    op_seq: OperatorSequence,
+    t: float,
+    f_limit: Fn,
+    tol: float,
+    n_start: int = 8,
+    n_cap: int = 2**16,
+) -> SemigroupExperimentReport:
+    """V_n(t) f_n -> V(t) f across a converging sequence of spaces.
+
+    The initial condition is lifted to every member; per member (and the
+    limit) the step count doubles until self-consistent at tol / 10, capped;
+    the settled values are then compared through check_LIM at tol.  The
+    experiment fails when any member or the limit hits the cap unsettled.
+    """
+    if op_seq.limit_hamiltonian is None:
+        raise PreconditionError("need a limit Hamiltonian")
+    f_seq = lift_to_members(f_limit, op_seq.spaces)
+    # (values, steps, settled) per member, then for the limit
+    runs = [
+        _settle_steps(ResolventFamily(hamiltonian=H), t, f, tol / 10.0, n_start, n_cap)
+        for H, f in zip((*op_seq.members, op_seq.limit_hamiltonian), (*f_seq.members, f_limit))
+    ]
+    notes = [f"member {n}: step doubling hit the cap before settling"
+             for n, (_, _, ok) in enumerate(runs[:-1]) if not ok]
+    if not runs[-1][2]:
+        notes.append("limit: step doubling hit the cap before settling")
+    verdict = check_LIM(FnSequence(op_seq.spaces, [v for v, _, _ in runs[:-1]]), runs[-1][0], tol)
+    return SemigroupExperimentReport(
+        passed=verdict.passed and not notes,
+        verdict=verdict,
+        member_steps=tuple(m for _, m, _ in runs[:-1]),
+        limit_steps=runs[-1][1],
         notes=tuple(notes),
     )

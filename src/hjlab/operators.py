@@ -290,8 +290,11 @@ def stationary_distribution(A: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     M[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
-    pi = np.linalg.solve(M, b)
-    if pi.min() < -1e-9 or np.abs(A.T @ pi).max() > 100 * tol * max(1.0, np.abs(A).max()):
+    try:
+        pi = np.linalg.solve(M, b)
+    except np.linalg.LinAlgError:
+        pi = None  # singular: more than one stationary law
+    if pi is None or pi.min() < -1e-9 or np.abs(A.T @ pi).max() > 100 * tol * max(1.0, np.abs(A).max()):
         raise StructuralError("rate matrix has no clean stationary law (reducible?)")
     return np.clip(pi, 0.0, None) / np.clip(pi, 0.0, None).sum()
 

@@ -462,9 +462,8 @@ def build_Hhat(
     family: ResolventFamily,
     lambdas: Sequence[float],
     hs: Sequence[Fn],
-    kind: str = "dagger",
 ) -> tuple[OperatorGraph, tuple]:
-    """The solution-generated graph {(R(l)h, (R(l)h - h)/l)}.
+    """The solution-generated graph {(R(l)h, (R(l)h - h)/l)}, tagged dagger.
 
     Second components are computed from the solved first components, so
     f - l * g = h holds to machine precision for the generating (l, h);
@@ -482,4 +481,4 @@ def build_Hhat(
     meta = [
         {"lam": float(lam), "h_index": k, "h": h} for lam in lambdas for k, h in enumerate(hs)
     ]
-    return OperatorGraph(space=family.space, pairs=tuple(pairs), kind=kind), tuple(meta)
+    return OperatorGraph(space=family.space, pairs=tuple(pairs), kind="dagger"), tuple(meta)

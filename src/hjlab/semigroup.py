@@ -14,6 +14,10 @@ per-step solver health and supports three styles of verification:
   * the zero-operator density check: R(lambda)h returns to h as lambda
     drops, monotonically for contractive families, which is the resolvent
     form of "the domain is dense".
+
+Everything here works on one space.  The experiment across a converging
+sequence of spaces, semigroup_convergence_experiment, reads an
+OperatorSequence and lives in convergence beside the resolvent experiments.
 """
 
 from __future__ import annotations
@@ -25,22 +29,19 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import PreconditionError
-from .limits import ConvergenceVerdict, Fn, FnSequence, check_LIM, lift_to_members
+from .limits import ConvergenceVerdict, Fn
 from .operators import validate_rate_matrix
 from .resolvent import ResolventFamily, _fixed_point_step, _solve, _takes_fixed_point
-from .spaces import SpaceSequence
 
 __all__ = [
     "SemigroupApprox",
     "TrendReport",
-    "SemigroupExperimentReport",
     "crandall_liggett",
     "logexp_oracle",
     "linear_semigroup_oracle",
     "convergence_in_n",
     "fit_loglog_slope",
     "density_check_zero_operator",
-    "semigroup_convergence_experiment",
 ]
 
 
@@ -217,74 +218,4 @@ def density_check_zero_operator(
     return ConvergenceVerdict(
         passed=passed, tol=tol, n0=0, uniform_bound=h.norm,
         per_level=per_level, notes=tuple(notes),
-    )
-
-
-def _settle_steps(
-    family: ResolventFamily, t: float, f: Fn, tol: float, n_start: int, n_cap: int
-) -> tuple[Fn, int, float, bool]:
-    """Double the step count until two successive approximations agree to tol."""
-    m = n_start
-    v = crandall_liggett(family, t, m, f).result
-    while 2 * m <= n_cap:
-        v2 = crandall_liggett(family, t, 2 * m, f).result
-        gap = float(np.abs(v2.values - v.values).max())
-        m, v = 2 * m, v2
-        if gap <= tol:
-            return v, m, gap, True
-    return v, m, float("nan"), False
-
-
-@dataclass(frozen=True)
-class SemigroupExperimentReport:
-    passed: bool
-    verdict: ConvergenceVerdict
-    member_steps: tuple
-    limit_steps: int
-    notes: tuple = ()
-
-
-def semigroup_convergence_experiment(
-    families: Sequence[ResolventFamily],
-    seq: SpaceSequence,
-    t: float,
-    f_limit: Fn,
-    limit_family: ResolventFamily,
-    tol: float,
-    n_start: int = 8,
-    n_cap: int = 2**16,
-) -> SemigroupExperimentReport:
-    """V_n(t) f_n -> V(t) f across a converging sequence of spaces.
-
-    The initial condition is lifted to every member; per member (and the
-    limit) the step count doubles until self-consistent at tol / 10, capped;
-    the settled values are then compared through check_LIM at tol.  The
-    experiment fails when any member or the limit hits the cap unsettled.
-    """
-    f_seq = lift_to_members(f_limit, seq)
-    settle_tol = tol / 10.0
-    member_vals = []
-    member_steps = []
-    notes = []
-    settled = True
-    for n, fam in enumerate(families):
-        v, m, gap, ok = _settle_steps(fam, t, f_seq.members[n], settle_tol, n_start, n_cap)
-        member_vals.append(v)
-        member_steps.append(m)
-        settled = settled and ok
-        if not ok:
-            notes.append(f"member {n}: step doubling hit the cap before settling")
-    v_lim, m_lim, gap_lim, ok_lim = _settle_steps(
-        limit_family, t, f_limit, settle_tol, n_start, n_cap
-    )
-    if not ok_lim:
-        notes.append("limit: step doubling hit the cap before settling")
-    u_seq = FnSequence(seq, tuple(member_vals))
-    verdict = check_LIM(u_seq, v_lim, tol)
-    return SemigroupExperimentReport(
-        passed=verdict.passed and settled and ok_lim,
-        verdict=verdict,
-        member_steps=tuple(member_steps),
-        limit_steps=m_lim,
-        notes=tuple(notes),
     )

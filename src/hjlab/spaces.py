@@ -293,10 +293,9 @@ class SpaceSequence:
 EnlargedSpaceSequence = SpaceSequence
 
 
-def _interval_grid(a: float, b: float, res: int, periodic: bool) -> np.ndarray:
-    if periodic:
-        return a + (b - a) * np.arange(res) / res
-    return np.linspace(a, b, res)
+def _interval_grid(a: float, b: float, res: int) -> np.ndarray:
+    # periodic: b is a itself, so the last point stops one step short of it
+    return a + (b - a) * np.arange(res) / res
 
 
 def _central_subset(xs: np.ndarray, a: float, b: float, width: float) -> np.ndarray:
@@ -309,11 +308,11 @@ def make_grid_sequence(
     domain: tuple[float, float],
     resolutions: Sequence[int],
     q_widths: Sequence[float] = (0.5, 1.0),
-    periodic: bool = True,
     limit_resolution_factor: int = 10,
     n0: int | None = None,
 ) -> SpaceSequence:
-    """Uniform grids on an interval, refining toward a fine evaluation grid.
+    """Uniform periodic grids on an interval [a, b), refining toward a fine
+    evaluation grid; the schemes' stencils wrap around, so b is a itself.
 
     The limit space is a grid at limit_resolution_factor times the finest
     member resolution.  Compact levels are centered sub-intervals of the
@@ -333,10 +332,10 @@ def make_grid_sequence(
 
     members = []
     for res in resolutions:
-        xs = _interval_grid(a, b, res, periodic)
+        xs = _interval_grid(a, b, res)
         members.append(FiniteSpace(coords=xs, name=f"grid{res}"))
     res_lim = limit_resolution_factor * resolutions[-1]
-    xs_lim = _interval_grid(a, b, res_lim, periodic)
+    xs_lim = _interval_grid(a, b, res_lim)
     limit = FiniteSpace(coords=xs_lim, name=f"grid{res_lim}")
 
     member_sets, limit_sets = [], []

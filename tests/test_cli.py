@@ -202,6 +202,21 @@ def test_a_multiplier_per_fast_state_is_a_config_requirement(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_fast_chain_without_one_stationary_law_is_a_config_error(tmp_path, capsys):
+    # the averaged limit needs the stationary law, and it is built with the
+    # sequence, before any cell runs; a chain of three absorbing states has
+    # one law per state
+    payload = yaml.safe_load((CONFIGS / "slowfast.yaml").read_text())
+    payload["converge"]["fast_rate_matrix"]["rows"] = [[0.0] * 3] * 3
+    out = tmp_path / "out"
+    assert main(["converge", "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: bad slow-fast coupling: "
+        "rate matrix has no clean stationary law (reducible?)\n"
+    )
+    assert not out.exists()
+
+
 def test_a_slow_grid_too_small_for_the_compact_levels_is_a_config_error(tmp_path, capsys):
     # two slow points leave the central half of the slow grid empty
     payload = yaml.safe_load((CONFIGS / "slowfast.yaml").read_text())
@@ -342,18 +357,20 @@ def test_converge_grid_experiment_end_to_end(tmp_path):
     )
 
 
-def test_a_compact_level_without_limit_points_is_a_config_error(tmp_path, capsys):
-    # the 14-point limit grid has no point within 0.025 of 1/2, while every
-    # member grid (3, 5 and 7 points) has 1/2 itself
+def test_a_compact_level_without_member_points_is_a_config_error(tmp_path, capsys):
+    # no member grid (3, 5 and 7 points) has a point within 0.025 of 1/2.  A
+    # level with member points always has limit points: each periodic member
+    # grid is a subset of the limit grid, whose resolution is a multiple of
+    # the finest member's
     cfg = write_cfg(
         tmp_path,
         {
             "schema_version": 1,
-            "name": "empty-limit-level",
+            "name": "empty-member-level",
             "converge": {
                 "kind": "grid_experiment",
                 "sequence": {"kind": "grid_sequence", "domain": [0.0, 1.0],
-                             "resolutions": [3, 5, 7], "periodic": False,
+                             "resolutions": [3, 5, 7], "periodic": True,
                              "limit_resolution_factor": 2, "q_widths": [0.05]},
                 "scheme": "upwind_quadratic",
                 "drift": {"kind": "trig", "sin": [0.3]},
@@ -367,7 +384,43 @@ def test_a_compact_level_without_limit_points_is_a_config_error(tmp_path, capsys
     )
     out = tmp_path / "out"
     assert main(["converge", "--config", cfg, "--out", str(out)]) == 2
-    assert "empty compact limit set" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: bad sequence declaration: empty compact member set\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, stem, space", [
+    ("converge", "positive_control", "sequence"),
+    ("converge", "slowfast", "slow_space"),
+    ("check", "check", "space"),
+])
+def test_a_closed_grid_is_a_config_error(tmp_path, capsys, command, stem, space):
+    # the upwind and centered stencils wrap around, so on a closed grid, whose
+    # last point repeats the first, they would compute another operator
+    payload = yaml.safe_load((CONFIGS / f"{stem}.yaml").read_text())
+    payload[command][space]["periodic"] = False
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: config schema violation at {command}/{space}/periodic: "
+        "False is not True\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("strength", [0, -1.0])
+def test_a_coupling_strength_that_is_not_positive_is_a_config_error(tmp_path, capsys, strength):
+    # the slow-fast members are built before any cell runs, so a strength
+    # the product Hamiltonian refuses is refused with the config
+    payload = yaml.safe_load((CONFIGS / "slowfast.yaml").read_text())
+    payload["converge"]["couplings"][3] = strength
+    out = tmp_path / "out"
+    assert main(["converge", "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: config schema violation at converge/couplings/3: {strength} "
+        "is less than or equal to the minimum of 0\n"
+    )
     assert not out.exists()
 
 

@@ -113,9 +113,11 @@ def test_build_space_variants():
     assert g.size == 8
     assert g.coords[0, 0] == 0.0
     assert g.coords[-1, 0] == pytest.approx(2.0 - 0.25)  # periodic: no endpoint
-    closed = build_space({"kind": "grid", "domain": [0.0, 2.0], "resolution": 9,
-                          "periodic": False})
-    assert closed.coords[-1, 0] == pytest.approx(2.0)
+    # the stencils are periodic, so a closed grid is refused with the config
+    closed = yaml.safe_load((CONFIG_DIR / "check.yaml").read_text())
+    closed["check"]["space"]["periodic"] = False
+    with pytest.raises(ConfigError, match="check/space/periodic: False is not True"):
+        validate_config(closed)
     with pytest.raises(ConfigError, match="increasing interval"):
         build_space({"kind": "grid", "domain": [1.0, 0.0]})
     with pytest.raises(ConfigError, match="unknown space kind"):

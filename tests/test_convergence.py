@@ -17,6 +17,7 @@ from hjlab import (
     PreconditionError,
     ResolventFamily,
     SlowFastCoupling,
+    averaged_slowfast_hamiltonian,
     barles_perthame_envelopes,
     centered_quadratic,
     check_LIM,
@@ -27,7 +28,9 @@ from hjlab import (
     lift_to_members,
     make_grid_sequence,
     make_product_sequence,
+    random_rate_matrix,
     resolvent_convergence_experiment,
+    slowfast_hamiltonian,
     slowfast_resolvent_experiment,
     trig_polynomial,
     upwind_quadratic,
@@ -327,24 +330,30 @@ def test_experiment_rejects_unknown_expectations(monkeypatch):
         )
 
 
-def slowfast_fixture(n_members):
+def slowfast_op_seq(slow, A_fast, multipliers, couplings):
+    """The slow-fast sequence over the slow Hamiltonian: one product member
+    per coupling strength, with the averaged Hamiltonian as the limit."""
+    coupling = SlowFastCoupling(slow=slow, fast_rate_matrix=A_fast, multipliers=multipliers)
+    fast = FiniteSpace(coords=np.arange(float(A_fast.shape[0])), name="fast")
+    product = make_product_sequence(slow.space, fast, n_members=len(couplings))
+    members = tuple(slowfast_hamiltonian(product, n, coupling) for n in couplings)
+    return OperatorSequence(product, members, averaged_slowfast_hamiltonian(coupling))
+
+
+def slowfast_fixture(couplings):
     slow_space = unit_grid(16, "slow")
-    fast = FiniteSpace(coords=np.arange(3.0), name="fast")
     slow = upwind_quadratic(slow_space, drift(slow_space, 0.4))
     A_fast = np.array([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [1.0, 0.0, -1.0]])
-    coupling = SlowFastCoupling(
-        slow=slow, fast_rate_matrix=A_fast, multipliers=(0.5, 1.0, 1.5)
-    )
-    product = make_product_sequence(slow_space, fast, n_members=n_members)
+    op_seq = slowfast_op_seq(slow, A_fast, (0.5, 1.0, 1.5), couplings)
     h = trig_polynomial(slow_space, [0.0, 0.3])
-    return product, coupling, h
+    return op_seq, h
 
 
 def test_slowfast_oscillation_decays_and_averages():
-    product, coupling, h = slowfast_fixture(7)
+    couplings = [1, 2, 4, 8, 16, 32, 64]
+    op_seq, h = slowfast_fixture(couplings)
     rep = slowfast_resolvent_experiment(
-        product, coupling, couplings=[1, 2, 4, 8, 16, 32, 64], lam=1.0,
-        h_slow=h, tol_deviation=5e-2,
+        op_seq, couplings=couplings, lam=1.0, h=h, tol_deviation=5e-2,
     )
     assert rep.passed
     assert rep.decay_order >= 0.8
@@ -356,9 +365,46 @@ def test_slowfast_oscillation_decays_and_averages():
 
 
 def test_slowfast_requires_one_coupling_per_member():
-    product, coupling, h = slowfast_fixture(3)
+    op_seq, h = slowfast_fixture([1, 2, 4])
     with pytest.raises(PreconditionError, match="one coupling strength per member"):
         slowfast_resolvent_experiment(
-            product, coupling, couplings=[1, 2], lam=1.0, h_slow=h,
+            op_seq, couplings=[1, 2], lam=1.0, h=h,
             tol_deviation=5e-2,
+        )
+
+
+@pytest.mark.parametrize("n_slow, n_fast, seed", [(16, 1, 0), (16, 2, 1), (24, 3, 2)])
+def test_slowfast_fibre_readings_equal_the_reshape_formulas(n_slow, n_fast, seed):
+    # the oscillation max_x (max_z V - min_z V) and the deviation
+    # max |V - ubar[:, None]| of V = u.reshape(n_slow, n_fast), read from
+    # one-problem solves, bit for bit; one fast state has multiplier 0 when
+    # there are several
+    rng = np.random.default_rng(seed)
+    slow_space = unit_grid(n_slow, "slow")
+    slow = upwind_quadratic(slow_space, drift(slow_space, 0.4))
+    m = rng.uniform(0.5, 1.5, n_fast)
+    if n_fast > 1:
+        m[seed % n_fast] = 0.0
+    couplings = [1.0, 2.0, 4.0]
+    op_seq = slowfast_op_seq(slow, random_rate_matrix(rng, n_fast), tuple(m), couplings)
+    h = trig_polynomial(slow_space, [0.1, 0.3, -0.2])
+    rep = slowfast_resolvent_experiment(op_seq, couplings, lam=0.5, h=h, tol_deviation=1.0)
+    h_n = lift_to_members(h, op_seq.spaces).members
+    oscs = []
+    for H, h_k in zip(op_seq.members, h_n):
+        V = ResolventFamily(hamiltonian=H).solve(0.5, h_k).values.reshape(n_slow, n_fast)
+        oscs.append(float((V.max(axis=1) - V.min(axis=1)).max()))
+    u_bar = ResolventFamily(hamiltonian=op_seq.limit_hamiltonian).solve(0.5, h)
+    assert rep.oscillations == tuple(oscs)
+    assert rep.final_deviation == float(np.abs(V - u_bar.values[:, None]).max())
+
+
+def test_slowfast_experiment_refuses_members_that_are_not_enlarged_points():
+    # a grid sequence's members are coarser than its (trivially enlarged)
+    # limit grid, so they have no fibres over it
+    seq, op_seq = positive_op_seq()
+    with pytest.raises(PreconditionError, match="points of the enlarged limit"):
+        slowfast_resolvent_experiment(
+            op_seq, couplings=[1.0] * seq.n_members, lam=1.0,
+            h=trig_polynomial(seq.limit, [0.0, 0.2]), tol_deviation=1.0,
         )

@@ -11,7 +11,11 @@ There is no lint step, so these tests are the check:
     otherwise hide an unused import;
   * every name __init__.py re-exports from a submodule must be in that
     submodule's __all__ (errors, which has none, is skipped), so a name a
-    module keeps bound for internal use cannot leak into the public API.
+    module keeps bound for internal use cannot leak into the public API;
+  * convergence names no Hamiltonian constructor (a module-level function
+    annotated to return a Hamiltonian) and no SlowFastCoupling, and calls no
+    Hamiltonian(...): its experiments read the operators of an
+    OperatorSequence that the caller builds.
 """
 
 import ast
@@ -158,3 +162,57 @@ def test_the_check_sees_reexports_missing_from_all():
 
 def test_package_reexports_are_in_their_modules_all():
     assert unlisted_reexports((SRC / "__init__.py").read_text(), submodule_all) == []
+
+
+def hamiltonian_constructors(tree: ast.Module) -> set:
+    """The module-level functions whose return annotation names Hamiltonian."""
+    return {
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.returns is not None
+        and "Hamiltonian" in ast.unparse(node.returns)
+    }
+
+
+OPERATOR_BUILDERS = set().union(
+    *(hamiltonian_constructors(ast.parse(p.read_text())) for p in MODULES)
+) | {"SlowFastCoupling"}
+
+
+def operator_builds(source: str) -> list:
+    """Every mention of an operator builder anywhere in the module (a name,
+    an attribute or an import, at any depth), and every Hamiltonian(...)
+    call."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name.split(".")[-1])
+        elif isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "Hamiltonian":
+            found.add("Hamiltonian(...)")
+    return sorted(found & (OPERATOR_BUILDERS | {"Hamiltonian(...)"}))
+
+
+def test_the_operator_builders_are_the_hamiltonian_constructors():
+    assert {"upwind_quadratic", "centered_quadratic", "tilt_linear", "linear_generator",
+            "scale_hamiltonian", "slowfast_hamiltonian", "averaged_slowfast_hamiltonian",
+            "build_operator", "build_rate_operator", "SlowFastCoupling"} == OPERATOR_BUILDERS
+
+
+def test_the_check_sees_operator_builds():
+    source = (
+        "from .operators import Hamiltonian, SlowFastCoupling\n"
+        "from . import operators as ops\n"
+        "def f(space, b):\n"
+        "    from .config import build_operator\n"
+        "    return ops.upwind_quadratic(space, b), Hamiltonian(space=space)\n"
+    )
+    assert operator_builds(source) == [
+        "Hamiltonian(...)", "SlowFastCoupling", "build_operator", "upwind_quadratic",
+    ]
+
+
+def test_the_experiments_build_no_operator():
+    assert operator_builds((SRC / "convergence.py").read_text()) == []

@@ -20,6 +20,7 @@ from hjlab import (
     PreconditionError,
     ResolventFamily,
     SolverError,
+    StructuralError,
     SlowFastCoupling,
     averaged_slowfast_hamiltonian,
     centered_quadratic,
@@ -91,6 +92,12 @@ def test_random_rate_matrix_is_valid_with_positive_stationary_law():
 def test_symmetric_cycle_has_uniform_stationary_law():
     pi = stationary_distribution(cycle_matrix(3))
     assert np.allclose(pi, 1.0 / 3)
+
+
+def test_a_chain_with_several_stationary_laws_is_a_structural_error():
+    # two absorbing states: the system for pi is singular
+    with pytest.raises(StructuralError, match="no clean stationary law"):
+        stationary_distribution(np.zeros((2, 2)))
 
 
 # --- linear and tilted generators ------------------------------------------

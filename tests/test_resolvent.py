@@ -343,7 +343,7 @@ def test_build_Hhat_pairs_satisfy_the_generating_equation():
     family, s = tilted_family()
     rng = np.random.default_rng(6)
     hs = [Fn(s, rng.uniform(-1, 1, 10)) for _ in range(2)]
-    G, meta = build_Hhat(family, [0.5, 2.0], hs, kind="dagger")
+    G, meta = build_Hhat(family, [0.5, 2.0], hs)
     assert G.kind == "dagger"
     assert len(G.pairs) == len(meta) == 4
     for (f, g), m in zip(G.pairs, meta):

@@ -11,6 +11,7 @@ from conftest import chain, unit_grid
 from oracles import semigroup_reference
 from hjlab import (
     Fn,
+    OperatorSequence,
     PreconditionError,
     ResolventFamily,
     convergence_in_n,
@@ -282,17 +283,19 @@ def test_zero_operator_density_rejects_bad_lambda_grids():
         density_check_zero_operator(family, h, [1.0, -0.5], tol=0.1)
 
 
+def upwind_op_seq(seq, amp):
+    """Upwind members and limit with drift amp * sin 2 pi x."""
+    def upwind(space):
+        return upwind_quadratic(space, amp * np.sin(2.0 * np.pi * space.coords[:, 0]))
+
+    return OperatorSequence(seq, tuple(upwind(m) for m in seq.members), upwind(seq.limit))
+
+
 def test_semigroup_values_converge_across_a_grid_sequence():
     seq = make_grid_sequence((0.0, 1.0), [16, 32, 64])
-    families = []
-    for m in seq.members:
-        b = 0.3 * np.sin(2.0 * np.pi * m.coords[:, 0])
-        families.append(ResolventFamily(hamiltonian=upwind_quadratic(m, b)))
-    bl = 0.3 * np.sin(2.0 * np.pi * seq.limit.coords[:, 0])
-    limit_family = ResolventFamily(hamiltonian=upwind_quadratic(seq.limit, bl))
     f_limit = trig_polynomial(seq.limit, [0.0, 0.2])
     rep = semigroup_convergence_experiment(
-        families, seq, t=0.5, f_limit=f_limit, limit_family=limit_family, tol=0.05
+        upwind_op_seq(seq, 0.3), t=0.5, f_limit=f_limit, tol=0.05
     )
     assert rep.passed
     assert rep.verdict.passed
@@ -305,15 +308,9 @@ def test_semigroup_experiment_fails_when_a_member_never_settles():
     # a strong drift on coarse members needs more than n_cap = 16 steps; the
     # limit and the converged values still agree, so only settling can fail
     seq = make_grid_sequence((0.0, 1.0), [16, 32, 64], n0=1)
-
-    def family(space):
-        b = 3.0 * np.sin(2.0 * np.pi * space.coords[:, 0])
-        return ResolventFamily(hamiltonian=upwind_quadratic(space, b))
-
     rep = semigroup_convergence_experiment(
-        [family(m) for m in seq.members], seq, t=0.5,
-        f_limit=trig_polynomial(seq.limit, [0.0, 0.2]),
-        limit_family=family(seq.limit), tol=0.05, n_cap=16,
+        upwind_op_seq(seq, 3.0), t=0.5,
+        f_limit=trig_polynomial(seq.limit, [0.0, 0.2]), tol=0.05, n_cap=16,
     )
     assert rep.verdict.passed
     assert not rep.passed
