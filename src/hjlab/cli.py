@@ -125,12 +125,7 @@ def _cells_resolvent(section: dict, seed: int):
     if contract:
 
         def run_contract(lams=_lam_list(contract["lambdas"]), tol=float(contract["tol"])):
-            pairs = [
-                (probes[i], probes[j])
-                for i in range(len(probes))
-                for j in range(i + 1, len(probes))
-            ]
-            rep = check_contractive(family, lams, pairs, tol=tol)
+            rep = check_contractive(family, lams, probes, tol=tol)
             rows = [(c["lam"], c["pair"], c["sup_excess"], c["inf_excess"])
                     for c in rep.cases]
             details = {"worst_excess": rep.worst_excess, "tol": tol,
@@ -159,6 +154,11 @@ def _cells_semigroup(section: dict, seed: int):
     family = ResolventFamily(hamiltonian=H)
     t = float(section["t"])
     n_list = [int(n) for n in section["n_steps"]]
+    if any(b <= a for a, b in zip(n_list[:-1], n_list[1:])):
+        raise ConfigError("n_steps must be strictly increasing")
+    srange = section.get("slope_range")
+    if srange is not None and float(srange[0]) > float(srange[1]):
+        raise ConfigError("slope_range must be [lo, hi] with lo <= hi")
     cells = []
 
     def run_iteration():
@@ -172,10 +172,7 @@ def _cells_semigroup(section: dict, seed: int):
             family, t, f0, n_list, oracle_values=oracle_vals,
             tol=float(section["tol_final"]),
         )
-        slope_ok = True
-        srange = section.get("slope_range")
-        if srange is not None:
-            slope_ok = float(srange[0]) <= rep.slope <= float(srange[1])
+        slope_ok = srange is None or float(srange[0]) <= rep.slope <= float(srange[1])
         rows = list(zip(rep.n_list, rep.deviations))
         details = {"mode": rep.mode, "final": rep.final, "slope": rep.slope,
                    "slope_ok": slope_ok, "tol": rep.tol, "notes": rep.notes}

@@ -142,6 +142,9 @@ _PROBES = {
     "additionalProperties": False,
 }
 
+# resolvent parameters: R(lambda) is defined for lambda > 0 only
+_LAMBDAS = {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}, "minItems": 1}
+
 _RESOLVENT = {
     "type": "object",
     "properties": {
@@ -151,8 +154,8 @@ _RESOLVENT = {
         "identity": {
             "type": "object",
             "properties": {
-                "alpha": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                "beta": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+                "alpha": _LAMBDAS,
+                "beta": _LAMBDAS,
                 "tol": {"type": "number", "exclusiveMinimum": 0},
             },
             "required": ["alpha", "beta", "tol"],
@@ -161,7 +164,7 @@ _RESOLVENT = {
         "contractivity": {
             "type": "object",
             "properties": {
-                "lambdas": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+                "lambdas": _LAMBDAS,
                 "tol": {"type": "number", "exclusiveMinimum": 0},
             },
             "required": ["lambdas", "tol"],
@@ -208,7 +211,7 @@ _CONVERGE_GRID = {
         "limit_scheme": {"enum": ["upwind_quadratic", "centered_quadratic"]},
         "drift": _DRIFT,
         "probes": _PROBES,
-        "lambdas": {"type": "array", "items": {"type": "number"}, "minItems": 1},
+        "lambdas": _LAMBDAS,
         "tol_lim": {"type": "number", "exclusiveMinimum": 0},
         "envelope_tolerance": {
             "type": "object",
@@ -258,10 +261,8 @@ _CHECK = {
         "hhat": {
             "type": "object",
             "properties": {
-                "lambdas": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-                "dissipativity_lambdas": {
-                    "type": "array", "items": {"type": "number"}, "minItems": 1,
-                },
+                "lambdas": _LAMBDAS,
+                "dissipativity_lambdas": _LAMBDAS,
                 "dissipativity_tol": {"type": "number", "exclusiveMinimum": 0},
                 "viscosity_tol": {"type": "number", "exclusiveMinimum": 0},
             },

@@ -353,9 +353,9 @@ def resolvent_convergence_experiment(
     own equation against the member test pairs; (d) fit the equi-continuity
     level; then per (h, lambda): envelopes, their separation, and the direct
     comparison of member solutions against the limit solution.  Only the
-    limit family's pseudo-resolvent identity solves again, for R(alpha) of
-    derived data.  With expectation="separate" the report passes when the
-    envelopes detectably split on at least one probe instead.
+    limit's pseudo-resolvent identity solves again: R(alpha) of derived
+    data, one stack per (alpha, beta).  With expectation="separate" the
+    report passes when the envelopes detectably split on a probe instead.
     """
     if expectation not in ("converge", "separate"):
         raise PreconditionError("expectation must be 'converge' or 'separate'")

@@ -37,8 +37,9 @@ _solve.  The algebraic checks:
 
   * pseudo-resolvent identity
         R(beta) h = R(alpha)[ R(beta) h - (alpha/beta)(R(beta) h - h) ]
-    for alpha < beta;
-  * contractivity in the two one-sided forms
+    for alpha < beta, from one solve_all stack per beta and one per pair;
+  * contractivity in the two one-sided forms, over the pairs (h1, h2) =
+    (hs[i], hs[j]), i < j, of the probes, from one solve_all stack per l:
         sup R(l)h1 - R(l)h2 <= sup h1 - h2,
         inf R(l)h1 - R(l)h2 >= inf h1 - h2;
   * the local strict equi-continuity estimate over a compact chain, read
@@ -321,6 +322,11 @@ def _cache_key(family: ResolventFamily, lam: float, h: Fn) -> tuple:
     return (float(lam), _hash_values(h.values))
 
 
+def _stack(fs: Sequence[Fn], space) -> np.ndarray:
+    """The values of fs as the rows of one (len(fs), space.size) array."""
+    return np.array([f.values for f in fs]).reshape(len(fs), space.size)
+
+
 def solve_resolvent(
     family: ResolventFamily, lam: float, h: Fn
 ) -> tuple[Fn, SolveDiagnostics]:
@@ -359,18 +365,18 @@ def check_pseudo_resolvent_identity(
     tol: float,
 ) -> IdentityReport:
     """Residuals of R(beta)h = R(alpha)[R(beta)h - (alpha/beta)(R(beta)h - h)]."""
+    if not all(0 < alpha < beta for alpha, beta in alpha_beta):
+        raise PreconditionError("need 0 < alpha < beta")
+    betas = dict.fromkeys(beta for _, beta in alpha_beta)
+    rb = {beta: family.solve_all([(beta, h) for h in hs]) for beta in betas}
     cases = []
-    worst = 0.0
     for alpha, beta in alpha_beta:
-        if not (0 < alpha < beta):
-            raise PreconditionError("need 0 < alpha < beta")
-        for k, h in enumerate(hs):
-            rb = family.solve(beta, h)
-            inner = perturb_subsolution(rb, h, beta, alpha)
-            lhs = family.solve(alpha, inner)
-            res = float(np.abs(lhs.values - rb.values).max())
-            worst = max(worst, res)
-            cases.append({"alpha": float(alpha), "beta": float(beta), "h_index": k, "residual": res})
+        inner = [perturb_subsolution(f, h, beta, alpha) for f, h in zip(rb[beta], hs)]
+        lhs = _stack(family.solve_all([(alpha, g) for g in inner]), family.space)
+        res = np.abs(lhs - _stack(rb[beta], family.space)).max(axis=1)
+        cases += [{"alpha": float(alpha), "beta": float(beta), "h_index": k, "residual": r}
+                  for k, r in enumerate(res.tolist())]
+    worst = max([0.0, *(c["residual"] for c in cases)])
     return IdentityReport(passed=worst <= tol, tol=tol, worst_residual=worst, cases=tuple(cases))
 
 
@@ -385,23 +391,23 @@ class ContractivityReport:
 def check_contractive(
     family: ResolventFamily,
     lambdas: Sequence[float],
-    probe_pairs: Sequence[tuple],
+    hs: Sequence[Fn],
     tol: float = 1e-9,
 ) -> ContractivityReport:
-    """Both one-sided bounds: sup of differences does not grow, inf does not shrink."""
+    """Both one-sided bounds over the pairs (hs[i], hs[j]), i < j: sup of
+    differences does not grow, inf does not shrink."""
+    i, j = np.triu_indices(len(hs), 1)
     cases = []
-    worst = 0.0
     for lam in lambdas:
-        for k, (h1, h2) in enumerate(probe_pairs):
-            r1, r2 = family.solve(lam, h1), family.solve(lam, h2)
-            d_out = r1.values - r2.values
-            d_in = h1.values - h2.values
-            sup_excess = float(d_out.max() - d_in.max())
-            inf_excess = float(d_in.min() - d_out.min())
-            excess = max(sup_excess, inf_excess)
-            worst = max(worst, excess)
-            cases.append({"lam": float(lam), "pair": k, "sup_excess": sup_excess,
-                          "inf_excess": inf_excess})
+        r = _stack(family.solve_all([(lam, h) for h in hs]), family.space)
+        # stacked after the solves, which refuse an h from another space
+        v = _stack(hs, family.space)
+        d_out, d_in = r[i] - r[j], v[i] - v[j]
+        sup_excess = (d_out.max(axis=1) - d_in.max(axis=1)).tolist()
+        inf_excess = (d_in.min(axis=1) - d_out.min(axis=1)).tolist()
+        cases += [{"lam": float(lam), "pair": k, "sup_excess": s, "inf_excess": e}
+                  for k, (s, e) in enumerate(zip(sup_excess, inf_excess))]
+    worst = max([0.0, *(max(c["sup_excess"], c["inf_excess"]) for c in cases)])
     return ContractivityReport(passed=worst <= tol, tol=tol, worst_excess=worst, cases=tuple(cases))
 
 

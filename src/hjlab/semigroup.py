@@ -31,7 +31,7 @@ from scipy.linalg import expm
 from .errors import PreconditionError
 from .limits import ConvergenceVerdict, Fn
 from .operators import validate_rate_matrix
-from .resolvent import ResolventFamily, _fixed_point_step, _solve, _takes_fixed_point
+from .resolvent import ResolventFamily, _fixed_point_step, _solve, _stack, _takes_fixed_point
 
 __all__ = [
     "SemigroupApprox",
@@ -189,7 +189,8 @@ def density_check_zero_operator(
     lambda_seq: Sequence[float],
     tol: float,
 ) -> ConvergenceVerdict:
-    """Deviations ||R(lambda)h - h|| along a decreasing lambda sequence.
+    """Deviations ||R(lambda)h - h|| along a decreasing lambda sequence, from
+    one solve_all stack.
 
     Passes when the deviations are non-increasing (up to solver-level slack)
     and the final one is below tol.
@@ -197,10 +198,8 @@ def density_check_zero_operator(
     lam_seq = [float(l) for l in lambda_seq]
     if any(l <= 0 for l in lam_seq) or any(b >= a for a, b in zip(lam_seq[:-1], lam_seq[1:])):
         raise PreconditionError("lambda_seq must be positive and strictly decreasing")
-    devs = []
-    for lam in lam_seq:
-        r = family.solve(lam, h)
-        devs.append(float(np.abs(r.values - h.values).max()))
+    r = _stack(family.solve_all([(lam, h) for lam in lam_seq]), family.space)
+    devs = np.abs(r - h.values).max(axis=1).tolist()
     non_increasing = all(b <= a + 1e-11 for a, b in zip(devs[:-1], devs[1:]))
     final_ok = devs[-1] <= tol
     notes = []

@@ -143,18 +143,98 @@ def test_schema_errors_exit_two_with_a_message(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_invalid_dynamics_are_suite_failures_not_schema_errors(tmp_path):
-    # a negative lambda is schema-legal; it must surface as a failing cell
-    bad = dict(RESOLVENT_TINY, name="negative-lambda")
-    bad["resolvent"] = dict(RESOLVENT_TINY["resolvent"])
-    bad["resolvent"]["contractivity"] = {"lambdas": [-1.0], "tol": 1e-9}
-    cfg = write_cfg(tmp_path, bad)
+@pytest.mark.parametrize("command, stem, path, values", [
+    pytest.param("resolvent", "resolvent", ("identity", "alpha"), [-0.1], id="identity.alpha"),
+    pytest.param("resolvent", "resolvent", ("identity", "beta"), [1.0, 0.0], id="identity.beta"),
+    pytest.param("resolvent", "resolvent", ("contractivity", "lambdas"), [1.0, -1.0],
+                 id="contractivity.lambdas"),
+    pytest.param("converge", "positive_control", ("lambdas",), [-0.25], id="converge.lambdas"),
+    pytest.param("check", "check", ("hhat", "lambdas"), [0.5, -0.5], id="hhat.lambdas"),
+    pytest.param("check", "check", ("hhat", "dissipativity_lambdas"), [-1.0],
+                 id="hhat.dissipativity_lambdas"),
+])
+def test_a_lambda_that_is_not_positive_is_a_config_error(
+    tmp_path, capsys, command, stem, path, values
+):
+    # R(lambda) is defined for lambda > 0 only, so the schema refuses any
+    # other lambda before a cell runs, as it does converge.lambda
+    payload = yaml.safe_load((CONFIGS / f"{stem}.yaml").read_text())
+    section = payload[command]
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = values
+    out = tmp_path / "out"
+    assert main([command, "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 2
+    where = "/".join((command, *path, str(len(values) - 1)))
+    assert capsys.readouterr().err == (
+        f"config error: config schema violation at {where}: {values[-1]} "
+        "is less than or equal to the minimum of 0\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    pytest.param("n_steps", [64, 16], "n_steps must be strictly increasing", id="decreasing"),
+    pytest.param("n_steps", [16, 16, 64], "n_steps must be strictly increasing", id="repeated"),
+    pytest.param("slope_range", [-0.7, -1.3], "slope_range must be [lo, hi] with lo <= hi",
+                 id="reversed_slope_range"),
+])
+def test_a_step_sweep_no_run_can_pass_is_a_config_error(tmp_path, capsys, key, value, message):
+    # a sweep that does not refine, or a slope range no slope lies in, is
+    # refused with the config rather than run to a failing cell
+    payload = yaml.safe_load((CONFIGS / "semigroup.yaml").read_text())
+    payload["semigroup"][key] = value
+    out = tmp_path / "out"
+    assert main(["semigroup", "--config", write_cfg(tmp_path, payload), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_single_probe_leaves_contractivity_without_cases(tmp_path):
+    payload = yaml.safe_load(yaml.safe_dump(RESOLVENT_TINY))
+    payload["resolvent"]["probes"]["count"] = 1
     out = str(tmp_path / "out")
-    assert main(["resolvent", "--config", cfg, "--out", out]) == 1
-    rep = read_report(out)
-    cell = {c["name"]: c for c in rep["cells"]}["contractivity"]
-    assert cell["passed"] is False
-    assert "PreconditionError" in cell["error"]
+    assert main(["resolvent", "--config", write_cfg(tmp_path, payload), "--out", out]) == 0
+    cell = {c["name"]: c for c in read_report(out)["cells"]}["contractivity"]
+    assert cell["passed"] is True
+    assert cell["details"]["n_cases"] == 0
+    assert cell["details"]["worst_excess"] == 0.0
+    table = Path(out) / "tables" / "contractivity.csv"
+    assert table.read_text() == "lam,pair,sup_excess,inf_excess\n"
+
+
+def test_the_resolvent_suite_reads_stacks(tmp_path, monkeypatch):
+    # 160 distinct problems: the identity reads one stack per beta (2 x 20
+    # entries) and one per (alpha, beta) pair (4 x 20), contractivity one per
+    # lambda (3 x 20); one entry per problem and case would be 1300
+    entries = []
+    solve = resolvent.solve_resolvent
+
+    def counted(family, lam, h):
+        entries.append(lam)
+        return solve(family, lam, h)
+
+    monkeypatch.setattr(resolvent, "solve_resolvent", counted)
+    out = str(tmp_path / "out")
+    config = str(CONFIGS / "resolvent.yaml")
+    assert main(["resolvent", "--config", config, "--out", out, "--seed", "1"]) == 0
+    assert len(entries) <= 220
+
+
+def test_the_density_check_reads_one_stack(tmp_path, monkeypatch):
+    stacks = []
+    solve_all = resolvent.ResolventFamily.solve_all
+
+    def counted(family, problems):
+        stacks.append(len(problems))
+        return solve_all(family, problems)
+
+    monkeypatch.setattr(resolvent.ResolventFamily, "solve_all", counted)
+    out = str(tmp_path / "out")
+    config = str(CONFIGS / "semigroup.yaml")
+    assert main(["semigroup", "--config", config, "--out", out, "--seed", "1"]) == 0
+    # max_k = 10: lambda = 2^0 ... 2^-10; the Crandall-Liggett steps bypass it
+    assert stacks == [11]
 
 
 def test_seed_flag_overrides_the_config_seed(tmp_path):

@@ -15,7 +15,10 @@ There is no lint step, so these tests are the check:
   * convergence names no Hamiltonian constructor (a module-level function
     annotated to return a Hamiltonian) and no SlowFastCoupling, and calls no
     Hamiltonian(...): its experiments read the operators of an
-    OperatorSequence that the caller builds.
+    OperatorSequence that the caller builds;
+  * only ResolventFamily.solve and ResolventFamily.solve_all call
+    solve_resolvent, and no function calls a family's .solve(: the checks
+    read solve_all stacks.
 """
 
 import ast
@@ -216,3 +219,50 @@ def test_the_check_sees_operator_builds():
 
 def test_the_experiments_build_no_operator():
     assert operator_builds((SRC / "convergence.py").read_text()) == []
+
+
+def solve_calls(source: str) -> list:
+    """(function, callee) for every call of solve_resolvent and every .solve(
+    call on anything but numpy's linalg, with the function's qualified name
+    ("<module>" at module level)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                callee = ast.unparse(child.func)
+                if callee.split(".")[-1] == "solve_resolvent":
+                    found.append((scope, "solve_resolvent"))
+                elif callee.endswith(".solve") and callee not in ("np.linalg.solve",
+                                                                  "numpy.linalg.solve"):
+                    found.append((scope, callee))
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_check_sees_solve_calls():
+    source = (
+        "import numpy as np\n"
+        "from . import resolvent\n"
+        "class F:\n"
+        "    def solve(self, lam, h):\n"
+        "        return solve_resolvent(self, lam, h)\n"
+        "def check(family, hs):\n"
+        "    x = np.linalg.solve(a, b)\n"
+        "    return [family.solve(1.0, h) for h in hs], resolvent.solve_resolvent(family, 1, x)\n"
+    )
+    assert solve_calls(source) == [
+        ("F.solve", "solve_resolvent"), ("check", "family.solve"), ("check", "solve_resolvent"),
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_family_solves_one_problem_at_a_time(path):
+    allowed = {("ResolventFamily.solve", "solve_resolvent"),
+               ("ResolventFamily.solve_all", "solve_resolvent")}
+    assert [c for c in solve_calls(path.read_text()) if c not in allowed] == []

@@ -301,17 +301,18 @@ def test_pseudo_resolvent_identity_holds_for_the_tilted_chain():
 def test_tilted_resolvent_is_contractive():
     family, s = tilted_family()
     rng = np.random.default_rng(4)
-    pairs = [
-        (Fn(s, rng.uniform(-1, 1, 10)), Fn(s, rng.uniform(-1, 1, 10)))
-        for _ in range(5)
-    ]
-    rep = check_contractive(family, [0.1, 1.0, 10.0], pairs, tol=1e-9)
+    hs = [Fn(s, rng.uniform(-1, 1, 10)) for _ in range(5)]
+    rep = check_contractive(family, [0.1, 1.0, 10.0], hs, tol=1e-9)
     assert rep.passed
     assert rep.worst_excess <= 1e-9
-    assert len(rep.cases) == 15
+    pairs = [(hs[i], hs[j]) for i in range(5) for j in range(i + 1, 5)]
+    assert len(rep.cases) == 3 * len(pairs) == 30
     # contractivity in the sup norm follows from the one-sided bounds
     for (h1, h2), case in zip(pairs * 3, rep.cases):
         r1, r2 = family.solve(case["lam"], h1), family.solve(case["lam"], h2)
+        d_out, d_in = r1.values - r2.values, h1.values - h2.values
+        assert case["sup_excess"] == d_out.max() - d_in.max()
+        assert case["inf_excess"] == d_in.min() - d_out.min()
         assert (
             np.abs(r1.values - r2.values).max()
             <= np.abs(h1.values - h2.values).max() + 1e-9
